@@ -21,9 +21,9 @@ vac = StateSpec("coherent", {"alpha": 0j})
 print("gap      hellinger   4*gap      kullback    4*pi*gap^2   J/B")
 for gap in (0.01, 0.1, 0.5, 1.0, 2.0):
     other = StateSpec("coherent", {"alpha": gap + 0j})
-    dh = tomographic_distance(vac, other, "hellinger", radial_nodes=16)
-    dj = tomographic_distance(vac, other, "kullback", radial_nodes=16)
-    db = tomographic_distance(vac, other, "bhattacharyya", radial_nodes=16)
+    dh = tomographic_distance(vac, other, "hellinger")
+    dj = tomographic_distance(vac, other, "kullback")
+    db = tomographic_distance(vac, other, "bhattacharyya")
     print(
         f"{gap:5.2f} {dh:11.6f} {4 * gap:9.4f} {dj:12.6f} {4 * math.pi * gap**2:11.6f} {dj / db:6.3f}"
     )
@@ -37,7 +37,6 @@ dk = tomographic_distance(
     StateSpec("fock", {"n": 1}),
     StateSpec("coherent", {"alpha": 1.0 + 0j}),
     "kolmogorov",
-    radial_nodes=12,
     angular_nodes=32,
 )
 print(f"  D_K(|1>, |alpha=1>) = {dk:.6f}")

@@ -92,7 +92,6 @@ from .states import (
 )
 from .tomography import (
     Tomogram,
-    WeightFunction,
     classical_divergence,
     marginal_analytic,
     marginal_from_wigner,

@@ -57,7 +57,10 @@ def _fmt(x: float) -> str:
 
 
 def _max_dim() -> int:
-    return int(os.environ.get("QDIST_MAX_DIM", "512"))
+    text = os.environ.get("QDIST_MAX_DIM", "512")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise SpecParseError(f"QDIST_MAX_DIM must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _resolve_dim(spec_a: StateSpec, spec_b: StateSpec, dim_arg: str) -> int:
@@ -290,21 +293,8 @@ def cmd_tomo_distance(args) -> int:
     spec_b = parse_state_spec(args.b)
     if args.kind not in DIVERGENCE_KINDS:
         raise SpecParseError(f"unknown divergence kind {args.kind!r}")
-    value = tomographic_distance(
-        spec_a,
-        spec_b,
-        kind=args.kind,
-        radial_nodes=args.nodes_radial,
-        angular_nodes=args.nodes_angular,
-        wigner_grid_points=args.grid,
-    )
-    _emit(
-        [
-            "kind,value,nodes_radial,nodes_angular",
-            f"{args.kind},{_fmt(value)},{args.nodes_radial},{args.nodes_angular}",
-        ],
-        args.out,
-    )
+    value = tomographic_distance(spec_a, spec_b, kind=args.kind, angular_nodes=args.nodes_angular)
+    _emit(["kind,value,nodes_angular", f"{args.kind},{_fmt(value)},{args.nodes_angular}"], args.out)
     return EXIT_OK
 
 
@@ -338,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--a", required=True)
     t.add_argument("--b", required=True)
     t.add_argument("--kind", default="hellinger", help="|".join(DIVERGENCE_KINDS))
-    t.add_argument("--nodes-radial", type=int, default=48)
     t.add_argument("--nodes-angular", type=int, default=64)
-    t.add_argument("--grid", type=int, default=None, help="Wigner grid points for non-closed-form states")
     t.add_argument("--out")
     t.set_defaults(func=cmd_tomo_distance)
     return ap

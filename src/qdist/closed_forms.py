@@ -59,10 +59,10 @@ def coherent_fock(alpha: complex, m: int) -> ClosedFormResult:
     if m < 0:
         raise StateValidationError("m must be >= 0")
     lam = abs(alpha) ** 2
-    pm = math.exp(-lam) * lam**m / math.factorial(m)
+    # Poisson weight in log form: lam**m and m! overflow separately at large m
+    pm = math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0.0 else float(m == 0)
     hs = SQRT2 * math.sqrt(max(1.0 - pm, 0.0))
-    cross = 0.0 if m == 0 else 2.0 * math.exp(-lam) * lam**m / math.factorial(m - 1)
-    dn = math.sqrt(max(m + lam - cross, 0.0))
+    dn = math.sqrt(max(m + lam - 2.0 * m * pm, 0.0))
     return ClosedFormResult({"hs": hs, "dN": dn})
 
 

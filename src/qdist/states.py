@@ -473,12 +473,20 @@ def reconstruct_from_moments(table: MomentTable, dim: int) -> DensityOperator:
 # textual grammar (shared with the CLI)
 # ---------------------------------------------------------------------------
 
+def _parse_real(text: str) -> float:
+    """float(text), rejecting nan and inf: no state has a non-finite parameter."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _parse_complex(fields: list[str], what: str) -> complex:
     try:
         if len(fields) == 1:
-            return complex(float(fields[0]), 0.0)
+            return complex(_parse_real(fields[0]), 0.0)
         if len(fields) == 2:
-            return complex(float(fields[0]), float(fields[1]))
+            return complex(_parse_real(fields[0]), _parse_real(fields[1]))
     except ValueError as exc:
         raise SpecParseError(f"bad {what} in {fields!r}") from exc
     raise SpecParseError(f"{what} takes 're' or 're,im', got {fields!r}")
@@ -506,7 +514,7 @@ def parse_state_spec(text: str) -> StateSpec:
                 raise SpecParseError("cat takes re,im,phi")
             return StateSpec(
                 "cat",
-                {"alpha": _parse_complex(fields[:2], "alpha"), "phi": float(fields[2])},
+                {"alpha": _parse_complex(fields[:2], "alpha"), "phi": _parse_real(fields[2])},
             )
         if head == "squeezed":
             return StateSpec("squeezed_vacuum", {"zeta": _parse_complex(fields, "zeta")})
@@ -515,14 +523,14 @@ def parse_state_spec(text: str) -> StateSpec:
         if head == "thermal":
             if len(fields) != 1:
                 raise SpecParseError("thermal takes exactly one real")
-            return StateSpec("thermal", {"nbar": float(fields[0])})
+            return StateSpec("thermal", {"nbar": _parse_real(fields[0])})
         if head == "gencoh":
             if len(fields) != 3 or not fields[2].startswith("@"):
                 raise SpecParseError("gencoh takes re,im,@phasefile")
             alpha = _parse_complex(fields[:2], "alpha")
             try:
                 with open(fields[2][1:], "r", encoding="utf-8") as fh:
-                    phases = [float(line) for line in fh if line.strip()]
+                    phases = [_parse_real(line) for line in fh if line.strip()]
             except OSError as exc:
                 raise SpecParseError(f"cannot read phase file {fields[2][1:]!r}") from exc
             return StateSpec("generalized_coherent", {"alpha": alpha, "phases": phases})

@@ -2,14 +2,19 @@
 
 A tomogram w_{mu nu}(X) is the probability density of the quadrature
 mu*q + nu*p.  Closed forms are available for number and coherent
-states; any other state is handled by a numerical line integral of its
-Wigner function (the delta in the defining transform is resolved by
-integrating along the rotated coordinate at each X bin).
+states.  For any other state the unit-radius marginal has a closed form
+in the Fock basis, w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>
+(Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), evaluated
+from the oscillator eigenfunctions and the state's amplitudes or
+eigenvectors.  ``marginal_from_wigner``, a numerical line integral of a
+Wigner grid, stays as an independent reference.
 
-Distances between two states are then weighted integrals of a classical
-divergence between the corresponding tomogram families over the (mu,
-nu) plane, evaluated in polar coordinates with a Gauss-Laguerre radial
-rule and a kink-aware angular rule.  The per-angle divergence has a
+The distance between two states averages a classical divergence between
+their tomogram families over the (mu, nu) plane with the normalized
+radial weight g(R) = 2 exp(-R^2).  Every divergence offered here is an
+f-divergence, unchanged under X -> X/R, and w_{R c, R s}(X) =
+w_{c, s}(X/R)/R, so the radial integral is exactly the angular integral
+at R = 1, which is what is evaluated.  The per-angle divergence has a
 |cos|-type kink wherever the two tomograms coincide, which would cut a
 uniform rule down to O(nodes^-2) (Trefethen & Weideman, SIAM Rev. 56
 (2014)).  So the angular nodes are Gauss-Legendre panels split at the
@@ -27,18 +32,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import (
     GridError,
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .phase_space import QuasiDistribution, default_grid, simpson_weights, wigner
-from .states import StateSpec, adaptive_dim, as_density, moment
+from .fock_core import DensityOperator, outer
+from .phase_space import QuasiDistribution, oscillator_eigenfunctions, simpson_weights
+from .states import StateSpec, adaptive_dim, build_state, moment
 
 X_POINTS = 1025
 X_SIGMAS = 10.0
+VACUUM_SIGMA = math.sqrt(0.5)  # quadrature standard deviation of the vacuum at unit radius
 MOMENT_TOL = 1e-9  # |difference| of <a> or <a^2> below which the two are taken as equal
 
 
@@ -70,34 +76,16 @@ class Tomogram:
         object.__setattr__(self, "w", w)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Radial weight g(R) on the (mu, nu) plane, independent of the angle."""
-
-    kind: str = "gaussian_radial"
-
-    def __post_init__(self):
-        if self.kind != "gaussian_radial":
-            raise StateValidationError(f"unknown weight kind {self.kind!r}")
-
-    def g(self, r: np.ndarray) -> np.ndarray:
-        return 2.0 * np.exp(-np.asarray(r, dtype=float) ** 2)
-
-    def check_normalization(self, tol: float = 1e-10) -> float:
-        """Quadrature check of int_0^inf g(R) R dR = 1."""
-        u = np.linspace(0.0, 80.0, 100001)  # substitution u = R^2
-        vals = self.g(np.sqrt(u)) / 2.0
-        total = float(simpson_weights(u.size, u[1] - u[0]) @ vals)
-        if abs(total - 1.0) > tol:
-            raise StateValidationError(f"weight integrates to {total!r}, not 1")
-        return total
-
-
-def default_x_grid(mean_lo: float, mean_hi: float, sigma: float) -> np.ndarray:
+def default_x_grid(mean_lo: float, mean_hi: float, sigma: float, sigma_max: float = 0.0) -> np.ndarray:
     """Uniform grid covering [mean_lo - 10 sigma, mean_hi + 10 sigma].
 
     The spacing is kept at (20 sigma)/1024 regardless of how far apart
-    the two means sit, so well-separated peaks stay resolved.
+    the two means sit, so well-separated peaks stay resolved.  When
+    ``sigma_max``, the larger standard deviation of the densities the
+    grid must hold, exceeds ``sigma``, the grid is widened on each side
+    by an even number of whole steps until it covers 10 sigma_max beyond
+    the means; the spacing, and the nodes and Simpson weights inside the
+    unwidened span, stay as they are.
     """
     lo = mean_lo - X_SIGMAS * sigma
     hi = mean_hi + X_SIGMAS * sigma
@@ -105,26 +93,17 @@ def default_x_grid(mean_lo: float, mean_hi: float, sigma: float) -> np.ndarray:
     n = max(X_POINTS, int(math.ceil((hi - lo) / step)) + 1)
     if n % 2 == 0:
         n += 1
-    return np.linspace(lo, hi, n)
-
-
-def _hermite_normalized_sq(n: int, z: np.ndarray) -> np.ndarray:
-    """H_n(z)^2 / (2^n n!), by the bounded-growth normalized recurrence."""
-    h_prev = np.ones_like(z)
-    if n == 0:
-        return h_prev * h_prev
-    h = math.sqrt(2.0) * z
-    for k in range(2, n + 1):
-        h, h_prev = math.sqrt(2.0 / k) * z * h - math.sqrt((k - 1.0) / k) * h_prev, h
-    return h * h
+    h = (hi - lo) / (n - 1)
+    extra = 2 * math.ceil(X_SIGMAS * max(sigma_max - sigma, 0.0) / (2.0 * h))
+    return np.linspace(lo - extra * h, hi + extra * h, n + 2 * extra)
 
 
 def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> Tomogram:
     """Closed-form tomogram for number and coherent states.
 
     Vacuum and coherent states give Gaussians of variance
-    (mu^2 + nu^2)/2; the number state |n> carries the squared Hermite
-    polynomial factor on top of the vacuum Gaussian.
+    (mu^2 + nu^2)/2; the number state |n> gives psi_n(X/r)^2 / r with
+    psi_n the oscillator eigenfunction and r^2 = mu^2 + nu^2.
     """
     r2 = mu * mu + nu * nu
     if r2 <= 1e-12:
@@ -136,8 +115,8 @@ def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> T
         w = np.exp(-((x - mean) ** 2) / r2) / math.sqrt(math.pi * r2)
     elif spec.family == "fock":
         n = spec.params["n"]
-        base = np.exp(-(x**2) / r2) / math.sqrt(math.pi * r2)
-        w = base * _hermite_normalized_sq(n, x / math.sqrt(r2))
+        r = math.sqrt(r2)
+        w = oscillator_eigenfunctions(x / r, n + 1)[:, n] ** 2 / r
     else:
         raise UnsupportedCombinationError(f"no closed-form tomogram for {spec.family!r}")
     total = float(simpson_weights(x.size, x[1] - x[0]) @ w)
@@ -156,6 +135,8 @@ def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndar
     negatives and renormalized; the pre-normalization defect is kept on
     the tomogram for convergence monitoring.
     """
+    from scipy.ndimage import map_coordinates
+
     if qd.s != 0:
         raise UnsupportedCombinationError("marginals are defined from the s = 0 distribution")
     r = math.hypot(mu, nu)
@@ -220,18 +201,8 @@ def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the weighted (mu, nu)-plane distance
+# the (mu, nu)-plane distance
 # ---------------------------------------------------------------------------
-
-def _radial_rule(weight: WeightFunction, radial_nodes: int):
-    """Nodes R_i and weights for int_0^inf g(R) f(R) R dR.
-
-    Substituting t = R^2 turns the gaussian_radial weight into the
-    plain Laguerre measure, for which Gauss-Laguerre is exact.
-    """
-    t, lw = np.polynomial.laguerre.laggauss(radial_nodes)
-    return np.sqrt(t), lw
-
 
 class _AnalyticMarginals:
     def __init__(self, spec: StateSpec):
@@ -242,50 +213,58 @@ class _AnalyticMarginals:
         else:
             self.moments = (0j, 0j, float(spec.params["n"]))
 
-    def tomogram(self, theta, r, x):
-        return marginal_analytic(self.spec, r * math.cos(theta), r * math.sin(theta), x)
+    def tomogram(self, theta, x):
+        return marginal_analytic(self.spec, math.cos(theta), math.sin(theta), x)
 
 
-class _WignerMarginals:
-    """Per-angle cached marginals; radii handled by exact similarity scaling.
+class _FockMarginals:
+    """Unit-radius marginals <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis.
 
-    w_{R c, R s}(X) = w_{c, s}(X / R) / R follows directly from the
-    defining delta transform, so each angle costs one line-integral
-    sweep no matter how many radial nodes are used.
+    With rho = sum_k v_k v_k^dag (the amplitudes of a pure state, or the
+    eigenvectors of a mixed one scaled by the square roots of their
+    eigenvalues), w_theta(X) = sum_k |sum_n psi_n(X) e^{-i n theta} v_kn|^2.
     """
 
-    def __init__(self, spec: StateSpec, grid_points: int | None = None):
-        self.spec = spec
-        dim = adaptive_dim(spec)
-        rho = as_density(spec, dim)
+    def __init__(self, spec: StateSpec):
+        state = build_state(spec, adaptive_dim(spec))
+        if isinstance(state, DensityOperator):
+            rho = state
+            p, vecs = np.linalg.eigh(rho.mat)
+            keep = p > 0.0
+            self.amps = vecs[:, keep] * np.sqrt(p[keep])
+        else:
+            rho = outer(state)
+            self.amps = state.amp[:, None]
         self.moments = (moment(rho, 0, 1), moment(rho, 0, 2), moment(rho, 1, 1).real)
-        self.qd = wigner(rho, default_grid(dim, grid_points or 257))
-        span = self.qd.grid.q_max
-        self.x_ref = np.linspace(-span, span, 2049)
-        self.cache: dict[float, Tomogram] = {}
+        self.levels = np.arange(rho.dim)
 
-    def tomogram(self, theta, r, x):
-        tom = self.cache.get(theta)
-        if tom is None:
-            tom = marginal_from_wigner(self.qd, math.cos(theta), math.sin(theta), self.x_ref)
-            self.cache[theta] = tom
-        w = np.interp(np.asarray(x) / r, tom.x, tom.w, left=0.0, right=0.0) / r
-        total = float(simpson_weights(len(x), x[1] - x[0]) @ w)
+    def tomogram(self, theta, x):
+        v = np.exp(-1j * theta * self.levels)[:, None] * self.amps
+        psi = oscillator_eigenfunctions(x, self.levels.size)
+        w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
+        total = float(simpson_weights(x.size, x[1] - x[0]) @ w)
         if not 0.5 < total < 1.5:
-            raise GridError(f"scaled marginal mass {total!r}")
-        return Tomogram(r * math.cos(theta), r * math.sin(theta), x, w / total,
+            raise GridError(f"marginal mass {total!r}; the X grid misses the state")
+        return Tomogram(math.cos(theta), math.sin(theta), x, w / total,
                         quadrature_defect=abs(total - 1.0))
 
 
-def _marginal_provider(spec: StateSpec, grid_points: int | None = None):
+def _marginal_provider(spec: StateSpec):
     if spec.family in ("fock", "coherent"):
         return _AnalyticMarginals(spec)
-    return _WignerMarginals(spec, grid_points)
+    return _FockMarginals(spec)
 
 
-def _unit_mean(moments, theta: float) -> float:
-    """Mean of the quadrature cos(theta) q + sin(theta) p: sqrt(2) Re(<a> e^{-i theta})."""
-    return math.sqrt(2.0) * (moments[0] * cmath.exp(-1j * theta)).real
+def _unit_moments(moments, theta: float) -> tuple[float, float]:
+    """Mean and standard deviation of the quadrature cos(theta) q + sin(theta) p.
+
+    The mean is sqrt(2) Re(<a> e^{-i theta}), the variance
+    <adag a> - |<a>|^2 + 1/2 + Re((<a^2> - <a>^2) e^{-2 i theta}).
+    """
+    m, a2, n = moments
+    rot = cmath.exp(-1j * theta)
+    var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
+    return math.sqrt(2.0) * (m * rot).real, math.sqrt(max(var, 0.0))
 
 
 def _kink_angles(moments_a, moments_b) -> np.ndarray:
@@ -295,9 +274,8 @@ def _kink_angles(moments_a, moments_b) -> np.ndarray:
     tomograms coincide.  Equal tomograms need equal means
     sqrt(2) Re(<a> e^{-i theta}), which vanish in difference at two
     antipodal angles.  When the means agree at every angle, the
-    variances Var(theta) = <adag a> - |<a>|^2 + 1/2
-    + Re((<a^2> - <a>^2) e^{-2 i theta}) must agree too, which happens
-    at up to four angles.  When the variances agree at every angle as
+    variances (see ``_unit_moments``) must agree too, which happens at
+    up to four angles.  When the variances agree at every angle as
     well (a rotation-invariant pair, say), no angle is singled out.
     """
     (ma, a2a, na), (mb, a2b, nb) = moments_a, moments_b
@@ -344,41 +322,36 @@ def tomographic_distance(
     spec_a: StateSpec,
     spec_b: StateSpec,
     kind: str = "hellinger",
-    weight: WeightFunction | None = None,
-    radial_nodes: int = 48,
     angular_nodes: int = 64,
-    wigner_grid_points: int | None = None,
 ) -> float:
-    """Weighted integral of a tomogram divergence over the (mu, nu) plane.
+    """Average of a tomogram divergence over the (mu, nu) plane.
 
-    D = int R dR int dtheta g(R) d_kind(w_a, w_b) with the normalized,
-    angle-independent weight g.  The radial rule is Gauss-Laguerre.  The
-    angular rule places its ``angular_nodes`` nodes as Gauss-Legendre
-    panels split at the angles where the two tomograms can coincide
-    (see ``_kink_angles``), where d_kind has a kink that would cut a
-    uniform rule down to O(nodes^-2); without such angles it is the
-    uniform rule.  When d_kind satisfies the triangle inequality
+    D = int R dR g(R) int dtheta d_kind(w_a, w_b) with the normalized
+    weight g(R) = 2 exp(-R^2).  Every d_kind is an f-divergence and so
+    takes the same value at every radius, so D is evaluated exactly as
+    the angular integral at R = 1.  The angular rule places its
+    ``angular_nodes`` nodes as Gauss-Legendre panels split at the angles
+    where the two tomograms can coincide (see ``_kink_angles``), where
+    d_kind has a kink that would cut a uniform rule down to
+    O(nodes^-2); without such angles it is the uniform rule.  At each
+    node the X grid covers 10 standard deviations of the broader state
+    beyond both means.  When d_kind satisfies the triangle inequality
     pointwise (Hellinger, Kolmogorov), so does the exact D; the computed
     values obey it up to quadrature error, since the nodes depend on the
     pair.
     """
     if kind not in DIVERGENCE_KINDS:
         raise StateValidationError(f"unknown divergence kind {kind!r}")
-    if radial_nodes < 1 or angular_nodes < 1:
-        raise StateValidationError("radial_nodes and angular_nodes must be at least 1")
-    weight = weight or WeightFunction()
-    weight.check_normalization()
-    prov_a = _marginal_provider(spec_a, wigner_grid_points)
-    prov_b = _marginal_provider(spec_b, wigner_grid_points)
-    radii, rweights = _radial_rule(weight, radial_nodes)
+    if angular_nodes < 1:
+        raise StateValidationError("angular_nodes must be at least 1")
+    prov_a = _marginal_provider(spec_a)
+    prov_b = _marginal_provider(spec_b)
     thetas, tweights = _angular_rule(_kink_angles(prov_a.moments, prov_b.moments), angular_nodes)
     total = 0.0
     for theta, tw in zip(thetas, tweights):
-        ua, ub = _unit_mean(prov_a.moments, theta), _unit_mean(prov_b.moments, theta)
-        for r, rw in zip(radii, rweights):
-            x = default_x_grid(r * min(ua, ub), r * max(ua, ub), r / math.sqrt(2.0))
-            d = classical_divergence(prov_a.tomogram(theta, r, x), prov_b.tomogram(theta, r, x), kind)
-            total += rw * tw * d
+        (ma, sa), (mb, sb) = _unit_moments(prov_a.moments, theta), _unit_moments(prov_b.moments, theta)
+        x = default_x_grid(min(ma, mb), max(ma, mb), VACUUM_SIGMA, max(sa, sb))
+        total += tw * classical_divergence(prov_a.tomogram(theta, x), prov_b.tomogram(theta, x), kind)
     return total
 
 

@@ -54,6 +54,23 @@ class TestDistanceCommand:
         code, _ = run(capsys, "distance", "--a", "thermal:2", "--b", "fock:0", "--metric", "hs")
         assert code == 3
 
+    def test_malformed_dim_cap_env_is_parse_error(self, capsys, monkeypatch):
+        for text in ("abc", "0", "-5", "1.5"):
+            monkeypatch.setenv("QDIST_MAX_DIM", text)
+            code = main(["distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs"])
+            err = capsys.readouterr().err
+            assert code == 2, text
+            assert err.startswith("error: QDIST_MAX_DIM") and err.count("\n") == 1
+
+    def test_coherent_fock_oracle_at_large_occupation(self, capsys):
+        # lam**m overflows a float at m = 230; the oracle works in logs
+        for metric, tol in (("hs", 1e-12), ("dn", 1e-9)):
+            code, out = run(
+                capsys, "distance", "--a", "coherent:15", "--b", "fock:230", "--metric", metric
+            )
+            assert code == 0
+            assert float(last_row(out)[4]) < tol
+
     def test_auto_dim_agrees_with_larger_dim(self, capsys):
         vals = {}
         for dim in ("auto", "96"):
@@ -162,10 +179,20 @@ class TestTomoCommand:
             "--a", "coherent:0,0",
             "--b", "coherent:0.05,0",
             "--kind", "hellinger",
-            "--nodes-radial", "8",
         )
         assert code == 0
         assert float(last_row(out)[1]) == pytest.approx(0.2, rel=0.02)
+
+    def test_thermal_pair_uses_fock_basis_marginals(self, capsys):
+        code, out = run(
+            capsys, "tomo-distance", "--a", "thermal:0.7", "--b", "coherent:0.5,0.2", "--kind", "hellinger"
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "kind,value,nodes_angular"
+        kind, value, nodes = row.split(",")
+        assert (kind, nodes) == ("hellinger", "64")
+        assert float(value) == pytest.approx(2.55168811998, rel=1e-8)  # Gaussian closed form
 
     def test_unknown_kind(self, capsys):
         code, _ = run(
@@ -192,6 +219,11 @@ class TestPureMetricDimStability:
 
 
 class TestArgumentEdgeCases:
+    def test_non_finite_parameters_are_parse_errors(self, capsys):
+        for spec in ("coherent:nan", "coherent:inf", "coherent:1,-inf", "thermal:nan", "cat:1,0,inf"):
+            code, _ = run(capsys, "distance", "--a", spec, "--b", "fock:0", "--metric", "hs")
+            assert code == 2, spec
+
     def test_bad_dim_is_parse_error(self, capsys):
         code, _ = run(
             capsys, "distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs", "--dim", "big"

@@ -6,7 +6,7 @@ import pytest
 from qdist import (
     StateSpec,
     Tomogram,
-    WeightFunction,
+    adaptive_dim,
     annihilation,
     as_density,
     classical_divergence,
@@ -15,12 +15,13 @@ from qdist import (
     marginal_from_wigner,
     moment,
     outer,
+    parse_state_spec,
     tomographic_distance,
     wigner,
 )
 from qdist.errors import GridError, StateValidationError, UnsupportedCombinationError
 from qdist.phase_space import simpson_weights
-from qdist.tomography import _angular_rule, _kink_angles, default_x_grid
+from qdist.tomography import _angular_rule, _FockMarginals, _kink_angles, default_x_grid
 
 
 def vacuum_spec():
@@ -35,6 +36,38 @@ def gaussian_tomogram(mu, nu, mean, x):
     r2 = mu * mu + nu * nu
     w = np.exp(-((x - mean) ** 2) / r2) / math.sqrt(math.pi * r2)
     return Tomogram(mu, nu, x, w / float(simpson_weights(x.size, x[1] - x[0]) @ w))
+
+
+def gaussian_moments(spec):
+    """<a>, <a^2> and <adag a> of a coherent, thermal or squeezed-vacuum spec."""
+    if spec.family == "coherent":
+        a = spec.params["alpha"]
+        return a, a * a, abs(a) ** 2
+    if spec.family == "thermal":
+        return 0j, 0j, spec.params["nbar"]
+    z = spec.params["zeta"]
+    return 0j, z / (1.0 - abs(z) ** 2), abs(z) ** 2 / (1.0 - abs(z) ** 2)
+
+
+def gaussian_hellinger_exact(spec_a, spec_b):
+    """int dtheta sqrt(2 - 2 BC(theta)) for two Gaussian states, by fine Simpson.
+
+    At each angle both tomograms are normal densities with mean
+    sqrt(2) Re(<a> e^{-i theta}) and variance
+    <adag a> - |<a>|^2 + 1/2 + Re((<a^2> - <a>^2) e^{-2 i theta}), so
+    their Bhattacharyya coefficient BC(theta) has a closed form.
+    """
+    th = np.linspace(0.0, 2.0 * math.pi, 400001)
+    rot = np.exp(-1j * th)
+    stats = []
+    for spec in (spec_a, spec_b):
+        m, a2, n = gaussian_moments(spec)
+        var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
+        stats.append((math.sqrt(2.0) * (m * rot).real, var))
+    (m1, v1), (m2, v2) = stats
+    bc = np.sqrt(2.0 * np.sqrt(v1 * v2) / (v1 + v2)) * np.exp(-((m1 - m2) ** 2) / (4.0 * (v1 + v2)))
+    f = np.sqrt(np.maximum(2.0 - 2.0 * bc, 0.0))
+    return float(simpson_weights(th.size, th[1] - th[0]) @ f)
 
 
 class TestAnalyticMarginals:
@@ -158,36 +191,28 @@ class TestClassicalDivergence:
             )
 
 
-class TestWeight:
-    def test_gaussian_radial_normalized(self):
-        assert WeightFunction().check_normalization() == pytest.approx(1.0, abs=1e-10)
-
-
 class TestTomographicDistance:
     def test_depends_only_on_displacement_gap(self):
         # the angular rule splits its panels at the |cos|-type kink of the
         # integrand, wherever the pair is oriented, so both orientations
         # are integrated to rounding level
         gap = 0.8
-        kw = {"radial_nodes": 16, "angular_nodes": 256}
-        d1 = tomographic_distance(coherent_spec(0.0), coherent_spec(gap), "hellinger", **kw)
+        d1 = tomographic_distance(coherent_spec(0.0), coherent_spec(gap), "hellinger", angular_nodes=256)
         d2 = tomographic_distance(
             coherent_spec(0.3 + 0.4j),
             coherent_spec(0.3 + 0.4j + gap * np.exp(2.1j)),
             "hellinger",
-            **kw,
+            angular_nodes=256,
         )
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_triangle_inequality_on_coherent_triples(self, rng):
-        # coarse rules are enough: the integrand is radius-independent
         for _ in range(4):
             pts = rng.normal(size=3) + 1j * rng.normal(size=3)
             d = {}
             for i, j in [(0, 1), (1, 2), (0, 2)]:
                 d[i, j] = tomographic_distance(
-                    coherent_spec(pts[i]), coherent_spec(pts[j]), "hellinger",
-                    radial_nodes=8, angular_nodes=32,
+                    coherent_spec(pts[i]), coherent_spec(pts[j]), "hellinger", angular_nodes=32
                 )
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-6
 
@@ -195,26 +220,46 @@ class TestTomographicDistance:
         gaps = [1.0, 2.0, 4.0, 8.0]
         for kind in ("bhattacharyya", "kullback"):
             vals = [
-                tomographic_distance(
-                    coherent_spec(0.0), coherent_spec(g), kind, radial_nodes=8, angular_nodes=32
-                )
+                tomographic_distance(coherent_spec(0.0), coherent_spec(g), kind, angular_nodes=32)
                 for g in gaps
             ]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_kullback_is_eight_bhattacharyya_for_coherent(self):
         a, b = coherent_spec(0.0), coherent_spec(0.6)
-        dj = tomographic_distance(a, b, "kullback", radial_nodes=8)
-        db = tomographic_distance(a, b, "bhattacharyya", radial_nodes=8)
+        dj = tomographic_distance(a, b, "kullback")
+        db = tomographic_distance(a, b, "bhattacharyya")
         assert dj / db == pytest.approx(8.0, rel=1e-6)
 
-    def test_wigner_backed_state_runs(self):
-        # cat states have no closed-form tomogram and go through the
-        # Wigner line-integral path with radius handled by exact scaling
+    def test_fock_basis_state_runs(self):
+        # cat states have no closed-form tomogram; their Fock-basis
+        # marginals agree with line integrals of the Wigner function
         a = StateSpec("cat", {"alpha": 1.0 + 0j, "phi": 0.0})
-        b = coherent_spec(1.0)
-        d = tomographic_distance(a, b, "hellinger", radial_nodes=6, angular_nodes=8)
+        d = tomographic_distance(a, coherent_spec(1.0), "hellinger", angular_nodes=8)
         assert 0.0 < d < 2.0 * math.pi * math.sqrt(2.0)
+        qd = wigner(as_density(a, adaptive_dim(a)))
+        x = default_x_grid(0.0, 0.0, math.sqrt(0.5), 2.0)
+        for theta in (0.0, 0.7, 2.0):
+            tf = _FockMarginals(a).tomogram(theta, x)
+            tw = marginal_from_wigner(qd, math.cos(theta), math.sin(theta), x)
+            assert np.abs(tf.w - tw.w).max() < 1e-4
+            assert tf.quadrature_defect < 1e-10
+
+    @pytest.mark.parametrize(
+        "a, b, exact",
+        [
+            ("thermal:0.7", "coherent:0.5,0.2", 2.55168811998),
+            ("squeezed:0.4", "squeezed:0.1,0.25", 1.13271549256),
+            ("thermal:6", "coherent:0", 4.72126192713),
+        ],
+    )
+    def test_fock_basis_distance_matches_gaussian_closed_form(self, a, b, exact):
+        # thermal:6 is broader than the vacuum-sized X grid; the grid is
+        # widened to 10 of its standard deviations at every angle
+        spec_a, spec_b = parse_state_spec(a), parse_state_spec(b)
+        ref = gaussian_hellinger_exact(spec_a, spec_b)
+        assert ref == pytest.approx(exact, rel=1e-10)
+        assert tomographic_distance(spec_a, spec_b, "hellinger") == pytest.approx(ref, rel=1e-8)
 
     def test_angular_rule_integrates_kinked_integrand(self):
         # for a coherent pair at gap s and direction phi the per-angle
@@ -246,14 +291,12 @@ class TestTomographicDistance:
             assert var[0] == pytest.approx(var[1], abs=1e-9)
 
     def test_node_counts_must_be_positive(self):
-        for kw in ({"angular_nodes": 0}, {"radial_nodes": 0}):
-            with pytest.raises(StateValidationError):
-                tomographic_distance(coherent_spec(0.0), coherent_spec(1.0), "hellinger", **kw)
+        with pytest.raises(StateValidationError):
+            tomographic_distance(coherent_spec(0.0), coherent_spec(1.0), "hellinger", angular_nodes=0)
 
     def test_fock_pair_value_is_finite_and_positive(self):
         d = tomographic_distance(
-            StateSpec("fock", {"n": 0}), StateSpec("fock", {"n": 1}), "hellinger",
-            radial_nodes=8, angular_nodes=16,
+            StateSpec("fock", {"n": 0}), StateSpec("fock", {"n": 1}), "hellinger", angular_nodes=16
         )
         assert 0.0 < d <= 2.0 * math.pi * math.sqrt(2.0)
 
