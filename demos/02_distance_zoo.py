@@ -3,9 +3,11 @@
 
 For each pair the numeric (matrix) value is printed next to the
 analytic closed form when one exists, demonstrating the cross-checks
-the library is built around.  The energy-sensitive metrics (dn,
-dn-sqrt, DZ, Da) tell orthogonal states of different energy apart,
-which the conventional ones cannot.
+the library is built around.  On pure pairs every overlap metric (fs,
+minimal, wootters, hs, jmg, bu, hs-p) follows from the one overlap
+|<a|b>|; the pure-only ones are skipped for the thermal pair.  The
+energy-sensitive metrics (dn, dn-sqrt, DZ, Da) tell orthogonal states
+of different energy apart, which the conventional ones cannot.
 """
 
 from qdist import StateSpec, adaptive_dim, build_state, evaluate_metric
@@ -26,13 +28,16 @@ pairs = [
     ),
 ]
 
-metrics = ["hs", "jmg", "bu", "hs-p:0.5", "dn", "dn-sqrt", "DZ", "Da"]
+PURE_ONLY = ("fs", "minimal", "wootters")
+metrics = [*PURE_ONLY, "hs", "jmg", "bu", "hs-p:0.5", "dn", "dn-sqrt", "DZ", "Da"]
 
 for label, sa, sb in pairs:
     dim = max(adaptive_dim(sa), adaptive_dim(sb))
     a, b = build_state(sa, dim), build_state(sb, dim)
     print(f"\n{label}  (dim {dim})")
     for m in metrics:
+        if m in PURE_ONLY and not (sa.is_pure and sb.is_pure):
+            continue
         r = evaluate_metric(m, a, b)
         oracle = closed_form_lookup(sa, sb, m)
         tail = f"   closed form {oracle:.10f}" if oracle is not None else ""

@@ -19,17 +19,12 @@ import os
 import sys
 
 from . import closed_forms
+from .closed_forms import closed_form_lookup
 from .distances import METRIC_NAMES, evaluate_metric
 from .errors import (
-    GridError,
-    InsufficientCutoffError,
-    NotHermitianError,
-    NotPositiveSemidefiniteError,
-    NumericalToleranceError,
     QdistError,
     SpecParseError,
     StateValidationError,
-    TailMassError,
     TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
@@ -41,15 +36,8 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_UNSUPPORTED = 4
 
-_NUMERICAL_ERRORS = (
-    TailMassError,
-    TruncationInfeasibleError,
-    NotPositiveSemidefiniteError,
-    NotHermitianError,
-    NumericalToleranceError,
-    GridError,
-    InsufficientCutoffError,
-)
+# rows one sweep may print; the values are built before the first row
+MAX_SWEEP_ROWS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -74,124 +62,6 @@ def _resolve_dim(spec_a: StateSpec, spec_b: StateSpec, dim_arg: str) -> int:
     if dim < 1 or dim > cap:
         raise TruncationInfeasibleError(f"dim {dim} outside [1, {cap}]")
     return dim
-
-
-# ---------------------------------------------------------------------------
-# closed-form lookup for the cross-check column
-# ---------------------------------------------------------------------------
-
-def _is_vacuum(spec: StateSpec) -> bool:
-    f, p = spec.family, spec.params
-    return (
-        (f == "fock" and p["n"] == 0)
-        or (f == "coherent" and abs(p["alpha"]) == 0.0)
-        or (f == "squeezed_vacuum" and abs(p["zeta"]) == 0.0)
-        or (f == "coherent_phase" and abs(p["epsilon"]) == 0.0)
-        or (f == "thermal" and p["nbar"] == 0.0)
-    )
-
-
-def closed_form_lookup(spec_a: StateSpec, spec_b: StateSpec, metric: str, p: float = 0.5):
-    """Analytic value for the metric and state pair, or None.
-
-    The pure-state metrics hs and fs coincide, as do dn and dn-sqrt, so
-    they share oracle entries; cat-family oracles require both states
-    to carry the same displacement.
-    """
-    base = metric.split(":", 1)[0]
-    fams = {spec_a.family, spec_b.family}
-
-    def fam(spec, name):
-        return spec.family == name
-
-    a, b = spec_a, spec_b
-    if fam(b, "coherent") and not fam(a, "coherent"):
-        a, b = b, a  # put coherent first where it matters
-
-    if base in ("hs", "fs"):
-        if fams == {"coherent"}:
-            return closed_forms.coherent_pair(a.params["alpha"], b.params["alpha"])["hs"]
-        if fams == {"coherent", "fock"}:
-            coh, fk = (a, b) if fam(a, "coherent") else (b, a)
-            return closed_forms.coherent_fock(coh.params["alpha"], fk.params["n"])["hs"]
-        if fams == {"cat"}:
-            if abs(a.params["alpha"] - b.params["alpha"]) < 1e-12:
-                return closed_forms.cat_distances(
-                    a.params["alpha"], a.params["phi"], b.params["phi"]
-                )["d_between"]
-            return None
-        if "cat" in fams:
-            catspec = a if fam(a, "cat") else b
-            other = b if fam(a, "cat") else a
-            if _is_vacuum(other):
-                return closed_forms.cat_distances(catspec.params["alpha"], catspec.params["phi"], 0.0)[
-                    "d_to_vacuum"
-                ]
-            if fam(other, "coherent") and abs(other.params["alpha"] - catspec.params["alpha"]) < 1e-12:
-                return closed_forms.cat_distances(catspec.params["alpha"], catspec.params["phi"], 0.0)[
-                    "d_to_coherent"
-                ]
-            return None
-        if fams == {"squeezed_vacuum"}:
-            return closed_forms.squeezed_pair(a.params["zeta"], b.params["zeta"])["hs"]
-        if fams == {"coherent_phase"}:
-            return closed_forms.phase_pair(a.params["epsilon"], b.params["epsilon"])["hs"]
-        if fams == {"thermal"} and base == "hs":
-            return closed_forms.thermal_pair(a.params["nbar"], b.params["nbar"])["hs"]
-        if _is_vacuum(a) or _is_vacuum(b):
-            st, vac = (a, b) if _is_vacuum(b) else (b, a)
-            if fam(st, "coherent"):
-                return closed_forms.coherent_pair(st.params["alpha"], 0.0)["hs"]
-            if fam(st, "coherent_phase"):
-                return closed_forms.phase_pair(st.params["epsilon"], 0.0)["hs"]
-            if fam(st, "squeezed_vacuum"):
-                return closed_forms.squeezed_pair(st.params["zeta"], 0.0)["hs"]
-            if fam(st, "thermal") and base == "hs":
-                return closed_forms.thermal_pair(st.params["nbar"], 0.0)["hs"]
-        return None
-
-    if base in ("dn", "dn-sqrt"):
-        mixed = "thermal" in fams
-        if fams == {"thermal"}:
-            key = "dN" if base == "dn" else "dN_sqrt"
-            return closed_forms.thermal_pair(a.params["nbar"], b.params["nbar"])[key]
-        if mixed:
-            return None
-        # for pure pairs the two polarized variants coincide
-        if fams == {"coherent"}:
-            return closed_forms.coherent_pair(a.params["alpha"], b.params["alpha"])["dN"]
-        if fams == {"coherent", "fock"}:
-            coh, fk = (a, b) if fam(a, "coherent") else (b, a)
-            return closed_forms.coherent_fock(coh.params["alpha"], fk.params["n"])["dN"]
-        if fams == {"fock"}:
-            return closed_forms.fock_pair(a.params["n"], b.params["n"])["dN"]
-        if fams == {"squeezed_vacuum"}:
-            return closed_forms.squeezed_pair(a.params["zeta"], b.params["zeta"])["dN"]
-        if fams == {"coherent_phase"}:
-            return closed_forms.phase_pair(a.params["epsilon"], b.params["epsilon"])["dN"]
-        if fams == {"cat"} and abs(a.params["alpha"] - b.params["alpha"]) < 1e-12:
-            return closed_forms.cat_distances(a.params["alpha"], a.params["phi"], b.params["phi"])[
-                "dN_between"
-            ]
-        if "cat" in fams:
-            catspec = a if fam(a, "cat") else b
-            other = b if fam(a, "cat") else a
-            if _is_vacuum(other):
-                return closed_forms.cat_distances(catspec.params["alpha"], catspec.params["phi"], 0.0)[
-                    "dN_to_vacuum"
-                ]
-        return None
-
-    if base == "bu" and fams == {"thermal"}:
-        return closed_forms.thermal_pair(a.params["nbar"], b.params["nbar"])["bu"]
-    if base == "hs-p" and fams == {"thermal"} and abs(p - 0.5) < 1e-12:
-        # commuting pair: the p = 1/2 modification equals Bures-Uhlmann
-        return closed_forms.thermal_pair(a.params["nbar"], b.params["nbar"])["bu"]
-    if base == "DZ" and fams == {"fock"}:
-        return closed_forms.fock_pair(a.params["n"], b.params["n"])["DN"]
-    if base == "Da" and fams == {"coherent"}:
-        return closed_forms.coherent_pair(a.params["alpha"], b.params["alpha"])["Da"]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +103,10 @@ def _sweep_values(rng: str) -> list[float]:
         raise SpecParseError(f"bad range {rng!r}, want start:stop:step") from exc
     if step <= 0 or stop < start:
         raise SpecParseError(f"empty range {rng!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not span < MAX_SWEEP_ROWS:  # also catches nan and inf
+        raise SpecParseError(f"range {rng!r} must span at most {MAX_SWEEP_ROWS} rows")
+    n = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -347,13 +220,7 @@ def main(argv=None) -> int:
     except UnsupportedCombinationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except QdistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
+    except (QdistError, OSError) as exc:  # numerical failures (truncation, positivity, grids) and I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -5,10 +5,14 @@ printed closed form directly from scalar parameters, sharing no code
 with the matrix-based numerics in ``distances``.  Keys in the returned
 ``values`` map: ``hs`` (Hilbert-Schmidt), ``bu`` (Bures-Uhlmann),
 ``dN`` (number-polarized), ``dN_sqrt`` (number-polarized on square
-roots), ``DN`` / ``Da`` (quasidistances).
+roots), ``DN`` / ``Da`` (quasidistances), and for pure pairs
+``overlap`` = |<a|b>|.
 
 Asymptotic simplifications are never mixed into ``values``; they live
 in the separate ``approximations`` map.
+
+``closed_form_lookup`` picks the oracle for a state pair and a CLI
+metric name from one table with a row per family pair.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ def _abs2(z: complex) -> float:
 class ClosedFormResult:
     values: dict = field(default_factory=dict)
     approximations: dict = field(default_factory=dict)
-    validity: dict = field(default_factory=dict)
 
     def __post_init__(self):
         bad = {k: v for k, v in self.values.items() if v < 0.0}
@@ -44,18 +47,19 @@ class ClosedFormResult:
 
 
 def coherent_pair(alpha: complex, beta: complex) -> ClosedFormResult:
-    """hs, dN and Da between two coherent states."""
+    """hs, dN, Da and the overlap between two coherent states."""
     alpha, beta = complex(alpha), complex(beta)
     gap2 = _abs2(alpha - beta)
     e = math.exp(-gap2)
     hs = SQRT2 * math.sqrt(1.0 - e)
     dn_sq = _abs2(alpha) + _abs2(beta) - 2.0 * (beta.conjugate() * alpha).real * e
     da = math.sqrt(gap2 * (1.0 + e) / 2.0)
-    return ClosedFormResult({"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "Da": da})
+    values = {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "Da": da, "overlap": math.exp(-gap2 / 2.0)}
+    return ClosedFormResult(values)
 
 
 def coherent_fock(alpha: complex, m: int) -> ClosedFormResult:
-    """hs and dN between a coherent state and the number state |m>."""
+    """hs, dN and the overlap sqrt(p_m) between a coherent state and |m>."""
     if m < 0:
         raise StateValidationError("m must be >= 0")
     lam = abs(alpha) ** 2
@@ -63,20 +67,21 @@ def coherent_fock(alpha: complex, m: int) -> ClosedFormResult:
     pm = math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0.0 else float(m == 0)
     hs = SQRT2 * math.sqrt(max(1.0 - pm, 0.0))
     dn = math.sqrt(max(m + lam - 2.0 * m * pm, 0.0))
-    return ClosedFormResult({"hs": hs, "dN": dn})
+    return ClosedFormResult({"hs": hs, "dN": dn, "overlap": math.sqrt(pm)})
 
 
 def fock_pair(m: int, n: int) -> ClosedFormResult:
-    """dN and quasidistance DN between two number states."""
+    """hs, dN, quasidistance DN and the overlap between two number states."""
     if m < 0 or n < 0:
         raise StateValidationError("occupation numbers must be >= 0")
     dn = 0.0 if m == n else math.sqrt(m + n)
     dn_star = abs(math.sqrt(n) - math.sqrt(m)) / SQRT2
-    return ClosedFormResult({"dN": dn, "DN": dn_star})
+    hs = SQRT2 * (m != n)
+    return ClosedFormResult({"hs": hs, "dN": dn, "DN": dn_star, "overlap": float(m == n)})
 
 
 def squeezed_pair(zeta1: complex, zeta2: complex) -> ClosedFormResult:
-    """hs and dN between two squeezed vacua.
+    """hs, dN and the overlap sqrt(root/denom) between two squeezed vacua.
 
     When the two squeezing phases coincide, the simplified forms in the
     squeeze-parameter tau = artanh|zeta| are evaluated as well and
@@ -91,7 +96,7 @@ def squeezed_pair(zeta1: complex, zeta2: complex) -> ClosedFormResult:
     root = math.sqrt((1.0 - m1) * (1.0 - m2))
     hs = SQRT2 * abs(zeta1 - zeta2) / math.sqrt(denom * (denom + root))
     dn_sq = m1 / (1.0 - m1) + m2 / (1.0 - m2) + 2.0 * (_abs2(zz) - zz.real) / denom**3 * root
-    values = {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0))}
+    values = {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": math.sqrt(root / denom)}
     phase_gap = abs((zeta1 * zeta2.conjugate()).imag) if abs(zeta1) * abs(zeta2) > 0 else 0.0
     if phase_gap < 1e-12:
         t1, t2 = math.atanh(abs(zeta1)), math.atanh(abs(zeta2))
@@ -104,7 +109,7 @@ def squeezed_pair(zeta1: complex, zeta2: complex) -> ClosedFormResult:
         )
         values["hs_samephase"] = hs_sp
         values["dN_samephase"] = math.sqrt(max(dn_sp_sq, 0.0))
-    return ClosedFormResult(values, validity={"same_phase": phase_gap < 1e-12})
+    return ClosedFormResult(values)
 
 
 def cat_distances(alpha: complex, phi1: float, phi2: float) -> ClosedFormResult:
@@ -142,7 +147,7 @@ def cat_distances(alpha: complex, phi1: float, phi2: float) -> ClosedFormResult:
 
 
 def phase_pair(eps1: complex, eps2: complex) -> ClosedFormResult:
-    """hs and dN between two coherent phase states."""
+    """hs, dN and the overlap between two coherent phase states."""
     if abs(eps1) >= 1.0 or abs(eps2) >= 1.0:
         raise StateValidationError("phase-state parameters must satisfy |eps| < 1")
     eps1, eps2 = complex(eps1), complex(eps2)
@@ -155,7 +160,8 @@ def phase_pair(eps1: complex, eps2: complex) -> ClosedFormResult:
         + m2 / (1.0 - m2)
         + 2.0 * (1.0 - m1) * (1.0 - m2) * (m1 * m2 - ee.real) / denom
     )
-    return ClosedFormResult({"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0))})
+    overlap = math.sqrt((1.0 - m1) * (1.0 - m2)) / abs(1.0 - ee)
+    return ClosedFormResult({"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": overlap})
 
 
 def thermal_pair(nbar1: float, nbar2: float) -> ClosedFormResult:
@@ -198,3 +204,118 @@ def thermal_pair(nbar1: float, nbar2: float) -> ClosedFormResult:
         approx["dN_sqrt_close"] = math.sqrt(3.0) * gap_root
         approx["dN_min_close"] = 2.0 * gap_root
     return ClosedFormResult(values, approximations=approx)
+
+
+# ---------------------------------------------------------------------------
+# the oracle table: one row per family pair, values keyed by CLI metric name
+# ---------------------------------------------------------------------------
+
+def _pure(hs: float, overlap: float, **energy) -> dict:
+    """The seven overlap metrics of a pure pair, plus its energy-sensitive ones.
+
+    With o = |<a|b>|: fs = hs-p = hs (rho^p = rho for a projector),
+    jmg = hs/sqrt(2) = sqrt(1 - o^2), minimal = bu = sqrt(2 - 2o) =
+    hs/sqrt(1 + o), wootters = acos(o) = atan2(sqrt(1 - o^2), o); and
+    dn-sqrt = dn, since sqrt(rho) = rho.
+    """
+    sine = hs / SQRT2
+    root = hs / math.sqrt(1.0 + overlap)
+    values = {"hs": hs, "fs": hs, "hs-p": hs, "jmg": sine, "minimal": root, "bu": root,
+              "wootters": math.atan2(sine, overlap)}
+    values.update(energy)
+    if "dn" in energy:
+        values["dn-sqrt"] = energy["dn"]
+    return values
+
+
+def _pure_row(r: ClosedFormResult, **keys) -> dict:
+    """``_pure`` on a result holding hs and overlap; ``keys`` maps metric -> result key."""
+    return _pure(r["hs"], r["overlap"], **{metric: r[key] for metric, key in keys.items()})
+
+
+def _cat(hs: float, **energy) -> dict:
+    # the cat formulas give no overlap of their own: take it from hs = sqrt(2 - 2 o^2)
+    return _pure(hs, math.sqrt(max(1.0 - 0.5 * hs * hs, 0.0)), **energy)
+
+
+def _cat_cat(a: dict, b: dict, p: float) -> dict:
+    if abs(a["alpha"] - b["alpha"]) >= 1e-12:
+        return {}
+    r = cat_distances(a["alpha"], a["phi"], b["phi"])
+    return _cat(r["d_between"], dn=r["dN_between"])
+
+
+def _cat_coherent(a: dict, b: dict, p: float) -> dict:
+    if abs(a["alpha"] - b["alpha"]) >= 1e-12:
+        return {}
+    return _cat(cat_distances(a["alpha"], a["phi"], 0.0)["d_to_coherent"])
+
+
+def _cat_fock(a: dict, b: dict, p: float) -> dict:
+    if b["n"] != 0:
+        return {}
+    r = cat_distances(a["alpha"], a["phi"], 0.0)
+    return _cat(r["d_to_vacuum"], dn=r["dN_to_vacuum"])
+
+
+def _thermal_thermal(a: dict, b: dict, p: float) -> dict:
+    r = thermal_pair(a["nbar"], b["nbar"])
+    values = {"hs": r["hs"], "bu": r["bu"], "dn": r["dN"], "dn-sqrt": r["dN_sqrt"]}
+    if abs(p - 0.5) < 1e-12:
+        values["hs-p"] = r["bu"]  # commuting pair: the p = 1/2 modification equals Bures-Uhlmann
+    return values
+
+
+# (family, family) -> row(params_a, params_b, p) -> {metric: value}
+_TABLE = {
+    ("coherent", "coherent"):
+        lambda a, b, p: _pure_row(coherent_pair(a["alpha"], b["alpha"]), dn="dN", Da="Da"),
+    ("coherent", "fock"): lambda a, b, p: _pure_row(coherent_fock(a["alpha"], b["n"]), dn="dN"),
+    ("fock", "fock"): lambda a, b, p: _pure_row(fock_pair(a["n"], b["n"]), dn="dN", DZ="DN"),
+    ("squeezed_vacuum", "squeezed_vacuum"):
+        lambda a, b, p: _pure_row(squeezed_pair(a["zeta"], b["zeta"]), dn="dN"),
+    ("coherent_phase", "coherent_phase"):
+        lambda a, b, p: _pure_row(phase_pair(a["epsilon"], b["epsilon"]), dn="dN"),
+    ("thermal", "thermal"): _thermal_thermal,
+    ("cat", "cat"): _cat_cat,
+    ("cat", "coherent"): _cat_coherent,
+    ("cat", "fock"): _cat_fock,
+}
+
+# the parameters of each family's vacuum member; a family not listed has none
+_VACUUM = {
+    "fock": {"n": 0},
+    "coherent": {"alpha": 0j},
+    "squeezed_vacuum": {"zeta": 0j},
+    "coherent_phase": {"epsilon": 0j},
+    "thermal": {"nbar": 0.0},
+}
+
+
+def closed_form_lookup(spec_a, spec_b, metric: str) -> float | None:
+    """Analytic value of a CLI metric between two ``StateSpec`` states, or None.
+
+    The pair is looked up as given first.  A vacuum spec of any family
+    is then read as its partner's vacuum member, or as fock:0 when the
+    partner's family has none, so that two vacua of different families
+    still meet a row.  The power of ``hs-p:<p>`` is read from the name
+    (1/2 when absent).
+    """
+    base, _, power = metric.partition(":")
+    p = float(power) if power else 0.5
+    a, b = (spec_a.family, spec_a.params), (spec_b.family, spec_b.params)
+    pairs = [(a, b)]
+    for state, other in ((a, b), (b, a)):
+        if _VACUUM.get(other[0]) == other[1]:
+            family = state[0] if state[0] in _VACUUM else "fock"
+            pairs.append((state, (family, _VACUUM[family])))
+    for (fx, px), (fy, py) in pairs:
+        if (fx, fy) in _TABLE:
+            values = _TABLE[fx, fy](px, py, p)
+        elif (fy, fx) in _TABLE:
+            values = _TABLE[fy, fx](py, px, p)
+        else:
+            continue
+        if base in values:
+            return values[base]
+    return None

@@ -11,7 +11,7 @@ variance-like quasidistances.  All functions are pure and operate on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +23,17 @@ from .errors import (
 from .fock_core import (
     DensityOperator,
     FockVector,
-    _psd_sqrt,
     annihilation,
     hermitian_sqrt,
     number_diagonal,
+    psd_power,
     trace_norm,
     trace_product,
 )
 from .states import MomentTable
 
-# Squared distances are clamped at zero before the square root; a clamp
-# larger than this is reported as a numerical warning.
+# Squared distances are clamped at zero before the square root; a
+# negative square larger than this raises instead.
 CLAMP_WARN = 1e-9
 
 
@@ -41,12 +41,9 @@ CLAMP_WARN = 1e-9
 class PolarizationOperator:
     """Diagonal positive reference operator weighting a distance."""
 
-    kind: str
     diag: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("identity", "number", "custom_diagonal"):
-            raise StateValidationError(f"unknown polarization kind {self.kind!r}")
         d = np.array(self.diag, dtype=float)
         if d.ndim != 1 or (d < 0).any():
             raise StateValidationError("polarization diagonal must be 1-d and nonnegative")
@@ -63,11 +60,11 @@ class PolarizationOperator:
 
 
 def identity_polarization(dim: int) -> PolarizationOperator:
-    return PolarizationOperator("identity", np.ones(dim))
+    return PolarizationOperator(np.ones(dim))
 
 
 def number_polarization(dim: int) -> PolarizationOperator:
-    return PolarizationOperator("number", number_diagonal(dim))
+    return PolarizationOperator(number_diagonal(dim))
 
 
 @dataclass
@@ -77,21 +74,12 @@ class DistanceReport:
     kind: str
     value: float
     dim: int
-    clamped: float = 0.0  # size of any negative-square clamp that was applied
-    flags: list = field(default_factory=list)
 
 
-def _clamped_sqrt(sq: float, report: DistanceReport | None = None) -> float:
-    if sq < 0.0:
-        if -sq > CLAMP_WARN:
-            if report is not None:
-                report.flags.append("clamp")
-            else:
-                raise NumericalToleranceError(f"squared distance {sq:.3e} below -{CLAMP_WARN}")
-        if report is not None:
-            report.clamped = max(report.clamped, -sq)
-        sq = 0.0
-    return math.sqrt(sq)
+def _clamped_sqrt(sq: float) -> float:
+    if sq < -CLAMP_WARN:
+        raise NumericalToleranceError(f"squared distance {sq:.3e} below -{CLAMP_WARN}")
+    return math.sqrt(max(sq, 0.0))
 
 
 def _check_dims(r1, r2):
@@ -145,21 +133,10 @@ def bures_uhlmann(r1: DensityOperator, r2: DensityOperator) -> float:
     null space cannot get amplified by the outer square root.
     """
     _check_dims(r1, r2)
-    s1 = _psd_sqrt(r1.mat, threshold_null=True)
-    s2 = _psd_sqrt(r2.mat, threshold_null=True)
+    s1 = psd_power(r1.mat, 0.5)
+    s2 = psd_power(r2.mat, 0.5)
     fid_root = float(np.linalg.svd(s2 @ s1, compute_uv=False).sum())
     return _clamped_sqrt(2.0 - 2.0 * fid_root)
-
-
-def _matrix_power_psd(rho: DensityOperator, p: float) -> np.ndarray:
-    # null-space eigenvalue noise is thresholded away, matching the
-    # Bures-Uhlmann evaluation so the commuting-pair identity holds
-    # to close to machine precision
-    vals, vecs = np.linalg.eigh(rho.mat)
-    tiny = rho.dim * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-    powed = np.where(vals > tiny, np.clip(vals, 0.0, None), 0.0) ** p
-    out = (vecs * powed) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def modified_hs(r1: DensityOperator, r2: DensityOperator, p: float) -> float:
@@ -171,7 +148,9 @@ def modified_hs(r1: DensityOperator, r2: DensityOperator, p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise StateValidationError(f"power p must lie in (0, 1], got {p!r}")
     _check_dims(r1, r2)
-    diff = _matrix_power_psd(r1, p) - _matrix_power_psd(r2, p)
+    # the same thresholded root as Bures-Uhlmann, so the commuting-pair
+    # identity at p = 1/2 holds to close to machine precision
+    diff = psd_power(r1.mat, p) - psd_power(r2.mat, p)
     return float(np.linalg.norm(diff))
 
 
@@ -179,31 +158,43 @@ def modified_hs(r1: DensityOperator, r2: DensityOperator, p: float) -> float:
 # polarized distances and quasidistances
 # ---------------------------------------------------------------------------
 
-def _check_polarization(r1: DensityOperator, z: PolarizationOperator):
+def _check_polarization(r1, r2, z: PolarizationOperator):
+    _check_dims(r1, r2)
     if z.dim != r1.dim:
         raise DimensionMismatchError(f"polarization dim {z.dim} != state dim {r1.dim}")
 
 
+def _weighted_norm(delta: np.ndarray, z: PolarizationOperator) -> float:
+    """sqrt(Tr(Z delta^2)) for a Hermitian delta."""
+    sq = float((z.diag * np.einsum("ij,ji->i", delta, delta).real).sum())
+    if sq < -1e-10:
+        raise NumericalToleranceError(f"polarized squared distance {sq:.3e} < -1e-10")
+    return math.sqrt(max(sq, 0.0))
+
+
 def polarized(r1: DensityOperator, r2: DensityOperator, z: PolarizationOperator) -> float:
     """sqrt(Tr(Z [rho1 - rho2]^2)); the identity Z recovers Hilbert-Schmidt."""
-    _check_dims(r1, r2)
-    _check_polarization(r1, z)
-    delta = r1.mat - r2.mat
-    sq = float((z.diag * np.einsum("ij,ji->i", delta, delta).real).sum())
-    if sq < -1e-10:
-        raise NumericalToleranceError(f"polarized squared distance {sq:.3e} < -1e-10")
-    return math.sqrt(max(sq, 0.0))
+    _check_polarization(r1, r2, z)
+    return _weighted_norm(r1.mat - r2.mat, z)
 
 
-def polarized_sqrt(r1: DensityOperator, r2: DensityOperator, z: PolarizationOperator) -> float:
-    """sqrt(Tr(Z [sqrt(rho1) - sqrt(rho2)]^2)); matches `polarized` on pure pairs."""
-    _check_dims(r1, r2)
-    _check_polarization(r1, z)
-    delta = hermitian_sqrt(r1) - hermitian_sqrt(r2)
-    sq = float((z.diag * np.einsum("ij,ji->i", delta, delta).real).sum())
-    if sq < -1e-10:
-        raise NumericalToleranceError(f"polarized squared distance {sq:.3e} < -1e-10")
-    return math.sqrt(max(sq, 0.0))
+def _root(r) -> np.ndarray:
+    # a pure state is its own root; only density operators need the eigensolver
+    return np.outer(r.amp, r.amp.conj()) if isinstance(r, FockVector) else hermitian_sqrt(r)
+
+
+def polarized_sqrt(r1, r2, z: PolarizationOperator) -> float:
+    """sqrt(Tr(Z [sqrt(rho1) - sqrt(rho2)]^2)); matches `polarized` on pure pairs.
+
+    Either state may be a ``FockVector``, whose root is its projector.
+    Pass pure states that way: the root of a projector taken by the
+    eigensolver carries sqrt(eps)-sized noise from its null space, which
+    the weight n turns into errors near 1e-7 at dim 496.  Density
+    operators keep their unthresholded root, so tiny thermal populations
+    count in full.
+    """
+    _check_polarization(r1, r2, z)
+    return _weighted_norm(_root(r1) - _root(r2), z)
 
 
 def quasidistance_DZ(r1: DensityOperator, r2: DensityOperator, z: PolarizationOperator) -> float:
@@ -211,8 +202,7 @@ def quasidistance_DZ(r1: DensityOperator, r2: DensityOperator, z: PolarizationOp
 
     Identical states make the ratio 0/0; by convention the value is then 0.
     """
-    _check_dims(r1, r2)
-    _check_polarization(r1, z)
+    _check_polarization(r1, r2, z)
     delta = r1.mat - r2.mat
     dd = np.einsum("ij,ji->i", delta, delta).real
     t_norm = float(dd.sum())
@@ -305,12 +295,13 @@ def hs_bounds(rho: DensityOperator, n: int) -> HSBounds:
 METRIC_NAMES = ("fs", "minimal", "wootters", "hs", "jmg", "bu", "hs-p", "dn", "dn-sqrt", "DZ", "Da")
 
 
-def evaluate_metric(name, a, b, p: float = 0.5) -> DistanceReport:
+def evaluate_metric(name, a, b) -> DistanceReport:
     """Compute a named metric between two states.
 
     ``a`` and ``b`` are FockVector or DensityOperator values of equal
     dimension.  The pure-only metrics (fs, minimal, wootters) reject
-    density-operator input.
+    density-operator input.  The power of ``hs-p:<p>`` is read from the
+    name (1/2 when absent).
     """
     from .errors import UnsupportedCombinationError
     from .fock_core import outer
@@ -332,6 +323,7 @@ def evaluate_metric(name, a, b, p: float = 0.5) -> DistanceReport:
     elif base == "bu":
         value = bures_uhlmann(ra, rb)
     elif base == "hs-p":
+        p = 0.5
         if ":" in name:
             try:
                 p = float(name.split(":", 1)[1])
@@ -341,7 +333,7 @@ def evaluate_metric(name, a, b, p: float = 0.5) -> DistanceReport:
     elif base == "dn":
         value = polarized(ra, rb, number_polarization(ra.dim))
     elif base == "dn-sqrt":
-        value = polarized_sqrt(ra, rb, number_polarization(ra.dim))
+        value = polarized_sqrt(a, b, number_polarization(ra.dim))
     elif base == "DZ":
         value = quasidistance_DZ(ra, rb, number_polarization(ra.dim))
     else:  # Da

@@ -142,34 +142,35 @@ def purity(rho: DensityOperator) -> float:
     return p
 
 
-def _psd_sqrt(mat: np.ndarray, floor: float = EIG_FLOOR, threshold_null: bool = False) -> np.ndarray:
-    """Unique PSD Hermitian square root of a PSD Hermitian matrix.
+def psd_power(mat: np.ndarray, p: float, threshold_null: bool = True) -> np.ndarray:
+    """Hermitian power mat^p, p > 0, of a PSD Hermitian matrix.
 
-    With ``threshold_null`` eigenvalues below dim * eps * max(eigenvalue)
-    are treated as exact zeros: taking sqrt of eigensolver noise in a
-    null space would otherwise inject errors of order sqrt(eps) per
-    rank-deficient direction.  The default keeps every clamped
-    eigenvalue, preserving genuinely tiny populations exactly.
+    Eigenvalues below ``EIG_FLOOR`` raise ``NotPositiveSemidefiniteError``;
+    those in [EIG_FLOOR, 0) are clamped to zero.  With ``threshold_null``
+    eigenvalues up to dim * eps * max(eigenvalue) count as exact zeros
+    too: a power of eigensolver noise in a null space would otherwise
+    inject errors of order eps^p per rank-deficient direction.  Without
+    it every positive eigenvalue is kept, preserving genuinely tiny
+    populations exactly.
     """
     vals, vecs = np.linalg.eigh(mat)
     lo = float(vals[0])
-    if lo < floor:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3e} below {floor}")
-    if threshold_null:
-        tiny = mat.shape[0] * np.finfo(float).eps * max(float(vals[-1]), 0.0)
-        vals = np.where(vals > tiny, vals, 0.0)
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    s = (vecs * root) @ vecs.conj().T
-    return 0.5 * (s + s.conj().T)
+    if lo < EIG_FLOOR:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
+    tiny = mat.shape[0] * np.finfo(float).eps * max(float(vals[-1]), 0.0) if threshold_null else 0.0
+    powed = np.where(vals > tiny, vals, 0.0) ** p
+    out = (vecs * powed) @ vecs.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def hermitian_sqrt(rho: DensityOperator) -> np.ndarray:
     """The unique PSD Hermitian S with S^2 = rho.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero before the square
-    root; anything lower raises ``NotPositiveSemidefiniteError``.
+    root; anything lower raises ``NotPositiveSemidefiniteError``.  No
+    null-space threshold is applied.
     """
-    return _psd_sqrt(rho.mat)
+    return psd_power(rho.mat, 0.5, threshold_null=False)
 
 
 def trace_norm(delta: np.ndarray) -> float:

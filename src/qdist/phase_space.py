@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .fock_core import DensityOperator, FockVector, annihilation, outer
-from .states import StateSpec, adaptive_dim, as_density
+from .states import StateSpec, adaptive_dim, as_density, coherent_amplitudes
 
 MASS_TOL = 1e-3
 
@@ -190,15 +190,6 @@ def wigner(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistribu
     return QuasiDistribution(0, out)
 
 
-def _coherent_amplitude_rows(alpha: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of coherent-state amplitudes c_n(alpha) for a flat alpha array."""
-    c = np.zeros((alpha.size, dim), dtype=complex)
-    c[:, 0] = np.exp(-0.5 * np.abs(alpha) ** 2)
-    for n in range(1, dim):
-        c[:, n] = c[:, n - 1] * alpha / math.sqrt(n)
-    return c
-
-
 def husimi_q(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistribution:
     """Q(alpha) = <alpha|rho|alpha> on the grid, alpha = (q + ip)/sqrt(2)."""
     if grid is None:
@@ -208,7 +199,7 @@ def husimi_q(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistri
     vals = np.empty(alpha.size)
     chunk = 16384
     for lo in range(0, alpha.size, chunk):
-        c = _coherent_amplitude_rows(alpha[lo : lo + chunk], rho.dim)
+        c = coherent_amplitudes(alpha[lo : lo + chunk], rho.dim)
         vals[lo : lo + chunk] = np.einsum("am,mn,an->a", c.conj(), rho.mat, c).real
     vals = vals.reshape(grid.nq, grid.n_p)
     if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-9:

@@ -34,6 +34,9 @@ from .fock_core import DensityOperator, FockVector, annihilation
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
 MAX_DIM = 512
+# Level horizons of the tail sums are capped here before anything is
+# allocated; a state whose populations reach this far fits no feasible dim.
+MAX_HORIZON = 1 << 16
 
 FAMILIES = (
     "fock",
@@ -180,14 +183,18 @@ def _tail_horizon(spec: StateSpec, dim: int) -> int:
     if spec.family in ("coherent", "generalized_coherent", "cat"):
         lam = abs(spec.params["alpha"]) ** 2
         # Poisson tail: mean + generous multiple of the standard deviation
-        return max(dim + 64, int(lam + 30.0 * math.sqrt(lam + 1.0)) + 64)
-    if spec.family == "squeezed_vacuum":
+        horizon = max(dim + 64, int(lam + 30.0 * math.sqrt(lam + 1.0)) + 64)
+    elif spec.family == "squeezed_vacuum":
         az = abs(spec.params["zeta"])
         if az < 1e-12:
             return dim + 8
         k = int(-60.0 / math.log(az * az)) + 8 if az < 1.0 else MAX_DIM
-        return max(dim + 64, 2 * k)
-    return dim + 64
+        horizon = max(dim + 64, 2 * k)
+    else:
+        return dim + 64
+    if horizon > MAX_HORIZON:
+        raise TruncationInfeasibleError(f"{spec.family} state spreads over more than {MAX_HORIZON} levels")
+    return horizon
 
 
 def adaptive_dim(spec: StateSpec, tail_tol: float = TAIL_TOL, max_dim: int = MAX_DIM) -> int:
@@ -248,14 +255,24 @@ def fock(n: int, dim: int) -> FockVector:
     return FockVector(amp)
 
 
+def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
+    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < dim, unnormalized.
+
+    Runs the ratio recurrence c_n = c_{n-1} alpha / sqrt(n), which never
+    forms alpha^n or n! on their own.  ``alpha`` may be an array; the
+    levels then run along a new last axis.
+    """
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    steps = np.empty(alpha.shape[:-1] + (dim,), dtype=complex)
+    steps[..., :1] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    steps[..., 1:] = alpha / np.sqrt(np.arange(1, dim))
+    return np.cumprod(steps, axis=-1)
+
+
 def coherent(alpha: complex, dim: int) -> FockVector:
     """Coherent state: c_n proportional to alpha^n / sqrt(n!)."""
     spec = StateSpec("coherent", {"alpha": complex(alpha)})
-    amp = np.zeros(dim, dtype=complex)
-    amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
-    return _finalize(amp, truncation_tail(spec, dim))
+    return _finalize(coherent_amplitudes(alpha, dim), truncation_tail(spec, dim))
 
 
 def generalized_coherent(alpha: complex, phases, dim: int) -> FockVector:
@@ -284,10 +301,7 @@ def cat(alpha: complex, phi: float, dim: int) -> FockVector:
             "cat normalization is 0/0 at alpha -> 0, phi -> pi; use fock(1) directly"
         )
     spec = StateSpec("cat", {"alpha": complex(alpha), "phi": float(phi)})
-    plus = np.zeros(dim, dtype=complex)
-    plus[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        plus[n] = plus[n - 1] * alpha / math.sqrt(n)
+    plus = coherent_amplitudes(alpha, dim)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     amp = plus + cmath.exp(1j * phi) * signs * plus
     return _finalize(amp, truncation_tail(spec, dim))

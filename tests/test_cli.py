@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qdist
 from qdist.cli import main
 
 
@@ -71,6 +75,13 @@ class TestDistanceCommand:
             assert code == 0
             assert float(last_row(out)[4]) < tol
 
+    def test_hs_p_oracle_only_at_half(self, capsys):
+        # the thermal Bures row equals hs-p only at p = 1/2
+        _, out = run(capsys, "distance", "--a", "thermal:1", "--b", "thermal:2", "--metric", "hs-p:0.3")
+        assert last_row(out)[3:] == ["", ""]
+        _, out = run(capsys, "distance", "--a", "thermal:1", "--b", "thermal:2", "--metric", "hs-p:0.5")
+        assert float(last_row(out)[4]) < 1e-9
+
     def test_auto_dim_agrees_with_larger_dim(self, capsys):
         vals = {}
         for dim in ("auto", "96"):
@@ -125,6 +136,11 @@ class TestSweepCommand:
             "--metric", "hs", "--range", "1:0:0.1",
         )
         assert code == 2
+
+    def test_non_finite_range_is_parse_error(self, capsys):
+        for rng in ("0:1:nan", "0:inf:1", "nan:1:0.1"):
+            code, _ = run(capsys, "sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", rng)
+            assert code == 2, rng
 
     def test_placeholder_required(self, capsys):
         code, _ = run(
@@ -216,6 +232,35 @@ class TestPureMetricDimStability:
                 )
                 vals.append(float(last_row(out)[1]))
             assert vals[0] == pytest.approx(vals[1], abs=1e-7), metric
+
+
+class TestBoundedAllocations:
+    """Inputs whose sizes once went unchecked, each run in a child capped at 1 GB."""
+
+    CHILD = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qdist.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def run_capped(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qdist.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv], capture_output=True, text=True, timeout=20, env=env
+        )
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+        return proc.returncode
+
+    def test_huge_displacement_is_a_truncation_error(self):
+        for dim in ("auto", "64"):
+            argv = ("distance", "--a", "coherent:1e5", "--b", "fock:0", "--metric", "hs", "--dim", dim)
+            assert self.run_capped(*argv) == 3, dim
+
+    def test_sweep_row_count_is_bounded(self):
+        argv = ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", "0:1e9:1e-9")
+        assert self.run_capped(*argv) == 2
 
 
 class TestArgumentEdgeCases:

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from qdist import (
+    adaptive_dim,
+    build_state,
     cat_distances,
     coherent_fock,
     coherent_pair,
+    evaluate_metric,
     fock_pair,
+    parse_state_spec,
     phase_pair,
     squeezed_pair,
     thermal_pair,
 )
+from qdist.closed_forms import closed_form_lookup
+from qdist.distances import METRIC_NAMES
 from qdist.errors import StateValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -189,3 +195,60 @@ class TestCrossValidationAgainstPhaseStates:
             assert phase_pair(e1, e2)["dN"] == pytest.approx(
                 thermal_pair(n1, n2)["dN_min_pseudo"], rel=1e-9, abs=1e-6
             )
+
+
+PURE = {"fs", "minimal", "wootters", "hs", "jmg", "bu", "hs-p", "hs-p:0.3"}
+POLARIZED = {"dn", "dn-sqrt"}
+THERMAL = {"hs", "bu", "hs-p", "dn", "dn-sqrt"}
+
+# (a, b, the metrics the table fills); two draws per row, then vacuum
+# specs of another family, which are read as the partner's vacuum
+TABLE_CASES = [
+    ("coherent:0.7,0.2", "coherent:-0.3,0.9", PURE | POLARIZED | {"Da"}),
+    ("coherent:1.6,-0.4", "coherent:1.2,0.5", PURE | POLARIZED | {"Da"}),
+    ("coherent:1.1,0.5", "fock:2", PURE | POLARIZED),
+    ("fock:7", "coherent:0.4,-1.9", PURE | POLARIZED),
+    ("fock:1", "fock:4", PURE | POLARIZED | {"DZ"}),
+    ("fock:3", "fock:3", PURE | POLARIZED | {"DZ"}),
+    ("squeezed:0.3,0.2", "squeezed:-0.4", PURE | POLARIZED),
+    ("squeezed:0.5", "squeezed:0.2,0.1", PURE | POLARIZED),
+    ("phase:0.4,0.1", "phase:0.2,-0.3", PURE | POLARIZED),
+    ("phase:-0.6", "phase:0.1,0.5", PURE | POLARIZED),
+    ("thermal:0.8", "thermal:2.1", THERMAL),
+    ("thermal:0.3", "thermal:0", THERMAL),
+    ("cat:1.1,0.3,0.4", "cat:1.1,0.3,2.5", PURE | POLARIZED),
+    ("cat:0.8,-0.5,3.0", "cat:0.8,-0.5,1.0", PURE | POLARIZED),
+    ("cat:1.2,0,1.0", "coherent:1.2", PURE),
+    ("coherent:0.4,0.6", "cat:0.4,0.6,2.0", PURE),
+    ("cat:0.9,0.4,2.0", "fock:0", PURE | POLARIZED),
+    ("cat:1.2,0,3.14159", "phase:0", PURE | POLARIZED),
+    ("thermal:0", "cat:1.0,0.2,0.5", PURE | POLARIZED),
+    ("squeezed:0.4,0.1", "coherent:0", PURE | POLARIZED),
+    ("coherent:0", "phase:0.5", PURE | POLARIZED),
+    ("coherent:1.3,0.2", "thermal:0", PURE | POLARIZED | {"Da"}),
+    ("thermal:1.5", "fock:0", THERMAL),
+    ("squeezed:0", "thermal:1.2", THERMAL),
+    ("fock:3", "squeezed:0", PURE | POLARIZED | {"DZ"}),
+    ("phase:0", "squeezed:0", PURE | POLARIZED),
+    ("thermal:0", "coherent:0", PURE | POLARIZED | {"Da"} | THERMAL),
+    ("coherent:0.5", "coherent:0.5,1e-3", PURE | POLARIZED | {"Da"}),
+    # no row: cats of different displacement; a thermal state and |2>
+    ("cat:1.0,0,0", "cat:1.1,0,0", set()),
+    ("thermal:1.0", "fock:2", set()),
+]
+
+
+@pytest.mark.parametrize("a, b, filled", TABLE_CASES, ids=[f"{a}|{b}" for a, b, _ in TABLE_CASES])
+def test_oracle_table_matches_matrix_route(a, b, filled):
+    spec_a, spec_b = parse_state_spec(a), parse_state_spec(b)
+    metrics = METRIC_NAMES + ("hs-p:0.3",)
+    oracles = {m: closed_form_lookup(spec_a, spec_b, m) for m in metrics}
+    assert {m for m, v in oracles.items() if v is not None} == filled
+    dim = max(adaptive_dim(spec_a), adaptive_dim(spec_b))
+    assert dim <= 96
+    sa, sb = build_state(spec_a, dim), build_state(spec_b, dim)
+    both_pure = spec_a.is_pure and spec_b.is_pure
+    for m in sorted(filled):
+        if m in ("fs", "minimal", "wootters") and not both_pure:
+            continue  # the matrix route rejects pure-only metrics on a density operator
+        assert evaluate_metric(m, sa, sb).value == pytest.approx(oracles[m], abs=1e-9), m

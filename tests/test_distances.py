@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qdist import (
     bures_uhlmann,
     cat,
     coherent,
+    coherent_pair,
     evaluate_metric,
     fock,
     hilbert_schmidt,
@@ -175,6 +177,12 @@ class TestPolarizedSqrt:
         z = number_polarization(32)
         a, b = outer(coherent(0.7, 32)), outer(coherent(-0.2 + 0.5j, 32))
         assert polarized_sqrt(a, b, z) == pytest.approx(polarized(a, b, z), abs=1e-8)
+
+    def test_pure_pair_at_dim_496(self):
+        # the root of a projector taken by the eigensolver was ~1e-7 off here
+        alpha, beta = 18.7, 18.74 * cmath.exp(0.2j)
+        value = evaluate_metric("dn-sqrt", coherent(alpha, 496), coherent(beta, 496)).value
+        assert value == pytest.approx(coherent_pair(alpha, beta)["dN"], abs=1e-9)
 
 
 class TestQuasidistances:
