@@ -92,15 +92,23 @@ def _check_dims(r1, r2):
 # ---------------------------------------------------------------------------
 
 def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fubini_study") -> float:
-    """Distance between rays: fubini_study, minimal, or wootters."""
+    """Distance between rays: fubini_study, minimal, or wootters.
+
+    minimal = ||a - e^{i phi} b|| with e^{i phi} <a|b> = |<a|b>| = o, which
+    unlike 1 - o does not cancel; fs = minimal sqrt(1 + o) and
+    wootters = 2 asin(minimal / 2) follow from it.
+    """
     _check_dims(a, b)
-    ov = min(abs(a.overlap(b)), 1.0)
+    ov = a.overlap(b)
+    o = min(abs(ov), 1.0)
+    phase = ov.conjugate() / abs(ov) if ov != 0 else 1.0
+    minimal = float(np.linalg.norm(a.amp - phase * b.amp))
     if kind == "fubini_study":
-        return math.sqrt(max(2.0 * (1.0 - ov * ov), 0.0))
+        return minimal * math.sqrt(1.0 + o)
     if kind == "minimal":
-        return math.sqrt(max(2.0 * (1.0 - ov), 0.0))
+        return minimal
     if kind == "wootters":
-        return math.acos(ov)
+        return 2.0 * math.asin(min(0.5 * minimal, 1.0))
     raise StateValidationError(f"unknown pure-state distance kind {kind!r}")
 
 

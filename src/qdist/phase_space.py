@@ -8,7 +8,9 @@ grid node and the u-quadrature becomes a single matrix product.  The
 u-step equals the q-spacing dq, and uniform weights are used: for the
 band-limited integrands at hand the resulting error is pure aliasing,
 exponentially small as long as 2*pi/dq exceeds the combined momentum
-bandwidth (checked at call time).
+bandwidth (checked at call time).  The Wigner form of the HS distance
+steps its grid by the states' smallest quadrature spread
+(``states.quadrature_sigma_min``) and fringe scale.
 
 Normalization conventions: int W dq dp / (2 pi) = 1 for the Wigner
 function; Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2);
@@ -30,8 +32,10 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DensityOperator, FockVector, annihilation, outer
-from .states import StateSpec, adaptive_dim, as_density, coherent_amplitudes
+from .fock_core import DensityOperator, FockVector, outer
+from .states import (
+    StateSpec, adaptive_dim, as_density, coherent_amplitudes, ladder_moments, quadrature_sigma_min,
+)
 
 MASS_TOL = 1e-3
 
@@ -231,21 +235,6 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
 # phase-space integral forms of the Hilbert-Schmidt distance
 # ---------------------------------------------------------------------------
 
-def _covariance_sigma_min(rho: DensityOperator) -> float:
-    """Smallest standard deviation over quadrature directions."""
-    a = annihilation(rho.dim)
-    m10 = complex(np.einsum("ij,ji->", a, rho.mat))
-    m20 = complex(np.einsum("ij,ji->", a @ a, rho.mat))
-    m11 = float(np.einsum("i,ii->", np.arange(rho.dim), rho.mat).real)
-    qm = math.sqrt(2.0) * m10.real
-    pm = math.sqrt(2.0) * m10.imag
-    qq = m20.real + m11 + 0.5 - qm * qm
-    pp = -m20.real + m11 + 0.5 - pm * pm
-    qp = m20.imag - qm * pm
-    lo = 0.5 * (qq + pp) - math.sqrt(max(0.25 * (qq - pp) ** 2 + qp * qp, 0.0))
-    return math.sqrt(max(lo, 1e-6))
-
-
 def _resolve_state(obj, dim: int | None = None) -> DensityOperator:
     if isinstance(obj, StateSpec):
         return as_density(obj, dim if dim is not None else adaptive_dim(obj))
@@ -285,7 +274,8 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
         if n_points is None:
             n_eff = max(_occupied_levels(ra), _occupied_levels(rb))
             fringe = math.pi / (2.0 * math.sqrt(2.0 * n_eff + 1.0))
-            sig = min(_covariance_sigma_min(ra), _covariance_sigma_min(rb))
+            # the floor keeps the step finite for a state squeezed to sigma ~ 0
+            sig = max(min(quadrature_sigma_min(ladder_moments(r)) for r in (ra, rb)), 1e-3)
             h = min(0.15, min(sig, fringe) / 3.0)
             n_points = int(min(max(2 * round(span / h) + 1, 257), 1537))
         grid = PhaseGrid(-span, span, -span, span, n_points, n_points, np.zeros((n_points, n_points)))

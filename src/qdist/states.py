@@ -2,9 +2,13 @@
 
 Pure families (Fock, coherent, generalized coherent, cat, squeezed
 vacuum, coherent phase) produce ``FockVector``; the thermal family
-produces a diagonal ``DensityOperator``.  Every constructor enforces a
-truncation-tail budget of 1e-12 and renormalizes the retained
-amplitudes, recording the discarded mass on the returned object.
+produces a diagonal ``DensityOperator``.  ``build_state`` is the one
+family dispatch.  Each pure family has one amplitude recurrence, whose
+squared moduli are also its populations and so size its truncation.
+Every constructor enforces a truncation-tail budget of 1e-12 and
+renormalizes the retained amplitudes, recording the discarded mass on
+the returned object.  ``ladder_moments`` gives <a>, <a^2> and <adag a>
+in O(dim).
 
 Global phase convention: the first nonvanishing amplitude is made real
 and positive, so state equality is testable despite the projective
@@ -21,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DegenerateStateError,
-    DimensionMismatchError,
     InsufficientCutoffError,
     SpecParseError,
     StateValidationError,
@@ -29,7 +32,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import DensityOperator, FockVector, annihilation
+from .fock_core import DensityOperator, FockVector, annihilation, outer
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -47,8 +50,6 @@ FAMILIES = (
     "coherent_phase",
     "thermal",
 )
-
-PURE_FAMILIES = tuple(f for f in FAMILIES if f != "thermal")
 
 
 @dataclass(frozen=True)
@@ -103,60 +104,73 @@ class StateSpec:
 
 
 # ---------------------------------------------------------------------------
-# photon-number distributions and truncation tails
+# amplitudes, photon-number distributions and truncation tails
 # ---------------------------------------------------------------------------
 
-def _poisson_terms(lam: float, nmax: int) -> np.ndarray:
-    """Poisson probabilities p_0..p_{nmax-1}, by stable recurrence."""
-    p = np.zeros(nmax)
-    p[0] = math.exp(-lam)
-    for n in range(1, nmax):
-        p[n] = p[n - 1] * lam / n
-    return p
+def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
+    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < dim, unnormalized.
+
+    Runs the ratio recurrence c_n = c_{n-1} alpha / sqrt(n), which never
+    forms alpha^n or n! on their own.  ``alpha`` may be an array; the
+    levels then run along a new last axis.
+    """
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    steps = np.empty(alpha.shape[:-1] + (dim,), dtype=complex)
+    steps[..., :1] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    steps[..., 1:] = alpha / np.sqrt(np.arange(1, dim))
+    return np.cumprod(steps, axis=-1)
 
 
-def _squeezed_even_terms(abs_z: float, kmax: int) -> np.ndarray:
-    """|c_{2k}|^2 for k = 0..kmax-1 of a squeezed vacuum with |zeta| = abs_z."""
-    w = np.zeros(kmax)
-    w[0] = math.sqrt(1.0 - abs_z * abs_z)
-    z2 = abs_z * abs_z
-    for k in range(1, kmax):
-        w[k] = w[k - 1] * z2 * (2 * k - 1) / (2 * k)
-    return w
+def _amplitudes(spec: StateSpec, nmax: int) -> np.ndarray:
+    """Amplitudes c_0..c_{nmax-1} of the untruncated pure state a spec describes.
+
+    A generalized coherent state's per-level phases, which leave its
+    populations alone, are attached by ``build_state``.
+    """
+    f, p = spec.family, spec.params
+    if f == "fock":
+        amp = np.zeros(nmax, dtype=complex)
+        if p["n"] < nmax:
+            amp[p["n"]] = 1.0
+        return amp
+    if f == "coherent_phase":
+        eps = complex(p["epsilon"])
+        return math.sqrt(1.0 - abs(eps) ** 2) * np.power(eps, np.arange(nmax))
+    if f == "squeezed_vacuum":
+        # even levels only: c_{2k} = c_{2k-2} zeta sqrt((2k-1)/(2k))
+        zeta = complex(p["zeta"])
+        steps = np.empty((nmax + 1) // 2, dtype=complex)
+        steps[:1] = (1.0 - abs(zeta) ** 2) ** 0.25
+        k = np.arange(1, steps.size)
+        steps[1:] = zeta * np.sqrt((2 * k - 1) / (2 * k))
+        amp = np.zeros(nmax, dtype=complex)
+        amp[::2] = np.cumprod(steps)
+        return amp
+    plus = coherent_amplitudes(p["alpha"], nmax)
+    if plus[0].real < np.finfo(float).tiny:
+        # exp(-|alpha|^2/2) left the normal range: every amplitude would be noise or 0
+        raise TruncationInfeasibleError(
+            f"{f} state with |alpha|^2 = {abs(p['alpha']) ** 2:.6g} underflows double precision"
+        )
+    if f == "cat":
+        denom = 1.0 + math.cos(p["phi"]) * math.exp(-2.0 * abs(p["alpha"]) ** 2)
+        if denom <= 1e-14:
+            raise DegenerateStateError(
+                "cat normalization is 0/0 at alpha -> 0, phi -> pi; use fock(1) directly"
+            )
+        signs = np.where(np.arange(nmax) % 2 == 0, 1.0, -1.0)
+        return (plus + cmath.exp(1j * p["phi"]) * signs * plus) / math.sqrt(2.0 * denom)
+    return plus
 
 
 def photon_distribution_terms(spec: StateSpec, nmax: int) -> np.ndarray:
     """Exact (untruncated-formula) level populations p_0..p_{nmax-1}."""
     f, p = spec.family, spec.params
-    if f == "fock":
-        out = np.zeros(nmax)
-        if p["n"] < nmax:
-            out[p["n"]] = 1.0
-        return out
-    if f in ("coherent", "generalized_coherent"):
-        return _poisson_terms(abs(p["alpha"]) ** 2, nmax)
-    if f == "cat":
-        alpha, phi = p["alpha"], p["phi"]
-        q = math.exp(-2.0 * abs(alpha) ** 2)
-        denom = 1.0 + math.cos(phi) * q
-        if denom <= 1e-14:
-            raise DegenerateStateError("cat normalization denominator ~ 0")
-        pois = _poisson_terms(abs(alpha) ** 2, nmax)
-        signs = np.where(np.arange(nmax) % 2 == 0, 1.0, -1.0)
-        return pois * (1.0 + signs * math.cos(phi)) / denom
-    if f == "squeezed_vacuum":
-        w = _squeezed_even_terms(abs(p["zeta"]), (nmax + 1) // 2)
-        out = np.zeros(nmax)
-        out[: 2 * w.size : 2] = w[: (nmax + 1) // 2]
-        return out
-    if f == "coherent_phase":
-        x = abs(p["epsilon"]) ** 2
-        return (1.0 - x) * x ** np.arange(nmax)
     if f == "thermal":
         nbar = p["nbar"]
         x = nbar / (1.0 + nbar)
         return (x ** np.arange(nmax)) / (1.0 + nbar)
-    raise StateValidationError(f"unknown family {f!r}")
+    return np.abs(_amplitudes(spec, nmax)) ** 2
 
 
 def truncation_tail(spec: StateSpec, dim: int) -> float:
@@ -239,11 +253,29 @@ def _fix_global_phase(amp: np.ndarray) -> np.ndarray:
     return amp * ph.conjugate()
 
 
-def _finalize(amp: np.ndarray, tail: float) -> FockVector:
+def build_state(spec: StateSpec, dim: int):
+    """Construct the state a spec describes; FockVector unless thermal.
+
+    This is the one family dispatch: the named constructors below, all
+    but ``fock``, call it.  The truncation must discard less than ``TAIL_TOL`` of the
+    probability; the retained amplitudes (or populations) are
+    renormalized and the discarded mass is recorded on the state.
+    """
+    f, p = spec.family, spec.params
+    if f == "fock":
+        return fock(p["n"], dim)
+    if f == "generalized_coherent" and len(p["phases"]) < dim:
+        raise StateValidationError(f"phase table has {len(p['phases'])} entries, need >= {dim}")
+    tail = truncation_tail(spec, dim)
     if tail >= TAIL_TOL:
         raise TailMassError(f"truncation discards {tail:.3e} > {TAIL_TOL} probability")
-    amp = _fix_global_phase(amp / np.linalg.norm(amp))
-    return FockVector(amp, tail_mass=tail)
+    if f == "thermal":
+        pops = photon_distribution_terms(spec, dim)
+        return DensityOperator(np.diag(pops / pops.sum()).astype(complex), tail_mass=tail)
+    amp = _amplitudes(spec, dim)
+    if f == "generalized_coherent":
+        amp = amp * np.exp(1j * np.asarray(p["phases"][:dim], dtype=float))
+    return FockVector(_fix_global_phase(amp / np.linalg.norm(amp)), tail_mass=tail)
 
 
 def fock(n: int, dim: int) -> FockVector:
@@ -255,34 +287,14 @@ def fock(n: int, dim: int) -> FockVector:
     return FockVector(amp)
 
 
-def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
-    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n < dim, unnormalized.
-
-    Runs the ratio recurrence c_n = c_{n-1} alpha / sqrt(n), which never
-    forms alpha^n or n! on their own.  ``alpha`` may be an array; the
-    levels then run along a new last axis.
-    """
-    alpha = np.asarray(alpha, dtype=complex)[..., None]
-    steps = np.empty(alpha.shape[:-1] + (dim,), dtype=complex)
-    steps[..., :1] = np.exp(-0.5 * np.abs(alpha) ** 2)
-    steps[..., 1:] = alpha / np.sqrt(np.arange(1, dim))
-    return np.cumprod(steps, axis=-1)
-
-
 def coherent(alpha: complex, dim: int) -> FockVector:
     """Coherent state: c_n proportional to alpha^n / sqrt(n!)."""
-    spec = StateSpec("coherent", {"alpha": complex(alpha)})
-    return _finalize(coherent_amplitudes(alpha, dim), truncation_tail(spec, dim))
+    return build_state(StateSpec("coherent", {"alpha": complex(alpha)}), dim)
 
 
 def generalized_coherent(alpha: complex, phases, dim: int) -> FockVector:
     """Coherent amplitudes with per-level phases exp(i phi(n)) attached."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.size < dim:
-        raise StateValidationError(f"phase table has {phases.size} entries, need >= {dim}")
-    base = coherent(alpha, dim)
-    amp = base.amp * np.exp(1j * phases[:dim])
-    return _finalize(amp, base.tail_mass)
+    return build_state(StateSpec("generalized_coherent", {"alpha": complex(alpha), "phases": phases}), dim)
 
 
 def yurke_stoler_phases(dim: int) -> np.ndarray:
@@ -294,71 +306,25 @@ def yurke_stoler_phases(dim: int) -> np.ndarray:
 
 def cat(alpha: complex, phi: float, dim: int) -> FockVector:
     """Superposition (|alpha> + e^{i phi} |-alpha>) / sqrt(2[1 + cos(phi) e^{-2|alpha|^2}])."""
-    q = math.exp(-2.0 * abs(alpha) ** 2)
-    denom = 1.0 + math.cos(phi) * q
-    if denom <= 1e-14:
-        raise DegenerateStateError(
-            "cat normalization is 0/0 at alpha -> 0, phi -> pi; use fock(1) directly"
-        )
-    spec = StateSpec("cat", {"alpha": complex(alpha), "phi": float(phi)})
-    plus = coherent_amplitudes(alpha, dim)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    amp = plus + cmath.exp(1j * phi) * signs * plus
-    return _finalize(amp, truncation_tail(spec, dim))
+    return build_state(StateSpec("cat", {"alpha": complex(alpha), "phi": float(phi)}), dim)
 
 
 def squeezed_vacuum(zeta: complex, dim: int) -> FockVector:
     """Squeezed vacuum: even-level amplitudes proportional to sqrt((2n)!)/(2^n n!) zeta^n."""
-    spec = StateSpec("squeezed_vacuum", {"zeta": complex(zeta)})
-    amp = np.zeros(dim, dtype=complex)
-    amp[0] = (1.0 - abs(zeta) ** 2) ** 0.25
-    c = amp[0]
-    for k in range(1, (dim + 1) // 2):
-        c = c * zeta * math.sqrt((2 * k - 1) / (2 * k))
-        amp[2 * k] = c
-    return _finalize(amp, truncation_tail(spec, dim))
+    return build_state(StateSpec("squeezed_vacuum", {"zeta": complex(zeta)}), dim)
 
 
 def coherent_phase(epsilon: complex, dim: int) -> FockVector:
     """Lowering-operator phase eigenstate: c_n = sqrt(1-|eps|^2) eps^n."""
-    spec = StateSpec("coherent_phase", {"epsilon": complex(epsilon)})
-    amp = math.sqrt(1.0 - abs(epsilon) ** 2) * np.power(complex(epsilon), np.arange(dim))
-    return _finalize(amp, truncation_tail(spec, dim))
+    return build_state(StateSpec("coherent_phase", {"epsilon": complex(epsilon)}), dim)
 
 
 def thermal(nbar: float, dim: int) -> DensityOperator:
     """Thermal state: diagonal geometric populations with mean nbar."""
-    spec = StateSpec("thermal", {"nbar": float(nbar)})
-    tail = truncation_tail(spec, dim)
-    if tail >= TAIL_TOL:
-        raise TailMassError(f"truncation discards {tail:.3e} > {TAIL_TOL} probability")
-    p = photon_distribution_terms(spec, dim)
-    return DensityOperator(np.diag(p / p.sum()).astype(complex), tail_mass=tail)
-
-
-def build_state(spec: StateSpec, dim: int):
-    """Construct the state a spec describes; FockVector unless thermal."""
-    f, p = spec.family, spec.params
-    if f == "fock":
-        return fock(p["n"], dim)
-    if f == "coherent":
-        return coherent(p["alpha"], dim)
-    if f == "generalized_coherent":
-        return generalized_coherent(p["alpha"], p["phases"], dim)
-    if f == "cat":
-        return cat(p["alpha"], p["phi"], dim)
-    if f == "squeezed_vacuum":
-        return squeezed_vacuum(p["zeta"], dim)
-    if f == "coherent_phase":
-        return coherent_phase(p["epsilon"], dim)
-    if f == "thermal":
-        return thermal(p["nbar"], dim)
-    raise StateValidationError(f"unknown family {f!r}")
+    return build_state(StateSpec("thermal", {"nbar": float(nbar)}), dim)
 
 
 def as_density(spec: StateSpec, dim: int) -> DensityOperator:
-    from .fock_core import outer
-
     state = build_state(spec, dim)
     return state if isinstance(state, DensityOperator) else outer(state)
 
@@ -398,6 +364,48 @@ def moment(rho, k: int, l: int) -> complex:
     ak = np.linalg.matrix_power(a, k)
     al = np.linalg.matrix_power(a, l)
     return complex(np.trace(ak.conj().T @ al @ mat))
+
+
+def ladder_moments(state) -> tuple[complex, complex, float]:
+    """<a>, <a^2> and <adag a> of a FockVector or DensityOperator, in O(dim).
+
+    <a^k> (k = 1, 2) sums sqrt(n!/(n-k)!) times conj(c_{n-k}) c_n for a
+    pure state, or times rho_{n,n-k} for a density operator; <adag a>
+    sums n times the populations.
+    """
+    n = np.arange(state.dim)
+    if isinstance(state, FockVector):
+        c = state.amp
+        return (
+            complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:])),
+            complex(np.vdot(c[:-2], np.sqrt(n[1:-1] * n[2:]) * c[2:])),
+            float(n @ np.abs(c) ** 2),
+        )
+    rho = state.mat
+    return (
+        complex(np.sqrt(n[1:]) @ rho.diagonal(-1)),
+        complex(np.sqrt(n[1:-1] * n[2:]) @ rho.diagonal(-2)),
+        float(n @ rho.diagonal().real),
+    )
+
+
+def quadrature_moments(moments, theta: float) -> tuple[float, float]:
+    """Mean and standard deviation of the quadrature cos(theta) q + sin(theta) p.
+
+    ``moments`` is (<a>, <a^2>, <adag a>), as ``ladder_moments`` returns.
+    The mean is sqrt(2) Re(<a> e^{-i theta}), the variance
+    <adag a> - |<a>|^2 + 1/2 + Re((<a^2> - <a>^2) e^{-2 i theta}).
+    """
+    m, a2, n = moments
+    rot = cmath.exp(-1j * theta)
+    var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
+    return math.sqrt(2.0) * (m * rot).real, math.sqrt(max(var, 0.0))
+
+
+def quadrature_sigma_min(moments) -> float:
+    """Smallest standard deviation of ``quadrature_moments``, where its cosine term is -1."""
+    m, a2, n = moments
+    return math.sqrt(max(n - abs(m) ** 2 + 0.5 - abs(a2 - m * m), 0.0))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ at R = 1, which is what is evaluated.  The per-angle divergence has a
 uniform rule down to O(nodes^-2) (Trefethen & Weideman, SIAM Rev. 56
 (2014)).  So the angular nodes are Gauss-Legendre panels split at the
 angles where the tomograms can coincide, read off the states' first and
-second moments <a>, <a^2> and <adag a>; a pair with no such angle keeps
-the uniform (trapezoidal, spectrally accurate on the periodic angle)
-rule.  Because the nodes depend on the pair, the computed distances obey
+second moments <a>, <a^2> and <adag a> (``states.ladder_moments``, or
+closed forms for number and coherent states); a pair with no such angle
+keeps the uniform (trapezoidal, spectrally accurate on the periodic
+angle) rule.  The same moments place each node's X grid.  Because the nodes depend on the pair, the computed distances obey
 the triangle inequality up to quadrature error.
 """
 
@@ -38,9 +39,9 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DensityOperator, outer
+from .fock_core import DensityOperator
 from .phase_space import QuasiDistribution, oscillator_eigenfunctions, simpson_weights
-from .states import StateSpec, adaptive_dim, build_state, moment
+from .states import StateSpec, adaptive_dim, build_state, ladder_moments, quadrature_moments
 
 X_POINTS = 1025
 X_SIGMAS = 10.0
@@ -228,15 +229,13 @@ class _FockMarginals:
     def __init__(self, spec: StateSpec):
         state = build_state(spec, adaptive_dim(spec))
         if isinstance(state, DensityOperator):
-            rho = state
-            p, vecs = np.linalg.eigh(rho.mat)
+            p, vecs = np.linalg.eigh(state.mat)
             keep = p > 0.0
             self.amps = vecs[:, keep] * np.sqrt(p[keep])
         else:
-            rho = outer(state)
             self.amps = state.amp[:, None]
-        self.moments = (moment(rho, 0, 1), moment(rho, 0, 2), moment(rho, 1, 1).real)
-        self.levels = np.arange(rho.dim)
+        self.moments = ladder_moments(state)
+        self.levels = np.arange(state.dim)
 
     def tomogram(self, theta, x):
         v = np.exp(-1j * theta * self.levels)[:, None] * self.amps
@@ -255,18 +254,6 @@ def _marginal_provider(spec: StateSpec):
     return _FockMarginals(spec)
 
 
-def _unit_moments(moments, theta: float) -> tuple[float, float]:
-    """Mean and standard deviation of the quadrature cos(theta) q + sin(theta) p.
-
-    The mean is sqrt(2) Re(<a> e^{-i theta}), the variance
-    <adag a> - |<a>|^2 + 1/2 + Re((<a^2> - <a>^2) e^{-2 i theta}).
-    """
-    m, a2, n = moments
-    rot = cmath.exp(-1j * theta)
-    var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
-    return math.sqrt(2.0) * (m * rot).real, math.sqrt(max(var, 0.0))
-
-
 def _kink_angles(moments_a, moments_b) -> np.ndarray:
     """Sorted angles in [0, 2 pi) where the two tomograms can coincide.
 
@@ -274,9 +261,10 @@ def _kink_angles(moments_a, moments_b) -> np.ndarray:
     tomograms coincide.  Equal tomograms need equal means
     sqrt(2) Re(<a> e^{-i theta}), which vanish in difference at two
     antipodal angles.  When the means agree at every angle, the
-    variances (see ``_unit_moments``) must agree too, which happens at
-    up to four angles.  When the variances agree at every angle as
-    well (a rotation-invariant pair, say), no angle is singled out.
+    variances (see ``states.quadrature_moments``) must agree too,
+    which happens at up to four angles.  When the variances agree at
+    every angle as well (a rotation-invariant pair, say), no angle is
+    singled out.
     """
     (ma, a2a, na), (mb, a2b, nb) = moments_a, moments_b
     dm = ma - mb
@@ -349,7 +337,7 @@ def tomographic_distance(
     thetas, tweights = _angular_rule(_kink_angles(prov_a.moments, prov_b.moments), angular_nodes)
     total = 0.0
     for theta, tw in zip(thetas, tweights):
-        (ma, sa), (mb, sb) = _unit_moments(prov_a.moments, theta), _unit_moments(prov_b.moments, theta)
+        (ma, sa), (mb, sb) = (quadrature_moments(prov.moments, theta) for prov in (prov_a, prov_b))
         x = default_x_grid(min(ma, mb), max(ma, mb), VACUUM_SIGMA, max(sa, sb))
         total += tw * classical_divergence(prov_a.tomogram(theta, x), prov_b.tomogram(theta, x), kind)
     return total

@@ -263,6 +263,28 @@ class TestBoundedAllocations:
         assert self.run_capped(*argv) == 2
 
 
+class TestHugeAmplitudes:
+    """Displacements whose smallest amplitudes underflow exit 3 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("distance", "--a", "coherent:28", "--b", "fock:0", "--metric", "hs"),
+            ("distance", "--a", "cat:28,0,0", "--b", "fock:0", "--metric", "hs"),
+            ("tomo-distance", "--a", "cat:28,0,0", "--b", "coherent:0"),
+            ("distance", "--a", "coherent:40", "--b", "fock:0", "--metric", "hs"),
+            ("distance", "--a", "coherent:40", "--b", "fock:0", "--metric", "hs", "--dim", "64"),
+            ("distance", "--a", "coherent:28", "--b", "fock:0", "--metric", "hs", "--dim", "64"),
+        ],
+    )
+    def test_exits_with_truncation_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestArgumentEdgeCases:
     def test_non_finite_parameters_are_parse_errors(self, capsys):
         for spec in ("coherent:nan", "coherent:inf", "coherent:1,-inf", "thermal:nan", "cat:1,0,inf"):

@@ -41,6 +41,15 @@ class TestPureStateDistance:
         for kind in ("fubini_study", "minimal", "wootters"):
             assert pure_state_distance(v, w, kind) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("kind", ["fubini_study", "minimal", "wootters"])
+    @pytest.mark.parametrize(
+        "state",
+        [lambda: coherent(1.2 + 0.3j, 32), lambda: cat(1.2, 1.1, 32), lambda: fock(3, 8)],
+    )
+    def test_identical_pair_reads_zero(self, kind, state):
+        # 1 - |<a|b>| would leave sqrt(eps) noise; ||a - e^{i phi} b|| does not
+        assert pure_state_distance(state(), state(), kind) == 0.0
+
     def test_orthogonal_pair(self):
         a, b = fock(0, 8), fock(1, 8)
         assert pure_state_distance(a, b, "fubini_study") == pytest.approx(SQRT2, abs=1e-12)

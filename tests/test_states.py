@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdist import (
     StateSpec,
     adaptive_dim,
+    as_density,
     build_state,
     cat,
     coherent,
@@ -33,6 +34,8 @@ from qdist.errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
+from qdist.fock_core import annihilation
+from qdist.states import ladder_moments, quadrature_moments, quadrature_sigma_min
 
 
 def mean_photon(vec) -> float:
@@ -197,6 +200,54 @@ class TestMoments:
         assert np.abs(t.m - t.m.conj().T).max() < 1e-12
 
 
+MOMENT_SPECS = [
+    StateSpec("fock", {"n": 3}),
+    StateSpec("coherent", {"alpha": 1.3 - 0.7j}),
+    StateSpec("generalized_coherent", {"alpha": 0.9 + 0.4j, "phases": list(np.linspace(0.0, 5.0, 64))}),
+    StateSpec("cat", {"alpha": 1.1 + 0.5j, "phi": 1.1}),
+    StateSpec("squeezed_vacuum", {"zeta": 0.5 * np.exp(0.8j)}),
+    StateSpec("coherent_phase", {"epsilon": 0.6 * np.exp(-1.2j)}),
+    StateSpec("thermal", {"nbar": 1.5}),
+]
+
+
+class TestLadderMoments:
+    @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=lambda s: s.family)
+    def test_matches_dense_moments(self, spec):
+        dim = adaptive_dim(spec)
+        rho = as_density(spec, dim)
+        expect = (moment(rho, 0, 1), moment(rho, 0, 2), moment(rho, 1, 1).real)
+        for state in (build_state(spec, dim), rho):
+            got = ladder_moments(state)
+            assert np.abs(np.subtract(got, expect)).max() < 1e-12, type(state).__name__
+
+    @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=lambda s: s.family)
+    def test_quadrature_spread_matches_dense_scan(self, spec):
+        # mean and variance of x_theta = (a e^{-i theta} + adag e^{i theta}) / sqrt(2)
+        # straight from the density matrix, on a scan refined around its minimum
+        from scipy.optimize import minimize_scalar
+
+        dim = adaptive_dim(spec)
+        rho = as_density(spec, dim).mat
+        a = annihilation(dim)
+
+        def dense(theta):
+            x = (a * np.exp(-1j * theta) + a.conj().T * np.exp(1j * theta)) / math.sqrt(2.0)
+            mean = np.trace(x @ rho).real
+            return mean, np.trace(x @ x @ rho).real - mean**2
+
+        moments = ladder_moments(build_state(spec, dim))
+        thetas = np.linspace(0.0, math.pi, 91)
+        scan = [dense(t) for t in thetas]
+        for theta, (mean, var) in zip(thetas, scan):
+            assert quadrature_moments(moments, theta) == pytest.approx((mean, math.sqrt(var)), abs=1e-10)
+        k = int(np.argmin([var for _, var in scan]))
+        step = thetas[1] - thetas[0]
+        best = minimize_scalar(lambda t: dense(t)[1], bounds=(thetas[k] - step, thetas[k] + step),
+                               method="bounded", options={"xatol": 1e-10})
+        assert quadrature_sigma_min(moments) == pytest.approx(math.sqrt(best.fun), abs=1e-9)
+
+
 class TestReconstruction:
     def test_fock1_round_trip(self):
         rho = outer(fock(1, 24))
@@ -283,6 +334,79 @@ class TestAdaptiveDim:
         kmin = next(k for k in range(1, 399) if tails[k] < 1e-12)
         assert dim == 8 * (kmin // 8 + 1)
         assert truncation_tail(spec, dim) < 1e-12
+
+    @pytest.mark.parametrize(
+        "text,dim",
+        [
+            # |alpha| and |zeta| 1e-6 on either side of the points where the dim
+            # steps to the next multiple of eight
+            ("coherent:1.043855596,0.000000000", 16),
+            ("coherent:1.043857596,0.000000000", 24),
+            ("coherent:4.703187409,0.000000000", 64),
+            ("coherent:4.703189409,0.000000000", 72),
+            ("coherent:12.580585694,0.000000000", 256),
+            ("coherent:12.580587694,0.000000000", 264),
+            ("coherent:18.821824759,0.000000000", 496),
+            ("coherent:18.821826759,0.000000000", 504),
+            ("coherent:-4.350979979,7.439508075", 144),
+            ("coherent:-4.350980988,7.439509801", 152),
+            ("cat:1.033268062,0.436858730,0", 16),
+            ("cat:1.033269905,0.436859509,0", 24),
+            ("cat:5.596803094,2.366290395,0", 88),
+            ("cat:5.596804937,2.366291174,0", 96),
+            ("cat:13.933628868,5.891043798,0", 344),
+            ("cat:13.933630711,5.891044577,0", 352),
+            ("cat:1.015685317,0.000000000,3.14159", 16),
+            ("cat:1.015687317,0.000000000,3.14159", 24),
+            ("cat:11.540350070,0.000000000,3.14159", 224),
+            ("cat:11.540352070,0.000000000,3.14159", 232),
+            ("squeezed:0.260360486,0.219298612", 24),
+            ("squeezed:0.260362015,0.219299900", 32),
+            ("squeezed:0.586125469,0.493686672", 96),
+            ("squeezed:0.586126998,0.493687960", 104),
+            ("squeezed:0.690182989,0.581333112", 248),
+            ("squeezed:0.690184518,0.581334400", 256),
+            ("squeezed:0.726590509,0.611998743", 496),
+            ("squeezed:0.726592038,0.612000031", 504),
+            ("phase:0.296323752,0.461496900", 24),
+            ("phase:0.296324832,0.461498583", 32),
+            ("phase:0.487743955,0.759616203", 136),
+            ("phase:0.487745036,0.759617886", 144),
+            ("fock:0", 8),
+            ("fock:7", 16),
+            ("fock:8", 16),
+            ("thermal:0", 8),
+            ("thermal:1", 48),
+            ("thermal:17.3", 496),
+            ("squeezed:0", 8),
+            ("coherent:0", 8),
+            ("cat:0.5,0,0", 16),
+            ("squeezed:0.5", 40),
+        ],
+    )
+    def test_pinned_dims(self, text, dim):
+        assert adaptive_dim(parse_state_spec(text)) == dim
+
+    def test_pinned_dim_generalized_coherent(self):
+        phases = list(np.linspace(-3.0, 3.0, 512))
+        for r, dim in ((4.703187409, 64), (4.703189409, 72)):
+            spec = StateSpec("generalized_coherent", {"alpha": complex(r), "phases": phases})
+            assert adaptive_dim(spec) == dim
+
+    @pytest.mark.parametrize("text", ["squeezed:0.96", "squeezed:0,0.96", "coherent:28", "cat:28,0,0"])
+    def test_spread_beyond_cap_is_infeasible(self, text):
+        with pytest.raises(TruncationInfeasibleError):
+            adaptive_dim(parse_state_spec(text))
+
+    def test_underflowing_amplitudes_are_infeasible(self):
+        # exp(-|alpha|^2 / 2) leaves the normal range above |alpha|^2 ~ 1417
+        spec = parse_state_spec("coherent:40")
+        with pytest.raises(TruncationInfeasibleError):
+            adaptive_dim(spec, max_dim=4096)
+        with pytest.raises(TruncationInfeasibleError):
+            truncation_tail(spec, 64)
+        with pytest.raises(TruncationInfeasibleError):
+            coherent(40.0, 64)
 
     def test_infeasible(self):
         with pytest.raises(TruncationInfeasibleError):
