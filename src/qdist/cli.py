@@ -28,7 +28,7 @@ from .errors import (
     TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
-from .states import StateSpec, adaptive_dim, build_state, parse_state_spec
+from .states import MAX_HORIZON, StateSpec, adaptive_dim, build_state, parse_state_spec
 from .tomography import DIVERGENCE_KINDS, tomographic_distance
 
 EXIT_OK = 0
@@ -46,8 +46,9 @@ def _fmt(x: float) -> str:
 
 def _max_dim() -> int:
     text = os.environ.get("QDIST_MAX_DIM", "512")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise SpecParseError(f"QDIST_MAX_DIM must be a positive integer, got {text!r}")
+    top = MAX_HORIZON - 64  # the tail sums at the cap run over dim + 64 levels
+    if not text.strip().isdecimal() or not 1 <= int(text) <= top:
+        raise SpecParseError(f"QDIST_MAX_DIM must be an integer in [1, {top}], got {text!r}")
     return int(text)
 
 

@@ -116,7 +116,8 @@ def cat_distances(alpha: complex, phi1: float, phi2: float) -> ClosedFormResult:
     """Distances around the cat family at a fixed displacement alpha.
 
     Keys: d_to_coherent / d_to_vacuum / dN_to_vacuum use phi1;
-    d_between / dN_between compare the phases phi1 and phi2.
+    d_between / dN_between compare the phases phi1 and phi2; the
+    overlap_* keys are |<a|b>| of the same three pairs.
 
     The vacuum-distance formula is the corrected one
     2 (1 - x)(1 - x cos(phi)) / (1 + x^2 cos(phi)), x = exp(-|alpha|^2):
@@ -142,6 +143,11 @@ def cat_distances(alpha: complex, phi1: float, phi2: float) -> ClosedFormResult:
             "d_between": math.sqrt(max(d_between_sq, 0.0)),
             "dN_to_vacuum": math.sqrt(max(dn_vac_sq, 0.0)),
             "dN_between": math.sqrt(max(dn_between_sq, 0.0)),
+            "overlap_to_coherent": math.hypot(1.0 + q * math.cos(phi1), q * math.sin(phi1))
+            / math.sqrt(2.0 * den1),
+            "overlap_to_vacuum": math.sqrt(2.0 * x / den1) * abs(math.cos(0.5 * phi1)),
+            "overlap_between": abs(math.cos(0.5 * (phi2 - phi1)) + q * math.cos(0.5 * (phi1 + phi2)))
+            / math.sqrt(den1 * den2),
         }
     )
 
@@ -233,29 +239,25 @@ def _pure_row(r: ClosedFormResult, **keys) -> dict:
     return _pure(r["hs"], r["overlap"], **{metric: r[key] for metric, key in keys.items()})
 
 
-def _cat(hs: float, **energy) -> dict:
-    # the cat formulas give no overlap of their own: take it from hs = sqrt(2 - 2 o^2)
-    return _pure(hs, math.sqrt(max(1.0 - 0.5 * hs * hs, 0.0)), **energy)
-
-
 def _cat_cat(a: dict, b: dict, p: float) -> dict:
     if abs(a["alpha"] - b["alpha"]) >= 1e-12:
         return {}
     r = cat_distances(a["alpha"], a["phi"], b["phi"])
-    return _cat(r["d_between"], dn=r["dN_between"])
+    return _pure(r["d_between"], r["overlap_between"], dn=r["dN_between"])
 
 
 def _cat_coherent(a: dict, b: dict, p: float) -> dict:
     if abs(a["alpha"] - b["alpha"]) >= 1e-12:
         return {}
-    return _cat(cat_distances(a["alpha"], a["phi"], 0.0)["d_to_coherent"])
+    r = cat_distances(a["alpha"], a["phi"], 0.0)
+    return _pure(r["d_to_coherent"], r["overlap_to_coherent"])
 
 
 def _cat_fock(a: dict, b: dict, p: float) -> dict:
     if b["n"] != 0:
         return {}
     r = cat_distances(a["alpha"], a["phi"], 0.0)
-    return _cat(r["d_to_vacuum"], dn=r["dN_to_vacuum"])
+    return _pure(r["d_to_vacuum"], r["overlap_to_vacuum"], dn=r["dN_to_vacuum"])
 
 
 def _thermal_thermal(a: dict, b: dict, p: float) -> dict:

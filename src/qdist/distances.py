@@ -5,7 +5,9 @@ angle), the trace-norm distance, the Bures-Uhlmann distance, the
 Hilbert-Schmidt distance with its f(rho) modifications and moment-series
 form, the polarized (reference-operator weighted) variants, and the two
 variance-like quasidistances.  All functions are pure and operate on
-``DensityOperator`` / ``FockVector`` values of equal dimension.
+``FockVector`` / ``DensityOperator`` values of equal dimension: the
+density-operator kernels read only ``mat`` and ``dim``, which a
+``FockVector`` gives as its projector, so they take either kind.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import (
     StateValidationError,
 )
 from .fock_core import (
-    DensityOperator,
     FockVector,
     annihilation,
     hermitian_sqrt,
@@ -98,8 +99,7 @@ def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fubini_study"
     unlike 1 - o does not cancel; fs = minimal sqrt(1 + o) and
     wootters = 2 asin(minimal / 2) follow from it.
     """
-    _check_dims(a, b)
-    ov = a.overlap(b)
+    ov = a.overlap(b)  # checks the dims
     o = min(abs(ov), 1.0)
     phase = ov.conjugate() / abs(ov) if ov != 0 else 1.0
     minimal = float(np.linalg.norm(a.amp - phase * b.amp))
@@ -116,9 +116,8 @@ def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fubini_study"
 # density-operator distances
 # ---------------------------------------------------------------------------
 
-def hilbert_schmidt(r1: DensityOperator, r2: DensityOperator) -> float:
-    """sqrt(Tr rho1^2 + Tr rho2^2 - 2 Tr rho1 rho2), at most sqrt(2)."""
-    _check_dims(r1, r2)
+def hilbert_schmidt(r1, r2) -> float:
+    """sqrt(Tr rho1^2 + Tr rho2^2 - 2 Tr rho1 rho2) <= sqrt(2); FockVector or DensityOperator."""
     sq = trace_product(r1, r1) + trace_product(r2, r2) - 2.0 * trace_product(r1, r2)
     d = _clamped_sqrt(sq)
     if d > math.sqrt(2.0) + 1e-9:
@@ -126,14 +125,14 @@ def hilbert_schmidt(r1: DensityOperator, r2: DensityOperator) -> float:
     return d
 
 
-def jmg_distance(r1: DensityOperator, r2: DensityOperator) -> float:
-    """Half the trace norm of rho1 - rho2; equals the best projector test."""
+def jmg_distance(r1, r2) -> float:
+    """Half the trace norm of rho1 - rho2, FockVector or DensityOperator; the best projector test."""
     _check_dims(r1, r2)
     return 0.5 * trace_norm(r1.mat - r2.mat)
 
 
-def bures_uhlmann(r1: DensityOperator, r2: DensityOperator) -> float:
-    """sqrt(2 - 2 Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))).
+def bures_uhlmann(r1, r2) -> float:
+    """sqrt(2 - 2 Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))), FockVector or DensityOperator.
 
     The trace of the nested root equals the nuclear norm of
     sqrt(rho2) sqrt(rho1), which is how it is evaluated: singular
@@ -147,8 +146,8 @@ def bures_uhlmann(r1: DensityOperator, r2: DensityOperator) -> float:
     return _clamped_sqrt(2.0 - 2.0 * fid_root)
 
 
-def modified_hs(r1: DensityOperator, r2: DensityOperator, p: float) -> float:
-    """Hilbert-Schmidt distance between rho1^p and rho2^p, p in (0, 1].
+def modified_hs(r1, r2, p: float) -> float:
+    """Hilbert-Schmidt distance between rho1^p and rho2^p, p in (0, 1]; FockVector or DensityOperator.
 
     p = 1 is the plain Hilbert-Schmidt distance; p = 1/2 agrees with
     the Bures-Uhlmann distance whenever the operators commute.
@@ -180,21 +179,21 @@ def _weighted_norm(delta: np.ndarray, z: PolarizationOperator) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-def polarized(r1: DensityOperator, r2: DensityOperator, z: PolarizationOperator) -> float:
-    """sqrt(Tr(Z [rho1 - rho2]^2)); the identity Z recovers Hilbert-Schmidt."""
+def polarized(r1, r2, z: PolarizationOperator) -> float:
+    """sqrt(Tr(Z [rho1 - rho2]^2)), FockVector or DensityOperator; Z = 1 gives Hilbert-Schmidt."""
     _check_polarization(r1, r2, z)
     return _weighted_norm(r1.mat - r2.mat, z)
 
 
 def _root(r) -> np.ndarray:
     # a pure state is its own root; only density operators need the eigensolver
-    return np.outer(r.amp, r.amp.conj()) if isinstance(r, FockVector) else hermitian_sqrt(r)
+    return r.mat if isinstance(r, FockVector) else hermitian_sqrt(r)
 
 
 def polarized_sqrt(r1, r2, z: PolarizationOperator) -> float:
     """sqrt(Tr(Z [sqrt(rho1) - sqrt(rho2)]^2)); matches `polarized` on pure pairs.
 
-    Either state may be a ``FockVector``, whose root is its projector.
+    Either state may be a ``FockVector``, whose root is its own ``mat``.
     Pass pure states that way: the root of a projector taken by the
     eigensolver carries sqrt(eps)-sized noise from its null space, which
     the weight n turns into errors near 1e-7 at dim 496.  Density
@@ -205,10 +204,10 @@ def polarized_sqrt(r1, r2, z: PolarizationOperator) -> float:
     return _weighted_norm(_root(r1) - _root(r2), z)
 
 
-def quasidistance_DZ(r1: DensityOperator, r2: DensityOperator, z: PolarizationOperator) -> float:
+def quasidistance_DZ(r1, r2, z: PolarizationOperator) -> float:
     """Variance-like functional Tr(dZd) - Tr(d Z^{1/2} d)^2 / Tr(d^2), d = rho1-rho2.
 
-    Identical states make the ratio 0/0; by convention the value is then 0.
+    FockVector or DensityOperator.  Identical states (ratio 0/0) give 0 by convention.
     """
     _check_polarization(r1, r2, z)
     delta = r1.mat - r2.mat
@@ -222,8 +221,8 @@ def quasidistance_DZ(r1: DensityOperator, r2: DensityOperator, z: PolarizationOp
     return math.sqrt(max(sq, 0.0))
 
 
-def quasidistance_Da(r1: DensityOperator, r2: DensityOperator) -> float:
-    """Quasidistance with the lowering-operator cross term, d = rho1-rho2."""
+def quasidistance_Da(r1, r2) -> float:
+    """Lowering-operator quasidistance of d = rho1 - rho2; FockVector or DensityOperator."""
     _check_dims(r1, r2)
     delta = r1.mat - r2.mat
     d2 = delta @ delta
@@ -277,8 +276,8 @@ class HSBounds:
     bvar: float
 
 
-def hs_bounds(rho: DensityOperator, n: int) -> HSBounds:
-    """The three neighbour-state bounds for the reference state |n><n|.
+def hs_bounds(rho, n: int) -> HSBounds:
+    """The three neighbour-state bounds to |n><n| of a FockVector or DensityOperator.
 
     b0 = sqrt(2 nbar) applies only at n = 0; bn and bvar bound the
     distance to |n><n| for any n below the truncation.
@@ -307,43 +306,40 @@ def evaluate_metric(name, a, b) -> DistanceReport:
     """Compute a named metric between two states.
 
     ``a`` and ``b`` are FockVector or DensityOperator values of equal
-    dimension.  The pure-only metrics (fs, minimal, wootters) reject
-    density-operator input.  The power of ``hs-p:<p>`` is read from the
-    name (1/2 when absent).
+    dimension, passed to the kernels as given.  The pure-only metrics
+    (fs, minimal, wootters) reject density-operator input.  Only
+    ``hs-p`` takes a ``:<p>`` suffix, its power (1/2 when absent).
     """
     from .errors import UnsupportedCombinationError
-    from .fock_core import outer
 
-    base = name.split(":", 1)[0]
+    base, sep, suffix = name.partition(":")
     if base not in METRIC_NAMES:
         raise StateValidationError(f"unknown metric {name!r}")
+    if sep and base != "hs-p":
+        raise StateValidationError(f"metric {base!r} takes no ':<suffix>', got {name!r}")
     if base in ("fs", "minimal", "wootters"):
         if not (isinstance(a, FockVector) and isinstance(b, FockVector)):
             raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
         kind = {"fs": "fubini_study", "minimal": "minimal", "wootters": "wootters"}[base]
         return DistanceReport(base, pure_state_distance(a, b, kind), a.dim)
-    ra = a if isinstance(a, DensityOperator) else outer(a)
-    rb = b if isinstance(b, DensityOperator) else outer(b)
     if base == "hs":
-        value = hilbert_schmidt(ra, rb)
+        value = hilbert_schmidt(a, b)
     elif base == "jmg":
-        value = jmg_distance(ra, rb)
+        value = jmg_distance(a, b)
     elif base == "bu":
-        value = bures_uhlmann(ra, rb)
+        value = bures_uhlmann(a, b)
     elif base == "hs-p":
-        p = 0.5
-        if ":" in name:
-            try:
-                p = float(name.split(":", 1)[1])
-            except ValueError:
-                raise StateValidationError(f"bad power in metric {name!r}") from None
-        value = modified_hs(ra, rb, p)
+        try:
+            p = float(suffix) if sep else 0.5
+        except ValueError:
+            raise StateValidationError(f"bad power in metric {name!r}") from None
+        value = modified_hs(a, b, p)
     elif base == "dn":
-        value = polarized(ra, rb, number_polarization(ra.dim))
+        value = polarized(a, b, number_polarization(a.dim))
     elif base == "dn-sqrt":
-        value = polarized_sqrt(a, b, number_polarization(ra.dim))
+        value = polarized_sqrt(a, b, number_polarization(a.dim))
     elif base == "DZ":
-        value = quasidistance_DZ(ra, rb, number_polarization(ra.dim))
+        value = quasidistance_DZ(a, b, number_polarization(a.dim))
     else:  # Da
-        value = quasidistance_Da(ra, rb)
-    return DistanceReport(base, value, ra.dim)
+        value = quasidistance_Da(a, b)
+    return DistanceReport(base, value, a.dim)

@@ -4,7 +4,8 @@ Everything downstream (distance functionals, quasiprobability grids,
 tomograms) stands on the two value types defined here: ``FockVector`` for
 pure states and ``DensityOperator`` for mixed ones.  Both check their
 defining invariants on construction and are treated as immutable
-afterwards, so they are safe to share between workers.
+afterwards, so they are safe to share between workers.  Both expose
+``mat`` and ``dim``, so a kernel that reads only those takes either.
 
 All arithmetic is double precision; there are no mixed-precision paths.
 """
@@ -62,6 +63,11 @@ class FockVector:
     def dim(self) -> int:
         return self.amp.size
 
+    @property
+    def mat(self) -> np.ndarray:
+        """|psi><psi|, PSD by construction: built on each access, never cached or re-validated."""
+        return _readonly(np.outer(self.amp, self.amp.conj()))
+
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>."""
         if self.dim != other.dim:
@@ -115,12 +121,12 @@ def spectrum(rho: DensityOperator) -> Spectrum:
 
 
 def outer(psi: FockVector) -> DensityOperator:
-    """Projector |psi><psi| of a normalized pure state."""
-    return DensityOperator(np.outer(psi.amp, psi.amp.conj()), tail_mass=psi.tail_mass)
+    """Projector |psi><psi| of a normalized pure state, validated as a DensityOperator."""
+    return DensityOperator(psi.mat, tail_mass=psi.tail_mass)
 
 
-def trace_product(a: DensityOperator, b: DensityOperator) -> float:
-    """Re Tr(AB) for two density operators of equal dimension.
+def trace_product(a, b) -> float:
+    """Re Tr(AB) for two states (FockVector or DensityOperator) of equal dimension.
 
     For Hermitian inputs the trace is real up to roundoff; an imaginary
     part above 1e-12 indicates corrupted inputs and raises.

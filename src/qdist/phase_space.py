@@ -10,7 +10,9 @@ band-limited integrands at hand the resulting error is pure aliasing,
 exponentially small as long as 2*pi/dq exceeds the combined momentum
 bandwidth (checked at call time).  The Wigner form of the HS distance
 steps its grid by the states' smallest quadrature spread
-(``states.quadrature_sigma_min``) and fringe scale.
+(``states.quadrature_sigma_min``) and fringe scale.  The grid kernels
+read only a state's ``mat`` and ``dim``, so they take a ``FockVector``
+or a ``DensityOperator`` alike.
 
 Normalization conventions: int W dq dp / (2 pi) = 1 for the Wigner
 function; Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2);
@@ -32,9 +34,9 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DensityOperator, FockVector, outer
+from .fock_core import DensityOperator, FockVector
 from .states import (
-    StateSpec, adaptive_dim, as_density, coherent_amplitudes, ladder_moments, quadrature_sigma_min,
+    StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, quadrature_sigma_min,
 )
 
 MASS_TOL = 1e-3
@@ -142,20 +144,20 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def position_density(rho: DensityOperator, q: np.ndarray) -> np.ndarray:
+def position_density(rho, q: np.ndarray) -> np.ndarray:
     """<q|rho|q> at the given positions."""
     psi = oscillator_eigenfunctions(q, rho.dim)
     return np.einsum("am,mn,an->a", psi, rho.mat, psi).real
 
 
-def _occupied_levels(rho: DensityOperator, cut: float = 1e-14) -> int:
+def _occupied_levels(rho, cut: float = 1e-14) -> int:
     p = rho.mat.diagonal().real
     idx = np.nonzero(p > cut)[0]
     return int(idx[-1]) + 1 if idx.size else 1
 
 
-def wigner(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistribution:
-    """Wigner function of a density operator on the given grid.
+def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
+    """Wigner function of a FockVector or DensityOperator on the given grid.
 
     Raises ``GridError`` when the grid does not resolve the state: either
     the q-spacing is too coarse for the combined momentum bandwidth
@@ -194,7 +196,7 @@ def wigner(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistribu
     return QuasiDistribution(0, out)
 
 
-def husimi_q(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistribution:
+def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     """Q(alpha) = <alpha|rho|alpha> on the grid, alpha = (q + ip)/sqrt(2)."""
     if grid is None:
         grid = default_grid(rho.dim)
@@ -202,9 +204,10 @@ def husimi_q(rho: DensityOperator, grid: PhaseGrid | None = None) -> QuasiDistri
     alpha = ((qq + 1j * pp) / math.sqrt(2.0)).ravel()
     vals = np.empty(alpha.size)
     chunk = 16384
+    mat = rho.mat
     for lo in range(0, alpha.size, chunk):
         c = coherent_amplitudes(alpha[lo : lo + chunk], rho.dim)
-        vals[lo : lo + chunk] = np.einsum("am,mn,an->a", c.conj(), rho.mat, c).real
+        vals[lo : lo + chunk] = np.einsum("am,mn,an->a", c.conj(), mat, c).real
     vals = vals.reshape(grid.nq, grid.n_p)
     if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-9:
         raise StateValidationError("Husimi values escaped [0, 1]")
@@ -235,22 +238,16 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
 # phase-space integral forms of the Hilbert-Schmidt distance
 # ---------------------------------------------------------------------------
 
-def _resolve_state(obj, dim: int | None = None) -> DensityOperator:
-    if isinstance(obj, StateSpec):
-        return as_density(obj, dim if dim is not None else adaptive_dim(obj))
-    if isinstance(obj, FockVector):
-        return outer(obj)
-    if isinstance(obj, DensityOperator):
-        return obj
-    raise StateValidationError(f"cannot interpret {type(obj).__name__} as a state")
-
-
-def _shared_dim(a, b) -> int:
-    da = adaptive_dim(a) if isinstance(a, StateSpec) else a.dim
-    db = adaptive_dim(b) if isinstance(b, StateSpec) else b.dim
-    if not isinstance(a, StateSpec) and not isinstance(b, StateSpec) and da != db:
-        raise DimensionMismatchError(f"dims {da} != {db}")
-    return max(da, db)
+def _state_pair(a, b) -> tuple:
+    """Both states at one dim: specs are built at the larger dim involved, built states pass."""
+    for obj in (a, b):
+        if not isinstance(obj, (StateSpec, FockVector, DensityOperator)):
+            raise StateValidationError(f"cannot interpret {type(obj).__name__} as a state")
+    dim = max(adaptive_dim(s) if isinstance(s, StateSpec) else s.dim for s in (a, b))
+    ra, rb = (build_state(s, dim) if isinstance(s, StateSpec) else s for s in (a, b))
+    if ra.dim != rb.dim:
+        raise DimensionMismatchError(f"dims {ra.dim} != {rb.dim}")
+    return ra, rb
 
 
 def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None) -> float:
@@ -262,23 +259,20 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
                      pairing kernel, thermal pairs (exact angular
                      reduction to a radial double integral).
 
-    ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states.
+    ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states;
+    specs are built at the larger dim the pair needs.
     """
     if form == "wigner":
-        dim = _shared_dim(a, b)
-        ra = _resolve_state(a, dim)
-        rb = _resolve_state(b, dim)
-        if ra.dim != rb.dim:
-            raise DimensionMismatchError(f"dims {ra.dim} != {rb.dim}")
-        span = math.sqrt(2.0 * ra.dim) + 4.0
+        ra, rb = _state_pair(a, b)
         if n_points is None:
+            span = math.sqrt(2.0 * ra.dim) + 4.0
             n_eff = max(_occupied_levels(ra), _occupied_levels(rb))
             fringe = math.pi / (2.0 * math.sqrt(2.0 * n_eff + 1.0))
             # the floor keeps the step finite for a state squeezed to sigma ~ 0
             sig = max(min(quadrature_sigma_min(ladder_moments(r)) for r in (ra, rb)), 1e-3)
             h = min(0.15, min(sig, fringe) / 3.0)
             n_points = int(min(max(2 * round(span / h) + 1, 257), 1537))
-        grid = PhaseGrid(-span, span, -span, span, n_points, n_points, np.zeros((n_points, n_points)))
+        grid = default_grid(ra.dim, n_points)
         wa = wigner(ra, grid)
         wb = wigner(rb, grid)
         sq = grid_integral(grid, (wa.grid.values - wb.grid.values) ** 2) / (2.0 * math.pi)
@@ -292,13 +286,9 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
                 )
         n1, n2 = a.params["nbar"], b.params["nbar"]
         if form == "qp":
-            dim = max(adaptive_dim(a), adaptive_dim(b))
-            span = math.sqrt(2.0 * dim) + 4.0
-            n = n_points or 257
-            grid = PhaseGrid(-span, span, -span, span, n, n, np.zeros((n, n)))
-            dq_vals = husimi_q(as_density(a, dim), grid).grid.values - husimi_q(
-                as_density(b, dim), grid
-            ).grid.values
+            ra, rb = _state_pair(a, b)
+            grid = default_grid(ra.dim, n_points or 257)
+            dq_vals = husimi_q(ra, grid).grid.values - husimi_q(rb, grid).grid.values
             dp_vals = p_function_thermal(n1, grid).grid.values - p_function_thermal(n2, grid).grid.values
             sq = grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi)
             return math.sqrt(max(sq, 0.0))

@@ -32,7 +32,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import DensityOperator, FockVector, annihilation, outer
+from .fock_core import DensityOperator, FockVector, annihilation
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -193,19 +193,19 @@ def truncation_tail(spec: StateSpec, dim: int) -> float:
 
 
 def _tail_horizon(spec: StateSpec, dim: int) -> int:
-    """Index beyond which level populations are negligible (< 1e-25)."""
+    """Index beyond which level populations are negligible (< 1e-25), at most MAX_HORIZON."""
+    horizon = dim + 64
     if spec.family in ("coherent", "generalized_coherent", "cat"):
         lam = abs(spec.params["alpha"]) ** 2
         # Poisson tail: mean + generous multiple of the standard deviation
-        horizon = max(dim + 64, int(lam + 30.0 * math.sqrt(lam + 1.0)) + 64)
+        horizon = max(horizon, int(lam + 30.0 * math.sqrt(lam + 1.0)) + 64)
     elif spec.family == "squeezed_vacuum":
         az = abs(spec.params["zeta"])
         if az < 1e-12:
-            return dim + 8
-        k = int(-60.0 / math.log(az * az)) + 8 if az < 1.0 else MAX_DIM
-        horizon = max(dim + 64, 2 * k)
-    else:
-        return dim + 64
+            horizon = dim + 8
+        else:
+            k = int(-60.0 / math.log(az * az)) + 8 if az < 1.0 else MAX_DIM
+            horizon = max(horizon, 2 * k)
     if horizon > MAX_HORIZON:
         raise TruncationInfeasibleError(f"{spec.family} state spreads over more than {MAX_HORIZON} levels")
     return horizon
@@ -325,16 +325,17 @@ def thermal(nbar: float, dim: int) -> DensityOperator:
 
 
 def as_density(spec: StateSpec, dim: int) -> DensityOperator:
+    """``build_state`` as a validated DensityOperator, whatever the family."""
     state = build_state(spec, dim)
-    return state if isinstance(state, DensityOperator) else outer(state)
+    return state if isinstance(state, DensityOperator) else DensityOperator(state.mat, state.tail_mass)
 
 
 # ---------------------------------------------------------------------------
 # observables and moments
 # ---------------------------------------------------------------------------
 
-def mandel_q(rho: DensityOperator) -> float:
-    """<N^2>/<N> - <N> - 1; zero for Poissonian photon statistics."""
+def mandel_q(rho) -> float:
+    """<N^2>/<N> - <N> - 1 of a FockVector or DensityOperator; zero for Poissonian statistics."""
     p = rho.mat.diagonal().real
     n = np.arange(rho.dim)
     nbar = float((n * p).sum())
@@ -345,14 +346,14 @@ def mandel_q(rho: DensityOperator) -> float:
 
 
 def _as_matrix(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    return np.asarray(getattr(rho, "mat", rho), dtype=complex)
 
 
 def moment(rho, k: int, l: int) -> complex:
     """Normally ordered moment Tr(adag^k a^l rho).
 
-    ``rho`` may be a DensityOperator or a raw matrix (useful for
-    diagnosing unconverged moment reconstructions).
+    ``rho`` may be a FockVector, a DensityOperator or a raw matrix
+    (useful for diagnosing unconverged moment reconstructions).
     """
     mat = _as_matrix(rho)
     dim = mat.shape[0]
@@ -428,7 +429,7 @@ class MomentTable:
 
 
 def moment_table(rho, cutoff: int) -> MomentTable:
-    """All moments up to the cutoff, sharing one ladder-power sweep."""
+    """All moments up to the cutoff, sharing one ladder-power sweep; any state or a raw matrix."""
     mat = _as_matrix(rho)
     dim = mat.shape[0]
     if cutoff >= dim:

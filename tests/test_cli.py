@@ -8,6 +8,8 @@ import pytest
 
 import qdist
 from qdist.cli import main
+from qdist.errors import TruncationInfeasibleError
+from qdist.states import MAX_HORIZON, adaptive_dim, parse_state_spec
 
 
 def run(capsys, *argv):
@@ -59,7 +61,7 @@ class TestDistanceCommand:
         assert code == 3
 
     def test_malformed_dim_cap_env_is_parse_error(self, capsys, monkeypatch):
-        for text in ("abc", "0", "-5", "1.5"):
+        for text in ("abc", "0", "-5", "1.5", "65473", "1000000000"):
             monkeypatch.setenv("QDIST_MAX_DIM", text)
             code = main(["distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs"])
             err = capsys.readouterr().err
@@ -244,9 +246,9 @@ class TestBoundedAllocations:
         "sys.exit(main(sys.argv[1:]))\n"
     )
 
-    def run_capped(self, *argv):
+    def run_capped(self, *argv, env=None):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qdist.__file__)))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env = dict(os.environ, **(env or {}), PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, *argv], capture_output=True, text=True, timeout=20, env=env
         )
@@ -261,6 +263,28 @@ class TestBoundedAllocations:
     def test_sweep_row_count_is_bounded(self):
         argv = ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", "0:1e9:1e-9")
         assert self.run_capped(*argv) == 2
+
+    def test_huge_dim_cap_is_a_parse_error(self):
+        for spec in ("thermal:1", "phase:0.3", "coherent:1"):
+            argv = ("distance", "--a", spec, "--b", "fock:0", "--metric", "hs")
+            assert self.run_capped(*argv, env={"QDIST_MAX_DIM": "1000000000"}) == 2, spec
+
+
+class TestLargestDimCap:
+    """At the largest accepted QDIST_MAX_DIM every family's tail sums still fit."""
+
+    @pytest.mark.parametrize("spec", ["coherent:1", "thermal:1", "phase:0.3", "squeezed:0.3", "cat:1,0,0"])
+    def test_small_states_keep_their_dim(self, capsys, monkeypatch, spec):
+        monkeypatch.setenv("QDIST_MAX_DIM", str(MAX_HORIZON - 64))
+        code, out = run(capsys, "distance", "--a", spec, "--b", "fock:0", "--metric", "hs")
+        assert code == 0
+        assert int(last_row(out)[2]) <= 64
+
+    def test_every_horizon_is_checked(self):
+        # these three horizons once skipped the check; at a cap of 1e9 that asked for GiBs
+        for text in ("thermal:1", "phase:0.3", "squeezed:0"):
+            with pytest.raises(TruncationInfeasibleError):
+                adaptive_dim(parse_state_spec(text), max_dim=MAX_HORIZON)
 
 
 class TestHugeAmplitudes:
@@ -302,3 +326,21 @@ class TestArgumentEdgeCases:
             capsys, "distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs-p:zz"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("distance", "--a", "fock:0", "--b", "fock:1", "--metric", "fs:abc"),
+            ("distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs:x"),
+            ("distance", "--a", "thermal:1", "--b", "fock:0", "--metric", "dn:7"),
+            ("distance", "--a", "coherent:1", "--b", "fock:0", "--metric", "bu:"),
+            ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs:1", "--range", "0:1:0.5"),
+            ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "Da:0.5", "--range", "0:1:0.5"),
+        ],
+    )
+    def test_only_hs_p_takes_a_suffix(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -131,6 +131,40 @@ class TestCatDistances:
         assert d_even < d_ys < d_odd
 
 
+def _cat_overlap_mp(mp, alpha: float, phi1: float, phi2: float | None):
+    """|<cat(phi1)|cat(phi2)>|, or |<0|cat(phi1)>| when phi2 is None, in the mpmath context ``mp``.
+
+    Built from <alpha|-alpha> = exp(-2|alpha|^2) and <0|+-alpha> =
+    exp(-|alpha|^2/2) term by term, not from the half-angle forms.
+    """
+    a = mp.mpf(alpha)
+    ov = mp.exp(-2 * a * a)
+
+    def ket(phi):
+        return mp.exp(1j * mp.mpf(phi)), 1 / mp.sqrt(2 * (1 + mp.cos(phi) * ov))
+
+    e1, n1 = ket(phi1)
+    if phi2 is None:
+        return abs(n1 * mp.exp(-a * a / 2) * (1 + e1))
+    e2, n2 = ket(phi2)
+    return abs(n1 * n2 * (1 + e2 * ov + mp.conj(e1) * ov + mp.conj(e1) * e2))
+
+
+@pytest.mark.parametrize(
+    "a, b, phis",
+    [("cat:1.2,0,3.14159", "fock:0", (3.14159, None)), ("cat:1.2,0,0", "cat:1.2,0,3.14159", (0.0, 3.14159))],
+)
+def test_near_orthogonal_cat_oracle_cells(a, b, phis):
+    # the overlap (~5e-7 here) comes from the cat formulas, not from hs
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    o = _cat_overlap_mp(mp, 1.2, *phis)
+    exact = {"minimal": mp.sqrt(2 - 2 * o), "bu": mp.sqrt(2 - 2 * o), "wootters": mp.acos(o)}
+    spec_a, spec_b = parse_state_spec(a), parse_state_spec(b)
+    for metric, value in exact.items():
+        assert abs(mp.mpf(closed_form_lookup(spec_a, spec_b, metric)) - value) <= 1e-15, metric
+
+
 class TestPhasePair:
     def test_vacuum_distance(self):
         eps = 0.62 * np.exp(0.9j)

@@ -26,3 +26,22 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+# the validated projector constructors; every kernel reads ``mat`` instead
+PROJECTOR_BUILDERS = {"outer", "as_density"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fock_core_builds_projectors(path):
+    if path.name == "fock_core.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = sorted(
+        f"{ast.unparse(node.func)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in PROJECTOR_BUILDERS
+        and not ast.unparse(node.func).startswith("np.")  # np.outer, np.add.outer
+    )
+    assert not calls, f"{path.name} calls {', '.join(calls)}"
