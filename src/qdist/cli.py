@@ -19,8 +19,8 @@ import os
 import sys
 
 from . import closed_forms
-from .closed_forms import closed_form_lookup
-from .distances import METRIC_NAMES, evaluate_metric
+from .closed_forms import METRIC_NAMES, closed_form_lookup, parse_metric
+from .distances import evaluate_metric
 from .errors import (
     QdistError,
     SpecParseError,
@@ -90,8 +90,7 @@ def _distance_row(spec_a: StateSpec, spec_b: StateSpec, metric: str, dim: int) -
 def cmd_distance(args) -> int:
     spec_a = parse_state_spec(args.a)
     spec_b = parse_state_spec(args.b)
-    if args.metric.split(":", 1)[0] not in METRIC_NAMES:
-        raise SpecParseError(f"unknown metric {args.metric!r}")
+    parse_metric(args.metric)
     dim = _resolve_dim(spec_a, spec_b, args.dim)
     _emit(["metric,value,dim,closed_form,abs_diff", _distance_row(spec_a, spec_b, args.metric, dim)], args.out)
     return EXIT_OK
@@ -115,6 +114,7 @@ def cmd_sweep(args) -> int:
     marks = args.a.count("?") + args.b.count("?")
     if marks != 1:
         raise SpecParseError("exactly one '?' placeholder must appear in --a/--b")
+    parse_metric(args.metric)
     values = _sweep_values(args.range)
     lines = ["param,metric,value,dim,closed_form,abs_diff"]
     for v in values:

@@ -12,7 +12,9 @@ Asymptotic simplifications are never mixed into ``values``; they live
 in the separate ``approximations`` map.
 
 ``closed_form_lookup`` picks the oracle for a state pair and a CLI
-metric name from one table with a row per family pair.
+metric name from one table with a row per family pair.  ``parse_metric``
+reads those names, for the lookup and for ``distances.evaluate_metric``
+alike.
 """
 
 from __future__ import annotations
@@ -294,17 +296,39 @@ _VACUUM = {
 }
 
 
+METRIC_NAMES = ("fs", "minimal", "wootters", "hs", "jmg", "bu", "hs-p", "dn", "dn-sqrt", "DZ", "Da")
+
+
+def parse_metric(name: str) -> tuple[str, float]:
+    """Split a CLI metric name into its base name and the power of ``hs-p``.
+
+    Only ``hs-p`` takes a ``:<p>`` suffix, its power p in (0, 1] (1/2
+    when absent; the other metrics report 1/2 too).  Any other name
+    raises StateValidationError.
+    """
+    base, sep, suffix = name.partition(":")
+    if base not in METRIC_NAMES:
+        raise StateValidationError(f"unknown metric {name!r}")
+    if sep and base != "hs-p":
+        raise StateValidationError(f"metric {base!r} takes no ':<suffix>', got {name!r}")
+    try:
+        p = float(suffix) if sep else 0.5
+    except ValueError:
+        raise StateValidationError(f"bad power in metric {name!r}") from None
+    if not 0.0 < p <= 1.0:  # also catches nan
+        raise StateValidationError(f"power p must lie in (0, 1], got {p!r}")
+    return base, p
+
+
 def closed_form_lookup(spec_a, spec_b, metric: str) -> float | None:
     """Analytic value of a CLI metric between two ``StateSpec`` states, or None.
 
     The pair is looked up as given first.  A vacuum spec of any family
     is then read as its partner's vacuum member, or as fock:0 when the
     partner's family has none, so that two vacua of different families
-    still meet a row.  The power of ``hs-p:<p>`` is read from the name
-    (1/2 when absent).
+    still meet a row.  The name is read by ``parse_metric``.
     """
-    base, _, power = metric.partition(":")
-    p = float(power) if power else 0.5
+    base, p = parse_metric(metric)
     a, b = (spec_a.family, spec_a.params), (spec_b.family, spec_b.params)
     pairs = [(a, b)]
     for state, other in ((a, b), (b, a)):

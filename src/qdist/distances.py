@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import parse_metric
 from .errors import (
     DimensionMismatchError,
     NumericalToleranceError,
@@ -299,24 +300,18 @@ def hs_bounds(rho, n: int) -> HSBounds:
 # metric dispatch (shared by the CLI and the test harness)
 # ---------------------------------------------------------------------------
 
-METRIC_NAMES = ("fs", "minimal", "wootters", "hs", "jmg", "bu", "hs-p", "dn", "dn-sqrt", "DZ", "Da")
-
-
 def evaluate_metric(name, a, b) -> DistanceReport:
     """Compute a named metric between two states.
 
     ``a`` and ``b`` are FockVector or DensityOperator values of equal
     dimension, passed to the kernels as given.  The pure-only metrics
-    (fs, minimal, wootters) reject density-operator input.  Only
-    ``hs-p`` takes a ``:<p>`` suffix, its power (1/2 when absent).
+    (fs, minimal, wootters) reject density-operator input.  The name
+    is read by ``closed_forms.parse_metric``: only ``hs-p`` takes a
+    ``:<p>`` suffix, its power (1/2 when absent).
     """
     from .errors import UnsupportedCombinationError
 
-    base, sep, suffix = name.partition(":")
-    if base not in METRIC_NAMES:
-        raise StateValidationError(f"unknown metric {name!r}")
-    if sep and base != "hs-p":
-        raise StateValidationError(f"metric {base!r} takes no ':<suffix>', got {name!r}")
+    base, p = parse_metric(name)
     if base in ("fs", "minimal", "wootters"):
         if not (isinstance(a, FockVector) and isinstance(b, FockVector)):
             raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
@@ -329,10 +324,6 @@ def evaluate_metric(name, a, b) -> DistanceReport:
     elif base == "bu":
         value = bures_uhlmann(a, b)
     elif base == "hs-p":
-        try:
-            p = float(suffix) if sep else 0.5
-        except ValueError:
-            raise StateValidationError(f"bad power in metric {name!r}") from None
         value = modified_hs(a, b, p)
     elif base == "dn":
         value = polarized(a, b, number_polarization(a.dim))

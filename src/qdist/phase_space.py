@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .errors import (
     DimensionMismatchError,
@@ -292,7 +291,10 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
             dp_vals = p_function_thermal(n1, grid).grid.values - p_function_thermal(n2, grid).grid.values
             sq = grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi)
             return math.sqrt(max(sq, 0.0))
-        # pp: angular integrals done exactly, radial double integral by Simpson
+        # pp: angular integrals done exactly, radial double integral by Simpson;
+        # scipy is imported here so that importing qdist loads none of it
+        from scipy.special import i0e
+
         n = n_points or 1025
         rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
         r = np.linspace(0.0, rmax, n)

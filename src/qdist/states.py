@@ -192,11 +192,28 @@ def truncation_tail(spec: StateSpec, dim: int) -> float:
     return float(terms[dim:].sum())
 
 
+def alpha_squared(spec: StateSpec) -> float:
+    """|alpha|^2 of a coherent, generalized coherent or cat spec.
+
+    A state with |alpha| >= sqrt(MAX_HORIZON) = 256 spreads over more
+    than MAX_HORIZON levels; it is refused before anything is squared,
+    since |alpha|^2 overflows for |alpha| above about 1.3e154.
+    """
+    alpha = spec.params["alpha"]
+    bound = math.sqrt(MAX_HORIZON)
+    # the parts first: abs() of a complex itself raises beyond ~1.3e308
+    if not (abs(alpha.real) < bound and abs(alpha.imag) < bound and abs(alpha) < bound):
+        raise TruncationInfeasibleError(
+            f"{spec.family} state with alpha = {alpha:.6g} spreads over more than {MAX_HORIZON} levels"
+        )
+    return abs(alpha) ** 2
+
+
 def _tail_horizon(spec: StateSpec, dim: int) -> int:
     """Index beyond which level populations are negligible (< 1e-25), at most MAX_HORIZON."""
     horizon = dim + 64
     if spec.family in ("coherent", "generalized_coherent", "cat"):
-        lam = abs(spec.params["alpha"]) ** 2
+        lam = alpha_squared(spec)
         # Poisson tail: mean + generous multiple of the standard deviation
         horizon = max(horizon, int(lam + 30.0 * math.sqrt(lam + 1.0)) + 64)
     elif spec.family == "squeezed_vacuum":

@@ -41,12 +41,16 @@ from .errors import (
 )
 from .fock_core import DensityOperator
 from .phase_space import QuasiDistribution, oscillator_eigenfunctions, simpson_weights
-from .states import StateSpec, adaptive_dim, build_state, ladder_moments, quadrature_moments
+from .states import (
+    StateSpec, adaptive_dim, alpha_squared, build_state, ladder_moments, quadrature_moments,
+)
 
 X_POINTS = 1025
 X_SIGMAS = 10.0
 VACUUM_SIGMA = math.sqrt(0.5)  # quadrature standard deviation of the vacuum at unit radius
 MOMENT_TOL = 1e-9  # |difference| of <a> or <a^2> below which the two are taken as equal
+# most angular nodes a distance takes; leggauss builds an m x m matrix per panel
+MAX_ANGULAR_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class _AnalyticMarginals:
         self.spec = spec
         if spec.family == "coherent":
             a = spec.params["alpha"]
-            self.moments = (a, a * a, abs(a) ** 2)
+            self.moments = (a, a * a, alpha_squared(spec))
         else:
             self.moments = (0j, 0j, float(spec.params["n"]))
 
@@ -318,7 +322,8 @@ def tomographic_distance(
     weight g(R) = 2 exp(-R^2).  Every d_kind is an f-divergence and so
     takes the same value at every radius, so D is evaluated exactly as
     the angular integral at R = 1.  The angular rule places its
-    ``angular_nodes`` nodes as Gauss-Legendre panels split at the angles
+    ``angular_nodes`` nodes (at most ``MAX_ANGULAR_NODES``, checked
+    before any node is placed) as Gauss-Legendre panels split at the angles
     where the two tomograms can coincide (see ``_kink_angles``), where
     d_kind has a kink that would cut a uniform rule down to
     O(nodes^-2); without such angles it is the uniform rule.  At each
@@ -330,8 +335,8 @@ def tomographic_distance(
     """
     if kind not in DIVERGENCE_KINDS:
         raise StateValidationError(f"unknown divergence kind {kind!r}")
-    if angular_nodes < 1:
-        raise StateValidationError("angular_nodes must be at least 1")
+    if not 1 <= angular_nodes <= MAX_ANGULAR_NODES:
+        raise StateValidationError(f"angular_nodes must lie in [1, {MAX_ANGULAR_NODES}], got {angular_nodes}")
     prov_a = _marginal_provider(spec_a)
     prov_b = _marginal_provider(spec_b)
     thetas, tweights = _angular_rule(_kink_angles(prov_a.moments, prov_b.moments), angular_nodes)

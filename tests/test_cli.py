@@ -212,6 +212,13 @@ class TestTomoCommand:
         assert (kind, nodes) == ("hellinger", "64")
         assert float(value) == pytest.approx(2.55168811998, rel=1e-8)  # Gaussian closed form
 
+    def test_huge_node_count_is_a_parse_error(self, capsys):
+        code = main(["tomo-distance", "--a", "coherent:1", "--b", "fock:1", "--nodes-angular", "100000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_kind(self, capsys):
         code, _ = run(
             capsys, "tomo-distance", "--a", "coherent:0,0", "--b", "coherent:1,0", "--kind", "zzz"
@@ -288,7 +295,7 @@ class TestLargestDimCap:
 
 
 class TestHugeAmplitudes:
-    """Displacements whose smallest amplitudes underflow exit 3 with one line."""
+    """Displacements whose smallest amplitudes underflow, or whose |alpha|^2 would overflow, exit 3 with one line."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -299,6 +306,15 @@ class TestHugeAmplitudes:
             ("distance", "--a", "coherent:40", "--b", "fock:0", "--metric", "hs"),
             ("distance", "--a", "coherent:40", "--b", "fock:0", "--metric", "hs", "--dim", "64"),
             ("distance", "--a", "coherent:28", "--b", "fock:0", "--metric", "hs", "--dim", "64"),
+            ("distance", "--a", "coherent:1e300", "--b", "fock:1", "--metric", "hs"),
+            ("distance", "--a", "coherent:1e160", "--b", "fock:1", "--metric", "hs"),
+            ("distance", "--a", "coherent:1e300", "--b", "fock:1", "--metric", "hs", "--dim", "64"),
+            ("distance", "--a", "cat:1e300,0,0", "--b", "fock:1", "--metric", "hs"),
+            ("distance", "--a", "coherent:1e300,1e300", "--b", "fock:1", "--metric", "hs"),
+            ("distance", "--a", "coherent:1.7e308,-1.7e308", "--b", "fock:1", "--metric", "fs"),
+            ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", "1e300:1e300:1"),
+            ("tomo-distance", "--a", "coherent:1e300", "--b", "fock:1"),
+            ("tomo-distance", "--a", "fock:0", "--b", "cat:1e300,0,0"),
         ],
     )
     def test_exits_with_truncation_error(self, capsys, argv):
@@ -307,6 +323,13 @@ class TestHugeAmplitudes:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_generalized_coherent_overflow(self, capsys, tmp_path):
+        phases = tmp_path / "phases.txt"
+        phases.write_text("0\n0.5\n", encoding="utf-8")
+        code = main(["distance", "--a", f"gencoh:1e300,0,@{phases}", "--b", "fock:1", "--metric", "hs"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: generalized_coherent state")
 
 
 class TestArgumentEdgeCases:

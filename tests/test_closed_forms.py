@@ -16,8 +16,7 @@ from qdist import (
     squeezed_pair,
     thermal_pair,
 )
-from qdist.closed_forms import closed_form_lookup
-from qdist.distances import METRIC_NAMES
+from qdist.closed_forms import METRIC_NAMES, closed_form_lookup, parse_metric
 from qdist.errors import StateValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -286,3 +285,26 @@ def test_oracle_table_matches_matrix_route(a, b, filled):
         if m in ("fs", "minimal", "wootters") and not both_pure:
             continue  # the matrix route rejects pure-only metrics on a density operator
         assert evaluate_metric(m, sa, sb).value == pytest.approx(oracles[m], abs=1e-9), m
+
+
+BAD_METRIC_NAMES = [
+    "dn:7", "fs:abc", "hs:x", "bu:", "Da:0.5", "nope", "",
+    "hs-p:", "hs-p:zz", "hs-p:0", "hs-p:-0.5", "hs-p:nan", "hs-p:inf", "hs-p:2",
+]
+
+
+@pytest.mark.parametrize("name", BAD_METRIC_NAMES)
+def test_bad_metric_names_are_refused_by_both_callers(name):
+    spec = parse_state_spec("coherent:1")
+    state = build_state(spec, adaptive_dim(spec))
+    with pytest.raises(StateValidationError):
+        closed_form_lookup(spec, spec, name)
+    with pytest.raises(StateValidationError):
+        evaluate_metric(name, state, state)
+
+
+def test_parse_metric_reads_the_power():
+    assert parse_metric("hs-p") == ("hs-p", 0.5)
+    assert parse_metric("hs-p:0.3") == ("hs-p", 0.3)
+    assert parse_metric("hs-p:1") == ("hs-p", 1.0)
+    assert [parse_metric(m)[0] for m in METRIC_NAMES] == list(METRIC_NAMES)

@@ -1,15 +1,17 @@
-"""Every name a package module imports is used in that module."""
+"""Import hygiene: every imported name is used, and importing qdist loads no scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import qdist
 
-MODULES = sorted(
-    p for p in pathlib.Path(qdist.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = pathlib.Path(qdist.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -45,3 +47,35 @@ def test_only_fock_core_builds_projectors(path):
         and not ast.unparse(node.func).startswith("np.")  # np.outer, np.add.outer
     )
     assert not calls, f"{path.name} calls {', '.join(calls)}"
+
+
+def _module_level_imports(tree):
+    """Modules named by the import statements that run when the module is imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or ""
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy costs ~0.3 s to import; only the pp form and the Wigner line integral need it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scipy = sorted(
+        f"{name} (line {line})" for line, name in _module_level_imports(tree) if name.split(".")[0] == "scipy"
+    )
+    assert not scipy, f"{path.name} imports at module level: {', '.join(scipy)}"
+
+
+def test_importing_qdist_loads_no_scipy():
+    src = str(PACKAGE.resolve().parent)
+    code = "import qdist, qdist.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.strip() == "[]"

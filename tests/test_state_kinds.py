@@ -29,7 +29,8 @@ from qdist import (
     wigner,
     yurke_stoler_phases,
 )
-from qdist.distances import METRIC_NAMES, evaluate_metric
+from qdist.closed_forms import METRIC_NAMES
+from qdist.distances import evaluate_metric
 from qdist.errors import DimensionMismatchError, StateValidationError, UnsupportedCombinationError
 
 # one member of every pure family, each at adaptive dim <= 64

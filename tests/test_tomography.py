@@ -294,6 +294,16 @@ class TestTomographicDistance:
         with pytest.raises(StateValidationError):
             tomographic_distance(coherent_spec(0.0), coherent_spec(1.0), "hellinger", angular_nodes=0)
 
+    def test_node_count_is_capped_before_the_rule_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the angular rule was built")
+
+        monkeypatch.setattr("qdist.tomography._angular_rule", refuse)
+        with pytest.raises(StateValidationError, match="4096"):
+            tomographic_distance(coherent_spec(0.0), coherent_spec(1.0), "hellinger", angular_nodes=4097)
+        with pytest.raises(AssertionError):
+            tomographic_distance(coherent_spec(0.0), coherent_spec(1.0), "hellinger", angular_nodes=4096)
+
     def test_fock_pair_value_is_finite_and_positive(self):
         d = tomographic_distance(
             StateSpec("fock", {"n": 0}), StateSpec("fock", {"n": 1}), "hellinger", angular_nodes=16
