@@ -22,21 +22,24 @@ from .errors import (
     DimensionMismatchError,
     NumericalToleranceError,
     StateValidationError,
+    TruncationInfeasibleError,
 )
 from .fock_core import (
     FockVector,
-    annihilation,
     hermitian_sqrt,
     number_diagonal,
     psd_power,
     trace_norm,
     trace_product,
 )
-from .states import MomentTable
+from .states import MomentTable, moment_table
 
 # Squared distances are clamped at zero before the square root; a
 # negative square larger than this raises instead.
 CLAMP_WARN = 1e-9
+# The dense kernels hold several dim x dim complex matrices; above this
+# dim only the pure-state metrics, which read amplitudes, run.
+MAX_DENSE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,8 @@ def quasidistance_Da(r1, r2) -> float:
     t_norm = float(np.trace(d2).real)
     if t_norm < 1e-14:
         return 0.0
-    t_n = float((number_diagonal(r1.dim) * d2.diagonal().real).sum())
-    t_a = complex(np.einsum("ij,ji->", annihilation(r1.dim), d2))
-    sq = t_n - abs(t_a) ** 2 / t_norm
+    m = moment_table(d2, 1).m  # Tr(adag^k a^l d^2)
+    sq = m[1, 1].real - abs(m[0, 1]) ** 2 / t_norm
     return math.sqrt(max(sq, 0.0))
 
 
@@ -305,7 +307,9 @@ def evaluate_metric(name, a, b) -> DistanceReport:
 
     ``a`` and ``b`` are FockVector or DensityOperator values of equal
     dimension, passed to the kernels as given.  The pure-only metrics
-    (fs, minimal, wootters) reject density-operator input.  The name
+    (fs, minimal, wootters) reject density-operator input; every other
+    metric refuses dims above ``MAX_DENSE_DIM`` before any ``mat`` is
+    built.  The name
     is read by ``closed_forms.parse_metric``: only ``hs-p`` takes a
     ``:<p>`` suffix, its power (1/2 when absent).
     """
@@ -317,6 +321,9 @@ def evaluate_metric(name, a, b) -> DistanceReport:
             raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
         kind = {"fs": "fubini_study", "minimal": "minimal", "wootters": "wootters"}[base]
         return DistanceReport(base, pure_state_distance(a, b, kind), a.dim)
+    dim = max(a.dim, b.dim)
+    if dim > MAX_DENSE_DIM:
+        raise TruncationInfeasibleError(f"dense metric {base!r} stops at dim {MAX_DENSE_DIM}, got {dim}")
     if base == "hs":
         value = hilbert_schmidt(a, b)
     elif base == "jmg":

@@ -4,11 +4,13 @@ Pure families (Fock, coherent, generalized coherent, cat, squeezed
 vacuum, coherent phase) produce ``FockVector``; the thermal family
 produces a diagonal ``DensityOperator``.  ``build_state`` is the one
 family dispatch.  Each pure family has one amplitude recurrence, whose
-squared moduli are also its populations and so size its truncation.
-Every constructor enforces a truncation-tail budget of 1e-12 and
-renormalizes the retained amplitudes, recording the discarded mass on
-the returned object.  ``ladder_moments`` gives <a>, <a^2> and <adag a>
-in O(dim).
+squared moduli are also its populations.  One tail sum, ``_tails``,
+sizes every truncation: ``adaptive_dim`` picks the dim from it and
+every constructor checks a truncation-tail budget of 1e-12 against it,
+renormalizing the retained amplitudes and recording the discarded mass
+on the returned object.  One kernel, ``_moments``, reads every normally
+ordered moment Tr(adag^k a^l rho) off the diagonals of a matrix;
+``moment``, ``moment_table`` and ``ladder_moments`` read entries of it.
 
 Global phase convention: the first nonvanishing amplitude is made real
 and positive, so state equality is testable despite the projective
@@ -32,7 +34,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import DensityOperator, FockVector, annihilation
+from .fock_core import DensityOperator, FockVector
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -163,33 +165,9 @@ def _amplitudes(spec: StateSpec, nmax: int) -> np.ndarray:
     return plus
 
 
-def photon_distribution_terms(spec: StateSpec, nmax: int) -> np.ndarray:
-    """Exact (untruncated-formula) level populations p_0..p_{nmax-1}."""
-    f, p = spec.family, spec.params
-    if f == "thermal":
-        nbar = p["nbar"]
-        x = nbar / (1.0 + nbar)
-        return (x ** np.arange(nmax)) / (1.0 + nbar)
-    return np.abs(_amplitudes(spec, nmax)) ** 2
-
-
 def truncation_tail(spec: StateSpec, dim: int) -> float:
     """Probability mass on levels >= dim."""
-    f, p = spec.family, spec.params
-    if f == "fock":
-        return 0.0 if p["n"] < dim else 1.0
-    if f in ("coherent_phase", "thermal"):
-        # geometric tail has a closed form
-        if f == "coherent_phase":
-            x = abs(p["epsilon"]) ** 2
-        else:
-            nbar = p["nbar"]
-            x = nbar / (1.0 + nbar) if nbar > 0 else 0.0
-        return float(x**dim)
-    # sum the tail termwise: free of the cancellation a 1 - cumsum would have
-    nmax = _tail_horizon(spec, dim)
-    terms = photon_distribution_terms(spec, nmax)
-    return float(terms[dim:].sum())
+    return float(_tails(spec, dim)[dim])
 
 
 def alpha_squared(spec: StateSpec) -> float:
@@ -228,32 +206,39 @@ def _tail_horizon(spec: StateSpec, dim: int) -> int:
     return horizon
 
 
-def adaptive_dim(spec: StateSpec, tail_tol: float = TAIL_TOL, max_dim: int = MAX_DIM) -> int:
+def _tails(spec: StateSpec, dim_hi: int) -> np.ndarray:
+    """Probability mass on levels >= k for k = 0..dim_hi: the one tail computation.
+
+    Number, thermal and phase states have closed forms.  Every other
+    family sums its populations from the far end of its horizon, which
+    is free of the cancellation a 1 - cumsum would have.
+    """
+    horizon = _tail_horizon(spec, dim_hi)  # checked for every family: no tail runs past MAX_HORIZON
+    f, p = spec.family, spec.params
+    k = np.arange(dim_hi + 1)
+    if f == "fock":
+        return (k <= p["n"]).astype(float)
+    if f == "thermal":
+        return (p["nbar"] / (1.0 + p["nbar"])) ** k
+    if f == "coherent_phase":
+        return (abs(p["epsilon"]) ** 2) ** k
+    terms = np.abs(_amplitudes(spec, horizon)) ** 2
+    return np.cumsum(terms[::-1])[::-1][: dim_hi + 1]
+
+
+def adaptive_dim(spec: StateSpec, max_dim: int = MAX_DIM) -> int:
     """Smallest admissible truncation, rounded up to the next multiple of 8.
 
-    The returned dim satisfies truncation_tail(spec, dim) < tail_tol.
+    The returned dim satisfies truncation_tail(spec, dim) < TAIL_TOL.
     Rounding is to the *next* multiple of 8 strictly above the minimal
     level count, so a state needing exactly 40 levels gets dim 48.
     """
-    if not (0.0 < tail_tol <= 1e-6):
-        raise StateValidationError("tail_tol must lie in (0, 1e-6]")
-    if spec.family == "fock":
-        k = spec.params["n"] + 1
-    else:
-        k = None
-        nmax = _tail_horizon(spec, max_dim)
-        terms = photon_distribution_terms(spec, nmax)
-        suffix = np.cumsum(terms[::-1])[::-1]  # suffix[k] = mass on levels >= k
-        for cand in range(1, min(nmax, max_dim) + 1):
-            tail = float(suffix[cand]) if cand < nmax else 0.0
-            if tail < tail_tol:
-                k = cand
-                break
-        if k is None:
-            raise TruncationInfeasibleError(
-                f"{spec.family} state needs more than {max_dim} levels for tail < {tail_tol}"
-            )
-    dim = 8 * (k // 8 + 1)
+    below = np.flatnonzero(_tails(spec, max_dim)[1:] < TAIL_TOL)
+    if below.size == 0:
+        raise TruncationInfeasibleError(
+            f"{spec.family} state needs more than {max_dim} levels for tail < {TAIL_TOL}"
+        )
+    dim = 8 * ((int(below[0]) + 1) // 8 + 1)
     if dim > max_dim:
         raise TruncationInfeasibleError(f"required dim {dim} exceeds cap {max_dim}")
     return dim
@@ -279,15 +264,16 @@ def build_state(spec: StateSpec, dim: int):
     renormalized and the discarded mass is recorded on the state.
     """
     f, p = spec.family, spec.params
-    if f == "fock":
-        return fock(p["n"], dim)
     if f == "generalized_coherent" and len(p["phases"]) < dim:
         raise StateValidationError(f"phase table has {len(p['phases'])} entries, need >= {dim}")
     tail = truncation_tail(spec, dim)
     if tail >= TAIL_TOL:
         raise TailMassError(f"truncation discards {tail:.3e} > {TAIL_TOL} probability")
+    if f == "fock":
+        return fock(p["n"], dim)
     if f == "thermal":
-        pops = photon_distribution_terms(spec, dim)
+        nbar = p["nbar"]
+        pops = (nbar / (1.0 + nbar)) ** np.arange(dim) / (1.0 + nbar)
         return DensityOperator(np.diag(pops / pops.sum()).astype(complex), tail_mass=tail)
     amp = _amplitudes(spec, dim)
     if f == "generalized_coherent":
@@ -366,6 +352,28 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(getattr(rho, "mat", rho), dtype=complex)
 
 
+def _moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
+    """M(k,l) = Tr(adag^k a^l mat) for k, l = 0..cutoff, read off the diagonals of mat.
+
+    M(k,l) = sum_m f_k(m) f_l(m) mat[m+l, m+k] with f_k(m) = sqrt((m+k)!/m!),
+    one cumulative product over k; orders from dim up read 0.
+    """
+    dim = mat.shape[0]
+    top = min(cutoff, dim - 1)
+    km = np.add.outer(np.arange(top + 1), np.arange(dim))
+    # f_k(m) is read only where m + k < dim; zero beyond, where it could overflow
+    steps = np.where(km < dim, np.sqrt(km), 0.0)
+    steps[0] = 1.0
+    f = np.cumprod(steps, axis=0)
+    out = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for k in range(top + 1):
+        for l in range(top + 1):
+            n = dim - max(k, l)
+            # f_l mat first: f_k f_l alone can overflow where the moment does not
+            out[k, l] = f[k, :n] @ (f[l, :n] * mat.diagonal(k - l)[min(k, l) :])
+    return out
+
+
 def moment(rho, k: int, l: int) -> complex:
     """Normally ordered moment Tr(adag^k a^l rho).
 
@@ -378,33 +386,17 @@ def moment(rho, k: int, l: int) -> complex:
         raise StateValidationError("moment orders must be nonnegative")
     if k >= dim or l >= dim:
         raise StateValidationError(f"orders ({k},{l}) overflow truncation dim {dim}")
-    a = annihilation(dim)
-    ak = np.linalg.matrix_power(a, k)
-    al = np.linalg.matrix_power(a, l)
-    return complex(np.trace(ak.conj().T @ al @ mat))
+    return complex(_moments(mat, max(k, l))[k, l])
 
 
 def ladder_moments(state) -> tuple[complex, complex, float]:
-    """<a>, <a^2> and <adag a> of a FockVector or DensityOperator, in O(dim).
+    """<a>, <a^2> and <adag a> of a FockVector or DensityOperator.
 
-    <a^k> (k = 1, 2) sums sqrt(n!/(n-k)!) times conj(c_{n-k}) c_n for a
-    pure state, or times rho_{n,n-k} for a density operator; <adag a>
-    sums n times the populations.
+    Entries (0,1), (0,2) and (1,1) of the moment kernel on ``state.mat``;
+    orders a truncation of dim 1 or 2 cannot hold read 0.
     """
-    n = np.arange(state.dim)
-    if isinstance(state, FockVector):
-        c = state.amp
-        return (
-            complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:])),
-            complex(np.vdot(c[:-2], np.sqrt(n[1:-1] * n[2:]) * c[2:])),
-            float(n @ np.abs(c) ** 2),
-        )
-    rho = state.mat
-    return (
-        complex(np.sqrt(n[1:]) @ rho.diagonal(-1)),
-        complex(np.sqrt(n[1:-1] * n[2:]) @ rho.diagonal(-2)),
-        float(n @ rho.diagonal().real),
-    )
+    m = _moments(state.mat, 2)
+    return complex(m[0, 1]), complex(m[0, 2]), float(m[1, 1].real)
 
 
 def quadrature_moments(moments, theta: float) -> tuple[float, float]:
@@ -446,47 +438,37 @@ class MomentTable:
 
 
 def moment_table(rho, cutoff: int) -> MomentTable:
-    """All moments up to the cutoff, sharing one ladder-power sweep; any state or a raw matrix."""
+    """All moments up to the cutoff from one diagonal sweep; any state or a raw matrix."""
     mat = _as_matrix(rho)
     dim = mat.shape[0]
-    if cutoff >= dim:
-        raise StateValidationError(f"cutoff {cutoff} overflows truncation dim {dim}")
-    a = annihilation(dim)
-    powers = [np.eye(dim, dtype=complex)]
-    for _ in range(cutoff):
-        powers.append(a @ powers[-1])
-    right = [p @ mat for p in powers]  # a^l rho
-    m = np.empty((cutoff + 1, cutoff + 1), dtype=complex)
-    for k in range(cutoff + 1):
-        for l in range(cutoff + 1):
-            # Tr(adag^k X) = <a^k, X> in the Frobenius inner product
-            m[k, l] = np.vdot(powers[k], right[l])
-    return MomentTable(cutoff, m)
+    if not 0 <= cutoff < dim:
+        raise StateValidationError(f"cutoff {cutoff} outside [0, {dim}) for truncation dim {dim}")
+    return MomentTable(cutoff, _moments(mat, cutoff))
 
 
 def reconstruction_matrix(table: MomentTable, dim: int) -> np.ndarray:
     """Truncated moment-series reconstruction, Hermitized and renormalized.
 
-    The low-order moments of the result reproduce the table exactly (the
-    expansion operators are dual to the moment monomials), but the
-    matrix itself approaches a physical state only as the cutoff grows;
-    states with factorially growing moments need cutoffs well above the
-    matrix size.  A trace deviating from 1 by more than 1e-3 indicates
-    an inconsistent table and raises ``InsufficientCutoffError``.
+    rho_{r,c} = sum_j (-1)^j / j! M(c+j, r+j) / sqrt(r! c!), one shifted
+    block of the table per j.  The low-order moments of the result
+    reproduce the table exactly (the expansion operators are dual to the
+    moment monomials), but the matrix itself approaches a physical state
+    only as the cutoff grows; states with factorially growing moments
+    need cutoffs well above the matrix size.  A trace deviating from 1
+    by more than 1e-3 indicates an inconsistent table and raises
+    ``InsufficientCutoffError``.
     """
     K = table.cutoff
+    n = min(dim, K + 1)
     fact = np.array([math.factorial(i) for i in range(K + 1)], dtype=float)
+    mt = table.m.T  # mt[r, c] = M(c, r)
+    series = np.zeros((n, n), dtype=complex)
+    for j in range(K + 1):
+        block = mt[j : j + n, j : j + n]
+        series[: block.shape[0], : block.shape[1]] += ((-1) ** j / fact[j]) * block
+    root = np.sqrt(fact[:n])
     rho = np.zeros((dim, dim), dtype=complex)
-    for k in range(K + 1):
-        for l in range(K + 1):
-            mval = table.m[k, l]
-            if mval == 0:
-                continue
-            jmax = min(k, l)
-            for j in range(jmax + 1):
-                r, c = l - j, k - j
-                if r < dim and c < dim:
-                    rho[r, c] += mval * ((-1) ** j) / (fact[j] * math.sqrt(fact[k - j] * fact[l - j]))
+    rho[:n, :n] = series / np.outer(root, root)
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-3:

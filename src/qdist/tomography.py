@@ -216,6 +216,7 @@ class _AnalyticMarginals:
             a = spec.params["alpha"]
             self.moments = (a, a * a, alpha_squared(spec))
         else:
+            adaptive_dim(spec)  # bounds n, as on every other route, before any eigenfunction table
             self.moments = (0j, 0j, float(spec.params["n"]))
 
     def tomogram(self, theta, x):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdist import DensityOperator
+from qdist import DensityOperator, annihilation
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -15,6 +15,18 @@ def random_pure_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     return DensityOperator(np.outer(v, v.conj()))
+
+
+def dense_moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
+    """Tr(adag^k a^l mat) for k, l = 0..cutoff from dense powers of the lowering operator.
+
+    The reference for the moment kernel in ``qdist.states``, which reads
+    diagonals instead; orders at or above the dim give 0 here too.
+    """
+    a = annihilation(mat.shape[0])
+    powers = [np.linalg.matrix_power(a, k) for k in range(cutoff + 1)]
+    # Tr(adag^k X) = <a^k, X> in the Frobenius inner product
+    return np.array([[np.vdot(pk, pl @ mat) for pl in powers] for pk in powers])
 
 
 @pytest.fixture

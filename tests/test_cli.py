@@ -55,6 +55,12 @@ class TestDistanceCommand:
         code, _ = run(capsys, "distance", "--a", "thermal:100", "--b", "fock:0", "--metric", "hs")
         assert code == 3
 
+    def test_number_state_beyond_dim_is_a_truncation_error(self, capsys):
+        code = main(["distance", "--a", "fock:3", "--b", "fock:0", "--metric", "hs", "--dim", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: truncation discards") and err.count("\n") == 1
+
     def test_dim_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QDIST_MAX_DIM", "32")
         code, _ = run(capsys, "distance", "--a", "thermal:2", "--b", "fock:0", "--metric", "hs")
@@ -212,6 +218,20 @@ class TestTomoCommand:
         assert (kind, nodes) == ("hellinger", "64")
         assert float(value) == pytest.approx(2.55168811998, rel=1e-8)  # Gaussian closed form
 
+    @pytest.mark.parametrize("n", [511, 2000, 100_000])
+    def test_number_state_level_is_bounded_before_any_table(self, capsys, monkeypatch, n):
+        # fock:100000 once asked for a 341 GiB eigenfunction table
+        from qdist import tomography
+
+        def refuse(*args):
+            raise AssertionError("an eigenfunction table was built")
+
+        monkeypatch.setattr(tomography, "oscillator_eigenfunctions", refuse)
+        code = main(["tomo-distance", "--a", f"fock:{n}", "--b", "fock:0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_huge_node_count_is_a_parse_error(self, capsys):
         code = main(["tomo-distance", "--a", "coherent:1", "--b", "fock:1", "--nodes-angular", "100000000"])
         captured = capsys.readouterr()
@@ -259,7 +279,10 @@ class TestBoundedAllocations:
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, *argv], capture_output=True, text=True, timeout=20, env=env
         )
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+        if proc.returncode:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
+        else:
+            assert proc.stderr == "", proc.stderr[-300:]
         return proc.returncode
 
     def test_huge_displacement_is_a_truncation_error(self):
@@ -270,6 +293,13 @@ class TestBoundedAllocations:
     def test_sweep_row_count_is_bounded(self):
         argv = ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", "0:1e9:1e-9")
         assert self.run_capped(*argv) == 2
+
+    def test_dense_metrics_stop_at_their_dim_cap(self):
+        # hs at dim 60008 once asked for 53.7 GiB; fs reads only amplitudes
+        env = {"QDIST_MAX_DIM": str(MAX_HORIZON - 64)}
+        argv = ("distance", "--a", "fock:60000", "--b", "fock:0", "--metric")
+        assert self.run_capped(*argv, "hs", env=env) == 3
+        assert self.run_capped(*argv, "fs", env=env) == 0
 
     def test_huge_dim_cap_is_a_parse_error(self):
         for spec in ("thermal:1", "phase:0.3", "coherent:1"):

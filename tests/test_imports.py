@@ -32,20 +32,33 @@ def test_no_unused_imports(path):
 
 # the validated projector constructors; every kernel reads ``mat`` instead
 PROJECTOR_BUILDERS = {"outer", "as_density"}
+# dense ladder operators and their powers; every moment is read off diagonals instead
+DENSE_LADDER = {"annihilation", "matrix_power"}
+
+
+def _calls(path, names):
+    """'callee (line n)' for every call in the module whose name is one of ``names``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        f"{ast.unparse(node.func)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_fock_core_builds_projectors(path):
     if path.name == "fock_core.py":
         return
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    calls = sorted(
-        f"{ast.unparse(node.func)} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in PROJECTOR_BUILDERS
-        and not ast.unparse(node.func).startswith("np.")  # np.outer, np.add.outer
-    )
+    calls = [c for c in _calls(path, PROJECTOR_BUILDERS) if not c.startswith("np.")]  # np.outer, np.add.outer
+    assert not calls, f"{path.name} calls {', '.join(calls)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fock_core_uses_dense_ladder_operators(path):
+    if path.name == "fock_core.py":
+        return
+    calls = _calls(path, DENSE_LADDER)
     assert not calls, f"{path.name} calls {', '.join(calls)}"
 
 

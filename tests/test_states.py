@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_moments, random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +35,8 @@ from qdist.errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from qdist.fock_core import annihilation
-from qdist.states import ladder_moments, quadrature_moments, quadrature_sigma_min
+from qdist.fock_core import FockVector, annihilation
+from qdist.states import _moments, ladder_moments, quadrature_moments, quadrature_sigma_min
 
 
 def mean_photon(vec) -> float:
@@ -216,10 +217,22 @@ class TestLadderMoments:
     def test_matches_dense_moments(self, spec):
         dim = adaptive_dim(spec)
         rho = as_density(spec, dim)
-        expect = (moment(rho, 0, 1), moment(rho, 0, 2), moment(rho, 1, 1).real)
+        m = dense_moments(rho.mat, 2)
+        expect = (m[0, 1], m[0, 2], m[1, 1].real)
         for state in (build_state(spec, dim), rho):
             got = ladder_moments(state)
             assert np.abs(np.subtract(got, expect)).max() < 1e-12, type(state).__name__
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_orders_beyond_the_truncation_read_zero(self, dim, rng):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for state in (FockVector(v / np.linalg.norm(v)), random_density(rng, dim)):
+            got = ladder_moments(state)
+            m = dense_moments(state.mat, 2)
+            assert got[1] == 0  # <a^2> needs three levels
+            if dim == 1:
+                assert got == (0, 0, 0)
+            assert np.abs(np.subtract(got, (m[0, 1], m[0, 2], m[1, 1].real))).max() < 1e-15
 
     @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=lambda s: s.family)
     def test_quadrature_spread_matches_dense_scan(self, spec):
@@ -246,6 +259,45 @@ class TestLadderMoments:
         best = minimize_scalar(lambda t: dense(t)[1], bounds=(thetas[k] - step, thetas[k] + step),
                                method="bounded", options={"xatol": 1e-10})
         assert quadrature_sigma_min(moments) == pytest.approx(math.sqrt(best.fun), abs=1e-9)
+
+
+def _relative_gap(got, ref) -> float:
+    return float((np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max())
+
+
+class TestMomentKernel:
+    """The diagonal-sum kernel against dense powers of the lowering operator."""
+
+    @pytest.mark.parametrize("spec", MOMENT_SPECS, ids=lambda s: s.family)
+    def test_table_matches_dense_powers(self, spec):
+        dim = adaptive_dim(spec)
+        rho = as_density(spec, dim)
+        # a raw matrix that is not Hermitian: its table breaks M(k,l) = M(l,k)*,
+        # so MomentTable refuses it and the kernel is checked directly and through moment
+        raw = rho.mat + 0.1 * np.triu(np.ones((dim, dim)), 1)
+        for cutoff in (*range(7), dim - 1):
+            ref = dense_moments(rho.mat, cutoff)
+            for state in (build_state(spec, dim), rho):
+                assert _relative_gap(moment_table(state, cutoff).m, ref) < 1e-12, (cutoff, type(state).__name__)
+            raw_ref = dense_moments(raw, cutoff)
+            assert _relative_gap(_moments(raw, cutoff), raw_ref) < 1e-12, cutoff
+            assert _relative_gap(moment(raw, cutoff, cutoff // 2), raw_ref[cutoff, cutoff // 2]) < 1e-12
+        with pytest.raises(StateValidationError):
+            moment_table(raw, 6)
+
+    def test_high_orders_do_not_overflow(self):
+        # f_k(m) f_l(m) alone reaches 1e355 here, while the moments stay below 1e96
+        rho = thermal(0.05, 200)
+        logp = np.log(rho.mat.diagonal().real)
+        with np.errstate(over="raise", invalid="raise"):
+            m = moment_table(rho, 180).m
+        for k in (0, 90, 180):
+            terms = (math.exp(math.lgamma(n + 1) - math.lgamma(n - k + 1) + logp[n]) for n in range(k, 200))
+            assert m[k, k].real == pytest.approx(math.fsum(terms), rel=1e-11)
+
+    def test_cutoff_must_fit_the_truncation(self):
+        with pytest.raises(StateValidationError):
+            moment_table(thermal(0.1, 16), 16)
 
 
 class TestReconstruction:
@@ -275,6 +327,24 @@ class TestReconstruction:
         corner = thermal(nbar, 64).mat[:10, :10]
         corner = corner / np.trace(corner).real
         assert np.abs(rec.mat - corner).max() < 1e-6
+
+    @pytest.mark.parametrize("cutoff,dim", [(20, 24), (20, 12), (8, 24)])
+    def test_matches_the_termwise_series(self, cutoff, dim):
+        # rho_{l-j,k-j} += M(k,l) (-1)^j / (j! sqrt((k-j)! (l-j)!)), one term at a time
+        from qdist import reconstruction_matrix
+
+        table = moment_table(outer(cat(0.8, 0.7, 64)), cutoff)
+        rho = np.zeros((dim, dim), dtype=complex)
+        for k in range(cutoff + 1):
+            for l in range(cutoff + 1):
+                for j in range(min(k, l) + 1):
+                    if l - j < dim and k - j < dim:
+                        rho[l - j, k - j] += table.m[k, l] * (-1) ** j / (
+                            math.factorial(j) * math.sqrt(math.factorial(k - j) * math.factorial(l - j))
+                        )
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        assert np.abs(reconstruction_matrix(table, dim) - rho).max() < 1e-12
 
     def test_insufficient_cutoff_raises(self):
         from qdist.errors import InsufficientCutoffError
@@ -320,11 +390,11 @@ class TestAdaptiveDim:
         # which rounds up to the next multiple of eight, 48
         ks = [k for k in range(1, 100) if 0.5**k < 1e-12]
         assert ks[0] == 40
-        assert adaptive_dim(StateSpec("thermal", {"nbar": 1.0}), 1e-12) == 48
+        assert adaptive_dim(StateSpec("thermal", {"nbar": 1.0})) == 48
 
     def test_coherent_poisson_tail(self):
         spec = StateSpec("coherent", {"alpha": 2.0 + 0j})
-        dim = adaptive_dim(spec, 1e-12)
+        dim = adaptive_dim(spec)
         # verify against a direct Poisson tail summation
         lam = 4.0
         p = [math.exp(-lam)]
@@ -412,15 +482,11 @@ class TestAdaptiveDim:
         with pytest.raises(TruncationInfeasibleError):
             adaptive_dim(StateSpec("thermal", {"nbar": 100.0}))
 
-    def test_tol_domain(self):
-        with pytest.raises(StateValidationError):
-            adaptive_dim(StateSpec("fock", {"n": 1}), 1e-3)
-
     @given(nbar=st.floats(min_value=0.01, max_value=8.0))
     @settings(max_examples=40, deadline=None)
     def test_thermal_tail_honored(self, nbar):
         spec = StateSpec("thermal", {"nbar": nbar})
-        dim = adaptive_dim(spec, 1e-12)
+        dim = adaptive_dim(spec)
         assert truncation_tail(spec, dim) < 1e-12
         assert dim % 8 == 0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_moments
 
 from qdist import (
     StateSpec,
@@ -13,7 +14,6 @@ from qdist import (
     fock,
     marginal_analytic,
     marginal_from_wigner,
-    moment,
     outer,
     parse_state_spec,
     tomographic_distance,
@@ -281,7 +281,7 @@ class TestTomographicDistance:
             as_density(StateSpec("squeezed_vacuum", {"zeta": z}), dim)
             for z in (0.4 + 0j, 0.1 + 0.25j)
         ]
-        moments = [(moment(r, 0, 1), moment(r, 0, 2), moment(r, 1, 1).real) for r in rhos]
+        moments = [(m[0, 1], m[0, 2], m[1, 1].real) for m in (dense_moments(r.mat, 2) for r in rhos)]
         kinks = _kink_angles(*moments)
         assert kinks.size == 4
         a = annihilation(dim)
