@@ -25,6 +25,7 @@ from .errors import (
     TruncationInfeasibleError,
 )
 from .fock_core import (
+    MAX_DENSE_DIM,
     FockVector,
     hermitian_sqrt,
     number_diagonal,
@@ -32,14 +33,11 @@ from .fock_core import (
     trace_norm,
     trace_product,
 )
-from .states import MomentTable, moment_table
+from .states import MomentTable, inv_sqrt_factorials, moment_table
 
 # Squared distances are clamped at zero before the square root; a
 # negative square larger than this raises instead.
 CLAMP_WARN = 1e-9
-# The dense kernels hold several dim x dim complex matrices; above this
-# dim only the pure-state metrics, which read amplitudes, run.
-MAX_DENSE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -256,16 +254,17 @@ def hs_from_moments(m1: MomentTable, m2: MomentTable, s_max: int):
     dm = m1.m - m2.m
     partials = np.zeros(s_max + 1)
     total = 0.0
+    isq = inv_sqrt_factorials(s_max + 1)
     for s in range(s_max + 1):
-        k = np.arange(s + 1)
-        binom = np.array([math.comb(s, int(i)) for i in k], dtype=float)
-        sign = (-1.0) ** k
-        # coefficient (-1)^{s+k+l} s! / (k!(s-k)! l!(s-l)!) = (-1)^s/s! * C(s,k)C(s,l) (-1)^{k+l}
-        w = sign * binom
+        # coefficient (-1)^{s+k+l} s! / (k!(s-k)! l!(s-l)!) = (-1)^s w_k w_l with
+        # w_k = (-1)^k C(s,k)/sqrt(s!), run up from w_0 = 1/sqrt(s!) by the ratio
+        # -(s-k)/(k+1), so neither s! nor C(s,k) is formed on its own
+        k = np.arange(s)
+        w = np.cumprod(np.concatenate(([isq[s]], -(s - k) / (k + 1.0))))
         block = dm[: s + 1, : s + 1]
         flipped = dm[s::-1, s::-1]  # entry (k, l) holds dM^{(s-k, s-l)}
         term = np.einsum("k,l,kl,kl->", w, w, block, flipped)
-        total += ((-1.0) ** s / math.factorial(s)) * float(term.real)
+        total += (-1.0) ** s * float(term.real)
         partials[s] = total
     return math.sqrt(max(total, 0.0)), partials
 

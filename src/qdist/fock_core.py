@@ -31,6 +31,9 @@ TRACE_TOL = 1e-10
 # anything below the floor means the matrix is genuinely corrupted, so we
 # fail loudly instead of repairing it.
 EIG_FLOOR = -1e-10
+# Largest dim at which a dense dim x dim matrix is built: the dense metric
+# kernels and the thermal constructor stop here before allocating.
+MAX_DENSE_DIM = 4096
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .states import (
     StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, quadrature_sigma_min,
 )
 
-MASS_TOL = 1e-3
+MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wigner and P functions
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ class QuasiDistribution:
     """A Cahill-Glauber ordered distribution on a phase-space grid.
 
     s = 0 is the Wigner function, s = -1 the Husimi Q function and
-    s = +1 the (thermal-only) Glauber-Sudarshan P function.
+    s = +1 the (thermal-only) Glauber-Sudarshan P function.  Q values
+    are clipped to [0, 1]; a Wigner or P grid's mass must lie within ``MASS_TOL`` of 1.
     """
 
     s: int
@@ -100,6 +101,11 @@ class QuasiDistribution:
             v = self.grid.values
             if v.min() < -1e-12 or v.max() > 1.0 + 1e-9:
                 raise StateValidationError("Q-function values must lie in [0, 1]")
+            object.__setattr__(self, "grid", self.grid.with_values(np.clip(v, 0.0, 1.0)))
+            return
+        mass = grid_integral(self.grid) / (2.0 * math.pi)
+        if not abs(mass - 1.0) <= MASS_TOL:
+            raise GridError(f"s = {self.s} mass on grid is {mass!r}; enlarge or refine the grid")
 
 
 def default_grid(dim: int, n: int = 257) -> PhaseGrid:
@@ -160,7 +166,7 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
 
     Raises ``GridError`` when the grid does not resolve the state: either
     the q-spacing is too coarse for the combined momentum bandwidth
-    (aliasing) or the integrated mass misses 1 by more than 1e-3.
+    (aliasing) or the integrated mass misses 1 by more than ``MASS_TOL``.
     """
     if grid is None:
         grid = default_grid(rho.dim)
@@ -188,11 +194,7 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     g[valid] = r[rows[valid], cols[valid]]
     phases = np.exp(1j * np.outer(p, b * dq))  # u_b = b dq
     w = dq * (r[a, a].real[None, :] + 2.0 * (phases @ g).real)  # shape (n_p, nq)
-    out = grid.with_values(w.T)
-    mass = grid_integral(out) / (2.0 * math.pi)
-    if abs(mass - 1.0) > MASS_TOL:
-        raise GridError(f"Wigner mass on grid is {mass!r}; enlarge or refine the grid")
-    return QuasiDistribution(0, out)
+    return QuasiDistribution(0, grid.with_values(w.T))
 
 
 def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
@@ -207,17 +209,14 @@ def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     for lo in range(0, alpha.size, chunk):
         c = coherent_amplitudes(alpha[lo : lo + chunk], rho.dim)
         vals[lo : lo + chunk] = np.einsum("am,mn,an->a", c.conj(), mat, c).real
-    vals = vals.reshape(grid.nq, grid.n_p)
-    if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-9:
-        raise StateValidationError("Husimi values escaped [0, 1]")
-    return QuasiDistribution(-1, grid.with_values(np.clip(vals, 0.0, 1.0)))
+    return QuasiDistribution(-1, grid.with_values(vals.reshape(grid.nq, grid.n_p)))
 
 
 def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistribution:
     """Thermal Glauber-Sudarshan function P(alpha) = exp(-|alpha|^2/nbar)/nbar.
 
     Only thermal states with nbar > 0 have a regular P; anything else is
-    rejected.  The grid must capture the Gaussian to 1e-4.
+    rejected.  The grid must capture the Gaussian to ``MASS_TOL``.
     """
     if nbar <= 0.0:
         raise UnsupportedCombinationError("P function is singular for nbar = 0")
@@ -226,11 +225,7 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
         grid = PhaseGrid(-span, span, -span, span, 257, 257, np.zeros((257, 257)))
     qq, pp = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
     vals = np.exp(-(qq**2 + pp**2) / (2.0 * nbar)) / nbar
-    out = grid.with_values(vals)
-    mass = grid_integral(out) / (2.0 * math.pi)
-    if abs(mass - 1.0) > 1e-4:
-        raise GridError(f"P-function mass on grid is {mass!r}; enlarge the grid")
-    return QuasiDistribution(1, out)
+    return QuasiDistribution(1, grid.with_values(vals))
 
 
 # ---------------------------------------------------------------------------

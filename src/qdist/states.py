@@ -34,7 +34,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import DensityOperator, FockVector
+from .fock_core import MAX_DENSE_DIM, DensityOperator, FockVector
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -261,9 +261,12 @@ def build_state(spec: StateSpec, dim: int):
     This is the one family dispatch: the named constructors below, all
     but ``fock``, call it.  The truncation must discard less than ``TAIL_TOL`` of the
     probability; the retained amplitudes (or populations) are
-    renormalized and the discarded mass is recorded on the state.
+    renormalized and the discarded mass is recorded on the state.  A
+    thermal state, a dense matrix, stops at ``MAX_DENSE_DIM``.
     """
     f, p = spec.family, spec.params
+    if f == "thermal" and dim > MAX_DENSE_DIM:
+        raise TruncationInfeasibleError(f"thermal states are dense and stop at dim {MAX_DENSE_DIM}, got {dim}")
     if f == "generalized_coherent" and len(p["phases"]) < dim:
         raise StateValidationError(f"phase table has {len(p['phases'])} entries, need >= {dim}")
     tail = truncation_tail(spec, dim)
@@ -446,6 +449,11 @@ def moment_table(rho, cutoff: int) -> MomentTable:
     return MomentTable(cutoff, _moments(mat, cutoff))
 
 
+def inv_sqrt_factorials(n: int) -> np.ndarray:
+    """1/sqrt(k!) for k < n by a cumulative product: k! is never formed, so no entry overflows."""
+    return np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(np.arange(1, n)))))
+
+
 def reconstruction_matrix(table: MomentTable, dim: int) -> np.ndarray:
     """Truncated moment-series reconstruction, Hermitized and renormalized.
 
@@ -460,15 +468,15 @@ def reconstruction_matrix(table: MomentTable, dim: int) -> np.ndarray:
     """
     K = table.cutoff
     n = min(dim, K + 1)
-    fact = np.array([math.factorial(i) for i in range(K + 1)], dtype=float)
+    isq = inv_sqrt_factorials(K + 1)
     mt = table.m.T  # mt[r, c] = M(c, r)
     series = np.zeros((n, n), dtype=complex)
     for j in range(K + 1):
         block = mt[j : j + n, j : j + n]
-        series[: block.shape[0], : block.shape[1]] += ((-1) ** j / fact[j]) * block
-    root = np.sqrt(fact[:n])
+        # 1/j! is 0 from j = 178, where no finite moment makes the term count
+        series[: block.shape[0], : block.shape[1]] += ((-1) ** j * isq[j] * isq[j]) * block
     rho = np.zeros((dim, dim), dtype=complex)
-    rho[:n, :n] = series / np.outer(root, root)
+    rho[:n, :n] = series * np.outer(isq[:n], isq[:n])
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-3:

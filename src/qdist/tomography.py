@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .fock_core import DensityOperator
-from .phase_space import QuasiDistribution, oscillator_eigenfunctions, simpson_weights
+from .phase_space import MASS_TOL, QuasiDistribution, oscillator_eigenfunctions, simpson_weights
 from .states import (
     StateSpec, adaptive_dim, alpha_squared, build_state, ladder_moments, quadrature_moments,
 )
@@ -55,13 +55,16 @@ MAX_ANGULAR_NODES = 4096
 
 @dataclass(frozen=True)
 class Tomogram:
-    """Nonnegative quadrature density on a uniform X grid for fixed (mu, nu)."""
+    """Nonnegative quadrature density on a uniform X grid for fixed (mu, nu).
+
+    ``w`` is stored divided by its Simpson mass, which must lie within ``MASS_TOL`` of 1.
+    """
 
     mu: float
     nu: float
     x: np.ndarray
     w: np.ndarray
-    quadrature_defect: float = 0.0  # |pre-normalization integral - 1|, self-reported
+    quadrature_defect: float = field(init=False)  # |mass - 1| before normalization
 
     def __post_init__(self):
         if self.mu * self.mu + self.nu * self.nu <= 1e-12:
@@ -72,13 +75,15 @@ class Tomogram:
             raise StateValidationError("x and w must be matching 1-d arrays")
         if w.min() < 0.0:
             raise StateValidationError(f"negative tomogram density {w.min():.3e}")
-        total = float(simpson_weights(x.size, x[1] - x[0]) @ w)
-        if abs(total - 1.0) > 1e-6:
-            raise StateValidationError(f"tomogram integrates to {total!r}, not 1")
+        mass = float(simpson_weights(x.size, x[1] - x[0]) @ w)
+        if not abs(mass - 1.0) <= MASS_TOL:
+            raise GridError(f"tomogram mass {mass!r} misses 1 by more than {MASS_TOL}; the X grid misses the state")
+        w /= mass
         x.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "quadrature_defect", abs(mass - 1.0))
 
 
 def default_x_grid(mean_lo: float, mean_hi: float, sigma: float, sigma_max: float = 0.0) -> np.ndarray:
@@ -124,10 +129,7 @@ def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> T
         w = oscillator_eigenfunctions(x / r, n + 1)[:, n] ** 2 / r
     else:
         raise UnsupportedCombinationError(f"no closed-form tomogram for {spec.family!r}")
-    total = float(simpson_weights(x.size, x[1] - x[0]) @ w)
-    if abs(total - 1.0) > 1e-4:
-        raise GridError(f"analytic tomogram captures {total!r} of the mass; widen the x grid")
-    return Tomogram(mu, nu, x, w / total, quadrature_defect=abs(total - 1.0))
+    return Tomogram(mu, nu, x, w)
 
 
 def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndarray) -> Tomogram:
@@ -167,11 +169,7 @@ def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndar
     lo = float(w.min())
     if lo < -1e-4 * max(float(w.max()), 1e-30):
         raise GridError(f"line integral went negative ({lo:.3e}); refine the Wigner grid")
-    w = np.clip(w, 0.0, None)
-    total = float(simpson_weights(x.size, x[1] - x[0]) @ w)
-    if not 0.5 < total < 1.5:
-        raise GridError(f"marginal mass {total!r}; the Wigner grid misses the state")
-    return Tomogram(mu, nu, x, w / total, quadrature_defect=abs(total - 1.0))
+    return Tomogram(mu, nu, x, np.clip(w, 0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ KULLBACK_CUT = 1e-15  # points where both densities sit below this are dropped
 
 def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
     """Divergence between two tomograms on the same X grid."""
-    if wa.x.shape != wb.x.shape or not np.allclose(wa.x, wb.x, rtol=0.0, atol=1e-12):
+    if not np.array_equal(wa.x, wb.x):
         raise GridError("tomograms live on different X grids")
     if kind not in DIVERGENCE_KINDS:
         raise StateValidationError(f"unknown divergence kind {kind!r}")
@@ -246,11 +244,7 @@ class _FockMarginals:
         v = np.exp(-1j * theta * self.levels)[:, None] * self.amps
         psi = oscillator_eigenfunctions(x, self.levels.size)
         w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
-        total = float(simpson_weights(x.size, x[1] - x[0]) @ w)
-        if not 0.5 < total < 1.5:
-            raise GridError(f"marginal mass {total!r}; the X grid misses the state")
-        return Tomogram(math.cos(theta), math.sin(theta), x, w / total,
-                        quadrature_defect=abs(total - 1.0))
+        return Tomogram(math.cos(theta), math.sin(theta), x, w)
 
 
 def _marginal_provider(spec: StateSpec):

@@ -245,6 +245,23 @@ class TestTomoCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "a,b,kind,value",
+        [
+            ("coherent:0.5", "coherent:1,0.3", "hellinger", "2.26812876465"),
+            ("coherent:0.8", "fock:1", "kullback", "14.5394650934"),
+            ("fock:0", "fock:2", "kolmogorov", "7.95375299031"),
+            ("cat:1,0,0", "coherent:0.5", "bhattacharyya", "0.718555339225"),
+            ("thermal:0.5", "coherent:0.3", "hellinger", "1.83855061747"),
+            ("squeezed:0.3", "squeezed:0.1,0.2", "kolmogorov", "1.11392952414"),
+        ],
+    )
+    def test_default_csv_is_pinned(self, capsys, a, b, kind, value):
+        # the default output stays byte-identical; a change of any digit here is a change of result
+        code, out = run(capsys, "tomo-distance", "--a", a, "--b", b, "--kind", kind)
+        assert code == 0
+        assert out == f"kind,value,nodes_angular\n{kind},{value},64\n"
+
 
 class TestPureMetricDimStability:
     def test_auto_dim_agrees_for_pure_metrics(self, capsys):
@@ -300,6 +317,10 @@ class TestBoundedAllocations:
         argv = ("distance", "--a", "fock:60000", "--b", "fock:0", "--metric")
         assert self.run_capped(*argv, "hs", env=env) == 3
         assert self.run_capped(*argv, "fs", env=env) == 0
+        # a thermal state is itself dense: at dim 60000 it once asked for 26.8 GiB, whatever the metric
+        for metric in ("hs", "fs"):
+            argv = ("distance", "--a", "thermal:1", "--b", "fock:0", "--metric", metric, "--dim", "60000")
+            assert self.run_capped(*argv, env=env) == 3, metric
 
     def test_huge_dim_cap_is_a_parse_error(self):
         for spec in ("thermal:1", "phase:0.3", "coherent:1"):

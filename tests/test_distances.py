@@ -29,6 +29,7 @@ from qdist import (
     quasidistance_DZ,
     thermal,
 )
+from qdist.closed_forms import thermal_pair
 from qdist.errors import StateValidationError, UnsupportedCombinationError
 
 SQRT2 = math.sqrt(2.0)
@@ -281,6 +282,14 @@ class TestMomentSeries:
             brute.append(total)
         _, partials = hs_from_moments(ta, tb, 8)
         assert np.abs(np.array(brute) - partials).max() < 1e-12
+
+    def test_orders_past_170_stay_finite(self):
+        # s! overflows a double from s = 171; the coefficients never form it
+        ta = moment_table(thermal(0.05, 200), 180)
+        tb = moment_table(thermal(0.06, 200), 180)
+        d, partials = hs_from_moments(ta, tb, 175)
+        assert np.isfinite(partials).all()
+        assert d == pytest.approx(thermal_pair(0.05, 0.06)["hs"], rel=1e-9)
 
 
 class TestBounds:

@@ -62,6 +62,38 @@ def test_only_fock_core_uses_dense_ladder_operators(path):
     assert not calls, f"{path.name} calls {', '.join(calls)}"
 
 
+def _callers(path, name):
+    """Calls of ``name`` in the module, counted by the qualified name of the function that makes them."""
+    counts = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+            counts[scope] = counts.get(scope, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return counts
+
+
+# The density types check their own mass; no producer integrates one itself.
+MASS_INTEGRALS = {
+    # Simpson weights on an X grid: the tomogram's own mass, the divergence, and
+    # the one v line integral of the Wigner route
+    ("tomography.py", "simpson_weights"): {
+        "Tomogram.__post_init__": 1, "classical_divergence": 1, "marginal_from_wigner": 1,
+    },
+    ("phase_space.py", "grid_integral"): {"QuasiDistribution.__post_init__": 1, "hs_from_phase_space": 2},
+}
+
+
+@pytest.mark.parametrize("module,name", MASS_INTEGRALS, ids=lambda v: v)
+def test_only_the_density_types_integrate_their_mass(module, name):
+    assert _callers(PACKAGE / module, name) == MASS_INTEGRALS[module, name]
+
+
 def _module_level_imports(tree):
     """Modules named by the import statements that run when the module is imported."""
     stack = list(tree.body)

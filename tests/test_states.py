@@ -346,6 +346,15 @@ class TestReconstruction:
         rho /= np.trace(rho).real
         assert np.abs(reconstruction_matrix(table, dim) - rho).max() < 1e-12
 
+    def test_cutoff_past_170_stays_finite(self):
+        # 1/j! for j >= 171 is below the smallest normal double; the weights never form j!
+        from qdist import reconstruction_matrix
+
+        nbar = 0.05
+        rec = reconstruction_matrix(moment_table(thermal(nbar, 200), 180), 8)
+        corner = thermal(nbar, 64).mat[:8, :8]
+        assert np.abs(rec - corner / np.trace(corner).real).max() < 1e-12
+
     def test_insufficient_cutoff_raises(self):
         from qdist.errors import InsufficientCutoffError
 

@@ -20,7 +20,7 @@ from qdist import (
     wigner,
 )
 from qdist.errors import GridError, StateValidationError, UnsupportedCombinationError
-from qdist.phase_space import simpson_weights
+from qdist.phase_space import PhaseGrid, p_function_thermal, simpson_weights
 from qdist.tomography import _angular_rule, _FockMarginals, _kink_angles, default_x_grid
 
 
@@ -138,6 +138,40 @@ class TestWignerMarginals:
         w = simpson_weights(x.size, x[1] - x[0])
         assert float(w @ tom.w) == pytest.approx(1.0, abs=1e-9)
         assert tom.quadrature_defect < 1e-6
+
+
+def _narrow(n=101):
+    return np.linspace(-1.0, 1.0, n)
+
+
+class TestMassBand:
+    """Every grid density checks its mass against the one band ``MASS_TOL`` when it is built."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # a vacuum tomogram on a grid whose lower edge sits 1.5 sigma below the mean
+            lambda: marginal_analytic(vacuum_spec(), 1.0, 0.0, default_x_grid(0.0, 0.0, math.sqrt(0.5)) + 6.0),
+            # mass about 0.79: once renormalized without a word
+            lambda: _FockMarginals(parse_state_spec("thermal:2")).tomogram(0.0, np.linspace(-2.0, 2.0, 101)),
+            lambda: marginal_from_wigner(wigner(fock(0, 8)), 1.0, 0.0, _narrow()),
+            lambda: wigner(fock(0, 8), PhaseGrid(-1.5, 1.5, -1.5, 1.5, 33, 33, np.zeros((33, 33)))),
+            lambda: p_function_thermal(1.0, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 33, 33, np.zeros((33, 33)))),
+        ],
+        ids=["analytic", "fock-basis", "wigner-marginal", "wigner", "p-function"],
+    )
+    def test_every_producer_rejects_a_grid_that_misses_the_state(self, make):
+        with pytest.raises(GridError, match="mass"):
+            make()
+
+    def test_direct_tomogram_is_normalized_within_the_band(self):
+        x = default_x_grid(0.0, 0.0, math.sqrt(0.5))
+        w = gaussian_tomogram(1.0, 0.0, 0.0, x).w
+        tom = Tomogram(1.0, 0.0, x, w * (1.0 + 1e-6))
+        assert tom.quadrature_defect == pytest.approx(1e-6, rel=1e-6)
+        assert float(simpson_weights(x.size, x[1] - x[0]) @ tom.w) == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(GridError):
+            Tomogram(1.0, 0.0, x, w * (1.0 + 1e-3))
 
 
 class TestClassicalDivergence:
