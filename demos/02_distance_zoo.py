@@ -7,7 +7,9 @@ the library is built around.  On pure pairs every overlap metric (fs,
 minimal, wootters, hs, jmg, bu, hs-p) follows from the one overlap
 |<a|b>|; the pure-only ones are skipped for the thermal pair.  The
 energy-sensitive metrics (dn, dn-sqrt, DZ, Da) tell orthogonal states
-of different energy apart, which the conventional ones cannot.
+of different energy apart, which the conventional ones cannot; the
+first three weight by Z = N, passed to the kernels as the weight
+vector 0, 1, ..., dim - 1.
 """
 
 from qdist import StateSpec, adaptive_dim, build_state, evaluate_metric

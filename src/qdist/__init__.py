@@ -27,16 +27,13 @@ from .closed_forms import (
 from .distances import (
     DistanceReport,
     HSBounds,
-    PolarizationOperator,
     bures_uhlmann,
     evaluate_metric,
     hilbert_schmidt,
     hs_bounds,
     hs_from_moments,
-    identity_polarization,
     jmg_distance,
     modified_hs,
-    number_polarization,
     polarized,
     polarized_sqrt,
     pure_state_distance,
@@ -46,13 +43,9 @@ from .distances import (
 from .fock_core import (
     DensityOperator,
     FockVector,
-    Spectrum,
-    annihilation,
     hermitian_sqrt,
-    number_diagonal,
     outer,
     purity,
-    spectrum,
     trace_norm,
     trace_product,
 )
@@ -65,7 +58,6 @@ from .phase_space import (
     husimi_q,
     oscillator_eigenfunctions,
     p_function_thermal,
-    position_density,
     wigner,
 )
 from .states import (
@@ -83,8 +75,6 @@ from .states import (
     moment,
     moment_table,
     parse_state_spec,
-    reconstruct_from_moments,
-    reconstruction_matrix,
     squeezed_vacuum,
     thermal,
     truncation_tail,
@@ -95,7 +85,6 @@ from .tomography import (
     classical_divergence,
     marginal_analytic,
     marginal_from_wigner,
-    tomogram_to_csv,
     tomographic_distance,
 )
 

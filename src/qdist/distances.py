@@ -4,10 +4,13 @@ Covers the pure-state distances (Fubini-Study, minimal, Wootters
 angle), the trace-norm distance, the Bures-Uhlmann distance, the
 Hilbert-Schmidt distance with its f(rho) modifications and moment-series
 form, the polarized (reference-operator weighted) variants, and the two
-variance-like quasidistances.  All functions are pure and operate on
-``FockVector`` / ``DensityOperator`` values of equal dimension: the
-density-operator kernels read only ``mat`` and ``dim``, which a
-``FockVector`` gives as its projector, so they take either kind.
+variance-like quasidistances.  The reference operator Z of the
+polarized forms is diagonal in the number basis and is passed as its
+diagonal, a weight vector.  ``METRICS`` maps each CLI metric name to
+its kernel.  All functions are pure and operate on ``FockVector`` /
+``DensityOperator`` values of equal dimension: the density-operator
+kernels read only ``mat`` and ``dim``, which a ``FockVector`` gives as
+its projector, so they take either kind.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from .errors import (
     NumericalToleranceError,
     StateValidationError,
     TruncationInfeasibleError,
+    UnsupportedCombinationError,
 )
 from .fock_core import (
     MAX_DENSE_DIM,
     FockVector,
     hermitian_sqrt,
-    number_diagonal,
     psd_power,
     trace_norm,
     trace_product,
@@ -38,36 +41,6 @@ from .states import MomentTable, inv_sqrt_factorials, moment_table
 # Squared distances are clamped at zero before the square root; a
 # negative square larger than this raises instead.
 CLAMP_WARN = 1e-9
-
-
-@dataclass(frozen=True)
-class PolarizationOperator:
-    """Diagonal positive reference operator weighting a distance."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.diag, dtype=float)
-        if d.ndim != 1 or (d < 0).any():
-            raise StateValidationError("polarization diagonal must be 1-d and nonnegative")
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def sqrt_diag(self) -> np.ndarray:
-        # Z^{1/2} of a diagonal operator is the entrywise square root.
-        return np.sqrt(self.diag)
-
-
-def identity_polarization(dim: int) -> PolarizationOperator:
-    return PolarizationOperator(np.ones(dim))
-
-
-def number_polarization(dim: int) -> PolarizationOperator:
-    return PolarizationOperator(number_diagonal(dim))
 
 
 @dataclass
@@ -94,8 +67,8 @@ def _check_dims(r1, r2):
 # pure-state distances
 # ---------------------------------------------------------------------------
 
-def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fubini_study") -> float:
-    """Distance between rays: fubini_study, minimal, or wootters.
+def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fs") -> float:
+    """Distance between rays: fs (Fubini-Study), minimal, or wootters.
 
     minimal = ||a - e^{i phi} b|| with e^{i phi} <a|b> = |<a|b>| = o, which
     unlike 1 - o does not cancel; fs = minimal sqrt(1 + o) and
@@ -105,7 +78,7 @@ def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fubini_study"
     o = min(abs(ov), 1.0)
     phase = ov.conjugate() / abs(ov) if ov != 0 else 1.0
     minimal = float(np.linalg.norm(a.amp - phase * b.amp))
-    if kind == "fubini_study":
+    if kind == "fs":
         return minimal * math.sqrt(1.0 + o)
     if kind == "minimal":
         return minimal
@@ -167,23 +140,32 @@ def modified_hs(r1, r2, p: float) -> float:
 # polarized distances and quasidistances
 # ---------------------------------------------------------------------------
 
-def _check_polarization(r1, r2, z: PolarizationOperator):
+def _check_polarization(r1, r2, z) -> np.ndarray:
+    """The weights ``z``, the diagonal of Z, as a float array once they fit both states."""
     _check_dims(r1, r2)
-    if z.dim != r1.dim:
-        raise DimensionMismatchError(f"polarization dim {z.dim} != state dim {r1.dim}")
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or (z < 0).any():
+        raise StateValidationError("polarization weights must be 1-d and nonnegative")
+    if z.size != r1.dim:
+        raise DimensionMismatchError(f"polarization dim {z.size} != state dim {r1.dim}")
+    return z
 
 
-def _weighted_norm(delta: np.ndarray, z: PolarizationOperator) -> float:
-    """sqrt(Tr(Z delta^2)) for a Hermitian delta."""
-    sq = float((z.diag * np.einsum("ij,ji->i", delta, delta).real).sum())
+def _weighted_norm(delta: np.ndarray, z: np.ndarray) -> float:
+    """sqrt(Tr(Z delta^2)) for a Hermitian delta and the diagonal z of Z."""
+    sq = float((z * np.einsum("ij,ji->i", delta, delta).real).sum())
     if sq < -1e-10:
         raise NumericalToleranceError(f"polarized squared distance {sq:.3e} < -1e-10")
     return math.sqrt(max(sq, 0.0))
 
 
-def polarized(r1, r2, z: PolarizationOperator) -> float:
-    """sqrt(Tr(Z [rho1 - rho2]^2)), FockVector or DensityOperator; Z = 1 gives Hilbert-Schmidt."""
-    _check_polarization(r1, r2, z)
+def polarized(r1, r2, z) -> float:
+    """sqrt(Tr(Z [rho1 - rho2]^2)), FockVector or DensityOperator; Z = 1 gives Hilbert-Schmidt.
+
+    ``z`` is the diagonal of the reference operator Z, one nonnegative
+    weight per level: ``np.arange(dim, dtype=float)`` for Z = N.
+    """
+    z = _check_polarization(r1, r2, z)
     return _weighted_norm(r1.mat - r2.mat, z)
 
 
@@ -192,7 +174,7 @@ def _root(r) -> np.ndarray:
     return r.mat if isinstance(r, FockVector) else hermitian_sqrt(r)
 
 
-def polarized_sqrt(r1, r2, z: PolarizationOperator) -> float:
+def polarized_sqrt(r1, r2, z) -> float:
     """sqrt(Tr(Z [sqrt(rho1) - sqrt(rho2)]^2)); matches `polarized` on pure pairs.
 
     Either state may be a ``FockVector``, whose root is its own ``mat``.
@@ -200,25 +182,26 @@ def polarized_sqrt(r1, r2, z: PolarizationOperator) -> float:
     eigensolver carries sqrt(eps)-sized noise from its null space, which
     the weight n turns into errors near 1e-7 at dim 496.  Density
     operators keep their unthresholded root, so tiny thermal populations
-    count in full.
+    count in full.  ``z`` is the diagonal of Z, as in ``polarized``.
     """
-    _check_polarization(r1, r2, z)
+    z = _check_polarization(r1, r2, z)
     return _weighted_norm(_root(r1) - _root(r2), z)
 
 
-def quasidistance_DZ(r1, r2, z: PolarizationOperator) -> float:
+def quasidistance_DZ(r1, r2, z) -> float:
     """Variance-like functional Tr(dZd) - Tr(d Z^{1/2} d)^2 / Tr(d^2), d = rho1-rho2.
 
-    FockVector or DensityOperator.  Identical states (ratio 0/0) give 0 by convention.
+    FockVector or DensityOperator; ``z`` is the diagonal of Z, as in
+    ``polarized``.  Identical states (ratio 0/0) give 0 by convention.
     """
-    _check_polarization(r1, r2, z)
+    z = _check_polarization(r1, r2, z)
     delta = r1.mat - r2.mat
     dd = np.einsum("ij,ji->i", delta, delta).real
     t_norm = float(dd.sum())
     if t_norm < 1e-14:
         return 0.0
-    t_z = float((z.diag * dd).sum())
-    t_zroot = float((z.sqrt_diag() * dd).sum())
+    t_z = float((z * dd).sum())
+    t_zroot = float((np.sqrt(z) * dd).sum())
     sq = t_z - t_zroot * t_zroot / t_norm
     return math.sqrt(max(sq, 0.0))
 
@@ -301,6 +284,24 @@ def hs_bounds(rho, n: int) -> HSBounds:
 # metric dispatch (shared by the CLI and the test harness)
 # ---------------------------------------------------------------------------
 
+PURE_ONLY = ("fs", "minimal", "wootters")
+
+# CLI metric name -> kernel(a, b, p); p is the power of hs-p, which no other kernel reads
+METRICS = {
+    "fs": lambda a, b, p: pure_state_distance(a, b, "fs"),
+    "minimal": lambda a, b, p: pure_state_distance(a, b, "minimal"),
+    "wootters": lambda a, b, p: pure_state_distance(a, b, "wootters"),
+    "hs": lambda a, b, p: hilbert_schmidt(a, b),
+    "jmg": lambda a, b, p: jmg_distance(a, b),
+    "bu": lambda a, b, p: bures_uhlmann(a, b),
+    "hs-p": modified_hs,
+    "dn": lambda a, b, p: polarized(a, b, np.arange(a.dim, dtype=float)),
+    "dn-sqrt": lambda a, b, p: polarized_sqrt(a, b, np.arange(a.dim, dtype=float)),
+    "DZ": lambda a, b, p: quasidistance_DZ(a, b, np.arange(a.dim, dtype=float)),
+    "Da": lambda a, b, p: quasidistance_Da(a, b),
+}
+
+
 def evaluate_metric(name, a, b) -> DistanceReport:
     """Compute a named metric between two states.
 
@@ -308,35 +309,14 @@ def evaluate_metric(name, a, b) -> DistanceReport:
     dimension, passed to the kernels as given.  The pure-only metrics
     (fs, minimal, wootters) reject density-operator input; every other
     metric refuses dims above ``MAX_DENSE_DIM`` before any ``mat`` is
-    built.  The name
-    is read by ``closed_forms.parse_metric``: only ``hs-p`` takes a
-    ``:<p>`` suffix, its power (1/2 when absent).
+    built.  The name is read by ``closed_forms.parse_metric``: only
+    ``hs-p`` takes a ``:<p>`` suffix, its power (1/2 when absent).
     """
-    from .errors import UnsupportedCombinationError
-
     base, p = parse_metric(name)
-    if base in ("fs", "minimal", "wootters"):
+    dim = max(a.dim, b.dim)
+    if base in PURE_ONLY:
         if not (isinstance(a, FockVector) and isinstance(b, FockVector)):
             raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
-        kind = {"fs": "fubini_study", "minimal": "minimal", "wootters": "wootters"}[base]
-        return DistanceReport(base, pure_state_distance(a, b, kind), a.dim)
-    dim = max(a.dim, b.dim)
-    if dim > MAX_DENSE_DIM:
+    elif dim > MAX_DENSE_DIM:
         raise TruncationInfeasibleError(f"dense metric {base!r} stops at dim {MAX_DENSE_DIM}, got {dim}")
-    if base == "hs":
-        value = hilbert_schmidt(a, b)
-    elif base == "jmg":
-        value = jmg_distance(a, b)
-    elif base == "bu":
-        value = bures_uhlmann(a, b)
-    elif base == "hs-p":
-        value = modified_hs(a, b, p)
-    elif base == "dn":
-        value = polarized(a, b, number_polarization(a.dim))
-    elif base == "dn-sqrt":
-        value = polarized_sqrt(a, b, number_polarization(a.dim))
-    elif base == "DZ":
-        value = quasidistance_DZ(a, b, number_polarization(a.dim))
-    else:  # Da
-        value = quasidistance_Da(a, b)
-    return DistanceReport(base, value, a.dim)
+    return DistanceReport(base, METRICS[base](a, b, p), a.dim)

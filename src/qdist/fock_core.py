@@ -105,24 +105,6 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a density operator, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, ordered like ``eigenvalues``
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def spectrum(rho: DensityOperator) -> Spectrum:
-    vals, vecs = np.linalg.eigh(rho.mat)
-    order = np.argsort(vals)[::-1]
-    return Spectrum(_readonly(vals[order]), _readonly(vecs[:, order]))
-
-
 def outer(psi: FockVector) -> DensityOperator:
     """Projector |psi><psi| of a normalized pure state, validated as a DensityOperator."""
     return DensityOperator(psi.mat, tail_mass=psi.tail_mass)
@@ -190,15 +172,3 @@ def trace_norm(delta: np.ndarray) -> float:
         raise NotHermitianError(f"hermiticity defect {defect:.3e}")
     return float(np.abs(np.linalg.eigvalsh(delta)).sum())
 
-
-def annihilation(dim: int) -> np.ndarray:
-    """Boson lowering operator: a|n> = sqrt(n)|n-1>, truncated to dim."""
-    a = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def number_diagonal(dim: int) -> np.ndarray:
-    """Diagonal of the photon-number operator."""
-    return np.arange(dim, dtype=float)

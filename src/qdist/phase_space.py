@@ -149,12 +149,6 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def position_density(rho, q: np.ndarray) -> np.ndarray:
-    """<q|rho|q> at the given positions."""
-    psi = oscillator_eigenfunctions(q, rho.dim)
-    return np.einsum("am,mn,an->a", psi, rho.mat, psi).real
-
-
 def _occupied_levels(rho, cut: float = 1e-14) -> int:
     p = rho.mat.diagonal().real
     idx = np.nonzero(p > cut)[0]

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DegenerateStateError,
-    InsufficientCutoffError,
     SpecParseError,
     StateValidationError,
     TailMassError,
@@ -380,8 +379,7 @@ def _moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
 def moment(rho, k: int, l: int) -> complex:
     """Normally ordered moment Tr(adag^k a^l rho).
 
-    ``rho`` may be a FockVector, a DensityOperator or a raw matrix
-    (useful for diagnosing unconverged moment reconstructions).
+    ``rho`` may be a FockVector, a DensityOperator or a raw matrix.
     """
     mat = _as_matrix(rho)
     dim = mat.shape[0]
@@ -452,51 +450,6 @@ def moment_table(rho, cutoff: int) -> MomentTable:
 def inv_sqrt_factorials(n: int) -> np.ndarray:
     """1/sqrt(k!) for k < n by a cumulative product: k! is never formed, so no entry overflows."""
     return np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(np.arange(1, n)))))
-
-
-def reconstruction_matrix(table: MomentTable, dim: int) -> np.ndarray:
-    """Truncated moment-series reconstruction, Hermitized and renormalized.
-
-    rho_{r,c} = sum_j (-1)^j / j! M(c+j, r+j) / sqrt(r! c!), one shifted
-    block of the table per j.  The low-order moments of the result
-    reproduce the table exactly (the expansion operators are dual to the
-    moment monomials), but the matrix itself approaches a physical state
-    only as the cutoff grows; states with factorially growing moments
-    need cutoffs well above the matrix size.  A trace deviating from 1
-    by more than 1e-3 indicates an inconsistent table and raises
-    ``InsufficientCutoffError``.
-    """
-    K = table.cutoff
-    n = min(dim, K + 1)
-    isq = inv_sqrt_factorials(K + 1)
-    mt = table.m.T  # mt[r, c] = M(c, r)
-    series = np.zeros((n, n), dtype=complex)
-    for j in range(K + 1):
-        block = mt[j : j + n, j : j + n]
-        # 1/j! is 0 from j = 178, where no finite moment makes the term count
-        series[: block.shape[0], : block.shape[1]] += ((-1) ** j * isq[j] * isq[j]) * block
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[:n, :n] = series * np.outer(isq[:n], isq[:n])
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-3:
-        raise InsufficientCutoffError(f"reconstructed trace {tr!r}; raise the cutoff")
-    return rho / tr
-
-
-def reconstruct_from_moments(table: MomentTable, dim: int) -> DensityOperator:
-    """Rebuild a density operator from its normally ordered moments.
-
-    Raises ``InsufficientCutoffError`` when the truncated series has not
-    yet converged to a positive-semidefinite matrix.
-    """
-    from .errors import NotPositiveSemidefiniteError
-
-    rho = reconstruction_matrix(table, dim)
-    try:
-        return DensityOperator(rho)
-    except NotPositiveSemidefiniteError as exc:
-        raise InsufficientCutoffError(f"reconstruction not yet physical: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ mu*q + nu*p.  Closed forms are available for number and coherent
 states.  For any other state the unit-radius marginal has a closed form
 in the Fock basis, w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>
 (Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), evaluated
-from the oscillator eigenfunctions and the state's amplitudes or
-eigenvectors.  ``marginal_from_wigner``, a numerical line integral of a
-Wigner grid, stays as an independent reference.
+from the oscillator eigenfunctions and the state's amplitudes (or a
+thermal state's populations).  ``marginal_from_wigner``, a numerical
+line integral of a Wigner grid, stays as an independent reference.
 
 The distance between two states averages a classical divergence between
 their tomogram families over the (mu, nu) plane with the normalized
@@ -225,16 +225,15 @@ class _FockMarginals:
     """Unit-radius marginals <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis.
 
     With rho = sum_k v_k v_k^dag (the amplitudes of a pure state, or the
-    eigenvectors of a mixed one scaled by the square roots of their
-    eigenvalues), w_theta(X) = sum_k |sum_n psi_n(X) e^{-i n theta} v_kn|^2.
+    unit vectors of a thermal one scaled by the square roots of its
+    populations), w_theta(X) = sum_k |sum_n psi_n(X) e^{-i n theta} v_kn|^2.
     """
 
     def __init__(self, spec: StateSpec):
         state = build_state(spec, adaptive_dim(spec))
         if isinstance(state, DensityOperator):
-            p, vecs = np.linalg.eigh(state.mat)
-            keep = p > 0.0
-            self.amps = vecs[:, keep] * np.sqrt(p[keep])
+            # thermal, the only mixed family, is diagonal in the number basis
+            self.amps = np.diag(np.sqrt(state.mat.diagonal().real))
         else:
             self.amps = state.amp[:, None]
         self.moments = ladder_moments(state)
@@ -342,10 +341,3 @@ def tomographic_distance(
         total += tw * classical_divergence(prov_a.tomogram(theta, x), prov_b.tomogram(theta, x), kind)
     return total
 
-
-def tomogram_to_csv(tom: Tomogram, path) -> None:
-    """Write (mu, nu, X, w) rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("mu,nu,X,w\n")
-        for xv, wv in zip(tom.x, tom.w):
-            fh.write(f"{tom.mu:.12g},{tom.nu:.12g},{xv:.12g},{wv:.12g}\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdist import DensityOperator, annihilation
+from qdist import DensityOperator
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -15,6 +15,14 @@ def random_pure_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     return DensityOperator(np.outer(v, v.conj()))
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """Boson lowering operator: a|n> = sqrt(n)|n-1>, truncated to dim."""
+    a = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(1, dim)
+    a[n - 1, n] = np.sqrt(n)
+    return a
 
 
 def dense_moments(mat: np.ndarray, cutoff: int) -> np.ndarray:

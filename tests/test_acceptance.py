@@ -38,7 +38,6 @@ from qdist import (
     marginal_from_wigner,
     modified_hs,
     moment_table,
-    number_polarization,
     outer,
     phase_pair,
     polarized,
@@ -90,7 +89,7 @@ def _criterion_1_checks():
     for a, b in coh_pairs:
         ra, rb, dim = pair_states(spec_of("coherent", alpha=a), spec_of("coherent", alpha=b))
         cf = coherent_pair(a, b)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"coherent hs {a},{b}", cf["hs"], hilbert_schmidt(ra, rb))
         add(f"coherent dN {a},{b}", cf["dN"], polarized(ra, rb, zn))
         add(f"coherent Da {a},{b}", cf["Da"], quasidistance_Da(ra, rb))
@@ -100,7 +99,7 @@ def _criterion_1_checks():
         for m in (0, 1, 3, 7, 12):
             ra, rb, dim = pair_states(spec_of("coherent", alpha=a), spec_of("fock", n=m))
             cf = coherent_fock(a, m)
-            zn = number_polarization(dim)
+            zn = np.arange(dim, dtype=float)
             add(f"coh-fock hs {a},{m}", cf["hs"], hilbert_schmidt(ra, rb))
             add(f"coh-fock dN {a},{m}", cf["dN"], polarized(ra, rb, zn))
 
@@ -108,7 +107,7 @@ def _criterion_1_checks():
     for m, n in [(0, 1), (2, 3), (5, 5), (0, 12), (7, 12)]:
         ra, rb, dim = pair_states(spec_of("fock", n=m), spec_of("fock", n=n))
         cf = fock_pair(m, n)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"fock dN {m},{n}", cf["dN"], polarized(ra, rb, zn))
         add(f"fock DN {m},{n}", cf["DN"], quasidistance_DZ(ra, rb, zn))
 
@@ -124,7 +123,7 @@ def _criterion_1_checks():
             spec_of("squeezed_vacuum", zeta=z1), spec_of("squeezed_vacuum", zeta=z2)
         )
         cf = squeezed_pair(z1, z2)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"squeezed hs {z1:.3f},{z2:.3f}", cf["hs"], hilbert_schmidt(ra, rb))
         add(f"squeezed dN {z1:.3f},{z2:.3f}", cf["dN"], polarized(ra, rb, zn))
 
@@ -136,7 +135,7 @@ def _criterion_1_checks():
             spec_of("squeezed_vacuum", zeta=complex(z1)), spec_of("squeezed_vacuum", zeta=complex(z2))
         )
         cf = squeezed_pair(complex(z1), complex(z2))
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"squeezed tau-hs {t1},{t2}", cf["hs_samephase"], hilbert_schmidt(ra, rb))
         add(f"squeezed tau-dN {t1},{t2}", cf["dN_samephase"], polarized(ra, rb, zn))
 
@@ -149,14 +148,14 @@ def _criterion_1_checks():
         svac = spec_of("fock", n=0)
         cf = cat_distances(alpha, p1, p2)
         r1, rcoh, dim = pair_states(sc1, scoh)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"cat-coh {alpha},{p1}", cf["d_to_coherent"], hilbert_schmidt(r1, rcoh))
         r1, rvac, dim = pair_states(sc1, svac)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"cat-vac {alpha},{p1}", cf["d_to_vacuum"], hilbert_schmidt(r1, rvac))
         add(f"cat-vac dN {alpha},{p1}", cf["dN_to_vacuum"], polarized(r1, rvac, zn))
         r1, r2, dim = pair_states(sc1, sc2)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"cat-cat {alpha},{p1},{p2}", cf["d_between"], hilbert_schmidt(r1, r2))
         add(f"cat-cat dN {alpha},{p1},{p2}", cf["dN_between"], polarized(r1, r2, zn))
 
@@ -172,7 +171,7 @@ def _criterion_1_checks():
             spec_of("coherent_phase", epsilon=e1), spec_of("coherent_phase", epsilon=e2)
         )
         cf = phase_pair(e1, e2)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"phase hs {e1:.3f},{e2:.3f}", cf["hs"], hilbert_schmidt(ra, rb))
         add(f"phase dN {e1:.3f},{e2:.3f}", cf["dN"], polarized(ra, rb, zn))
 
@@ -180,7 +179,7 @@ def _criterion_1_checks():
     for n1, n2 in [(0.5, 0.0), (1.0, 2.0), (3.3, 0.7), (8.0, 5.0), (8.0, 0.0)]:
         ra, rb, dim = pair_states(spec_of("thermal", nbar=n1), spec_of("thermal", nbar=n2))
         cf = thermal_pair(n1, n2)
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         add(f"thermal hs {n1},{n2}", cf["hs"], hilbert_schmidt(ra, rb))
         add(f"thermal bu {n1},{n2}", cf["bu"], bures_uhlmann(ra, rb))
         add(f"thermal dN {n1},{n2}", cf["dN"], polarized(ra, rb, zn))
@@ -371,7 +370,7 @@ def test_criterion_5_metric_axioms():
     for _ in range(n_triples):
         dim = int(rng.integers(4, 17))
         a, b, c = (random_density(rng, dim) for _ in range(3))
-        zn = number_polarization(dim)
+        zn = np.arange(dim, dtype=float)
         metrics = [
             hilbert_schmidt,
             jmg_distance,

@@ -150,6 +150,12 @@ class TestSweepCommand:
             code, _ = run(capsys, "sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", rng)
             assert code == 2, rng
 
+    def test_negative_start_is_attached_to_its_option(self, capsys):
+        # argparse reads "--range -1:1:1" as an option and exits 2; "--range=-1:1:1" is one argument
+        code, out = run(capsys, "sweep", "--a", "coherent:?", "--b", "coherent:0", "--metric", "hs", "--range=-1:1:1")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.strip().splitlines()[1:]] == ["-1", "0", "1"]
+
     def test_placeholder_required(self, capsys):
         code, _ = run(
             capsys,

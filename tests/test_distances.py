@@ -16,11 +16,9 @@ from qdist import (
     hilbert_schmidt,
     hs_bounds,
     hs_from_moments,
-    identity_polarization,
     jmg_distance,
     modified_hs,
     moment_table,
-    number_polarization,
     outer,
     polarized,
     polarized_sqrt,
@@ -29,8 +27,9 @@ from qdist import (
     quasidistance_DZ,
     thermal,
 )
-from qdist.closed_forms import thermal_pair
-from qdist.errors import StateValidationError, UnsupportedCombinationError
+from qdist.closed_forms import METRIC_NAMES, thermal_pair
+from qdist.distances import METRICS
+from qdist.errors import DimensionMismatchError, StateValidationError, UnsupportedCombinationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,10 +38,10 @@ class TestPureStateDistance:
     def test_global_phase_invariance(self):
         v = coherent(0.9 + 0.4j, 48)
         w = type(v)(v.amp * np.exp(1.7j))
-        for kind in ("fubini_study", "minimal", "wootters"):
+        for kind in ("fs", "minimal", "wootters"):
             assert pure_state_distance(v, w, kind) == pytest.approx(0.0, abs=1e-7)
 
-    @pytest.mark.parametrize("kind", ["fubini_study", "minimal", "wootters"])
+    @pytest.mark.parametrize("kind", ["fs", "minimal", "wootters"])
     @pytest.mark.parametrize(
         "state",
         [lambda: coherent(1.2 + 0.3j, 32), lambda: cat(1.2, 1.1, 32), lambda: fock(3, 8)],
@@ -53,12 +52,12 @@ class TestPureStateDistance:
 
     def test_orthogonal_pair(self):
         a, b = fock(0, 8), fock(1, 8)
-        assert pure_state_distance(a, b, "fubini_study") == pytest.approx(SQRT2, abs=1e-12)
+        assert pure_state_distance(a, b, "fs") == pytest.approx(SQRT2, abs=1e-12)
         assert pure_state_distance(a, b, "wootters") == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_coherent_pair_overlap_formula(self):
         # |<a|b>|^2 = exp(-|a-b|^2) gives d_FS = sqrt(2(1 - e^{-1}))
-        d = pure_state_distance(coherent(0.0, 32), coherent(1.0, 32), "fubini_study")
+        d = pure_state_distance(coherent(0.0, 32), coherent(1.0, 32), "fs")
         assert d == pytest.approx(math.sqrt(2.0 * (1.0 - math.exp(-1.0))), abs=1e-10)
 
 
@@ -151,40 +150,40 @@ class TestPolarized:
     def test_identity_reduces_to_hs(self, rng):
         for _ in range(20):
             a, b = random_density(rng, 12), random_density(rng, 12)
-            z = identity_polarization(12)
+            z = np.ones(12)
             assert polarized(a, b, z) == pytest.approx(hilbert_schmidt(a, b), abs=1e-10)
 
     def test_fock_pair(self):
-        z = number_polarization(16)
+        z = np.arange(16, dtype=float)
         d = polarized(outer(fock(2, 16)), outer(fock(5, 16)), z)
         assert d == pytest.approx(math.sqrt(7.0), abs=1e-12)
 
     def test_coherent_vs_vacuum(self):
         alpha = 1.3
         dim = 48
-        d = polarized(outer(coherent(alpha, dim)), outer(fock(0, dim)), number_polarization(dim))
+        d = polarized(outer(coherent(alpha, dim)), outer(fock(0, dim)), np.arange(dim, dtype=float))
         assert d == pytest.approx(alpha, abs=1e-10)
 
 
 class TestPolarizedSqrt:
     def test_identical(self):
         rho = thermal(1.5, 96)
-        assert polarized_sqrt(rho, rho, number_polarization(96)) == 0.0
+        assert polarized_sqrt(rho, rho, np.arange(96, dtype=float)) == 0.0
 
     def test_thermal_vs_vacuum(self):
         nbar, dim = 1.5, 96
-        d = polarized_sqrt(thermal(nbar, dim), outer(fock(0, dim)), number_polarization(dim))
+        d = polarized_sqrt(thermal(nbar, dim), outer(fock(0, dim)), np.arange(dim, dtype=float))
         assert d == pytest.approx(math.sqrt(nbar), abs=1e-9)
 
     def test_thermal_pair_value(self):
         # sqrt(3 - 2 sqrt(2) ((sqrt6 + sqrt2)/4)^2) for mean photon numbers 1 and 2
         dim = 128
-        d = polarized_sqrt(thermal(1.0, dim), thermal(2.0, dim), number_polarization(dim))
+        d = polarized_sqrt(thermal(1.0, dim), thermal(2.0, dim), np.arange(dim, dtype=float))
         expect = math.sqrt(3.0 - 2.0 * SQRT2 * ((math.sqrt(6.0) + SQRT2) / 4.0) ** 2)
         assert d == pytest.approx(expect, abs=1e-8)
 
     def test_matches_polarized_for_pure_pairs(self, rng):
-        z = number_polarization(32)
+        z = np.arange(32, dtype=float)
         a, b = outer(coherent(0.7, 32)), outer(coherent(-0.2 + 0.5j, 32))
         assert polarized_sqrt(a, b, z) == pytest.approx(polarized(a, b, z), abs=1e-8)
 
@@ -195,9 +194,24 @@ class TestPolarizedSqrt:
         assert value == pytest.approx(coherent_pair(alpha, beta)["dN"], abs=1e-9)
 
 
+@pytest.mark.parametrize("kernel", [polarized, polarized_sqrt, quasidistance_DZ], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "weights,error",
+    [
+        (np.arange(16.0) - 1.0, StateValidationError),
+        (np.diag(np.arange(16.0)), StateValidationError),
+        (np.arange(17.0), DimensionMismatchError),
+    ],
+    ids=["negative", "two-dimensional", "wrong-length"],
+)
+def test_polarization_weights_are_checked(kernel, weights, error):
+    with pytest.raises(error):
+        kernel(thermal(0.1, 16), outer(fock(1, 16)), weights)
+
+
 class TestQuasidistances:
     def test_dz_fock_pairs(self):
-        z = number_polarization(16)
+        z = np.arange(16, dtype=float)
         for m, n in [(4, 1), (0, 3), (2, 2)]:
             d = quasidistance_DZ(outer(fock(m, 16)), outer(fock(n, 16)), z)
             expect = abs(math.sqrt(m) - math.sqrt(n)) / SQRT2
@@ -208,7 +222,7 @@ class TestQuasidistances:
 
     def test_dz_identical_is_zero(self):
         rho = thermal(0.7, 48)
-        assert quasidistance_DZ(rho, rho, number_polarization(48)) == 0.0
+        assert quasidistance_DZ(rho, rho, np.arange(48, dtype=float)) == 0.0
 
     def test_da_coherent_pair(self):
         a, b = 0.2 + 0.4j, 1.0 - 0.3j
@@ -227,7 +241,7 @@ class TestQuasidistances:
         assert quasidistance_Da(rho, rho) == 0.0
 
     def test_dz_nonnegative_random(self, rng):
-        z = number_polarization(10)
+        z = np.arange(10, dtype=float)
         for _ in range(100):
             a, b = random_density(rng, 10), random_density(rng, 10)
             assert quasidistance_DZ(a, b, z) >= 0.0
@@ -320,7 +334,7 @@ class TestMetricAxiomsSample:
         for _ in range(60):
             dim = int(rng.integers(4, 17))
             a, b, c = (random_density(rng, dim) for _ in range(3))
-            zn = number_polarization(dim)
+            zn = np.arange(dim, dtype=float)
             metrics = [
                 hilbert_schmidt,
                 jmg_distance,
@@ -351,6 +365,10 @@ class TestDispatch:
         a, b = thermal(0.5, 64), thermal(1.5, 64)
         r = evaluate_metric("hs-p:1.0", a, b)
         assert r.value == pytest.approx(hilbert_schmidt(a, b), abs=1e-12)
+
+    def test_every_cli_metric_has_a_kernel(self):
+        # a name without one would end in a KeyError traceback rather than exit 2
+        assert set(METRICS) == set(METRIC_NAMES)
 
     def test_unknown_metric(self):
         with pytest.raises(StateValidationError):

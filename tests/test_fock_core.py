@@ -12,7 +12,6 @@ from qdist import (
     hermitian_sqrt,
     outer,
     purity,
-    spectrum,
     thermal,
     trace_norm,
     trace_product,
@@ -143,15 +142,6 @@ class TestTraceNorm:
 
 
 class TestSpectrumProperties:
-    def test_eigendecomposition_round_trip(self, rng):
-        for _ in range(200):
-            dim = int(rng.integers(2, 33))
-            rho = random_density(rng, dim)
-            spec = spectrum(rho)
-            assert np.all(np.diff(spec.eigenvalues) <= 1e-14)
-            err = np.abs(spec.reconstruct() - rho.mat).max()
-            assert err <= 1e-9 * dim
-
     def test_sqrt_squares_back(self, rng):
         for _ in range(200):
             dim = int(rng.integers(2, 33))

@@ -56,8 +56,7 @@ def test_only_fock_core_builds_projectors(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_fock_core_uses_dense_ladder_operators(path):
-    if path.name == "fock_core.py":
-        return
+    # fock_core included: the dense reference lives in the tests (conftest.annihilation)
     calls = _calls(path, DENSE_LADDER)
     assert not calls, f"{path.name} calls {', '.join(calls)}"
 

@@ -14,9 +14,9 @@ from qdist import (
     hilbert_schmidt,
     hs_from_phase_space,
     husimi_q,
+    oscillator_eigenfunctions,
     outer,
     p_function_thermal,
-    position_density,
     squeezed_vacuum,
     thermal,
     wigner,
@@ -59,7 +59,8 @@ class TestWigner:
         g = qd.grid
         wp = simpson_weights(g.n_p, g.dp)
         marg = (g.values @ wp) / TWO_PI
-        dens = position_density(rho, g.q_axis)
+        psi = oscillator_eigenfunctions(g.q_axis, rho.dim)
+        dens = np.einsum("am,mn,an->a", psi, rho.mat, psi).real  # <q|rho|q>
         assert np.abs(marg - dens).max() < 1e-4
 
     def test_mass_check_rejects_small_grid(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_moments, random_density
+from conftest import annihilation, dense_moments, random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from qdist import (
     moment_table,
     outer,
     parse_state_spec,
-    reconstruct_from_moments,
     squeezed_vacuum,
     thermal,
     truncation_tail,
@@ -29,14 +28,23 @@ from qdist import (
 )
 from qdist.errors import (
     DegenerateStateError,
+    InsufficientCutoffError,
+    NotPositiveSemidefiniteError,
     SpecParseError,
     StateValidationError,
     TailMassError,
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from qdist.fock_core import FockVector, annihilation
-from qdist.states import _moments, ladder_moments, quadrature_moments, quadrature_sigma_min
+from qdist.fock_core import DensityOperator, FockVector
+from qdist.states import (
+    MomentTable,
+    _moments,
+    inv_sqrt_factorials,
+    ladder_moments,
+    quadrature_moments,
+    quadrature_sigma_min,
+)
 
 
 def mean_photon(vec) -> float:
@@ -300,7 +308,48 @@ class TestMomentKernel:
             moment_table(thermal(0.1, 16), 16)
 
 
+def reconstruction_matrix(table: MomentTable, dim: int) -> np.ndarray:
+    """Truncated moment-series reconstruction, Hermitized and renormalized.
+
+    rho_{r,c} = sum_j (-1)^j / j! M(c+j, r+j) / sqrt(r! c!), one shifted
+    block of the table per j.  The low-order moments of the result
+    reproduce the table exactly (the expansion operators are dual to the
+    moment monomials), but the matrix itself approaches a physical state
+    only as the cutoff grows; states with factorially growing moments
+    need cutoffs well above the matrix size.  A trace deviating from 1
+    by more than 1e-3 indicates an inconsistent table and raises
+    ``InsufficientCutoffError``.
+    """
+    K = table.cutoff
+    n = min(dim, K + 1)
+    isq = inv_sqrt_factorials(K + 1)
+    mt = table.m.T  # mt[r, c] = M(c, r)
+    series = np.zeros((n, n), dtype=complex)
+    for j in range(K + 1):
+        block = mt[j : j + n, j : j + n]
+        # 1/j! is 0 from j = 178, where no finite moment makes the term count
+        series[: block.shape[0], : block.shape[1]] += ((-1) ** j * isq[j] * isq[j]) * block
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:n, :n] = series * np.outer(isq[:n], isq[:n])
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-3:
+        raise InsufficientCutoffError(f"reconstructed trace {tr!r}; raise the cutoff")
+    return rho / tr
+
+
+def reconstruct_from_moments(table: MomentTable, dim: int) -> DensityOperator:
+    """The reconstruction as a DensityOperator; InsufficientCutoffError until it is PSD."""
+    rho = reconstruction_matrix(table, dim)
+    try:
+        return DensityOperator(rho)
+    except NotPositiveSemidefiniteError as exc:
+        raise InsufficientCutoffError(f"reconstruction not yet physical: {exc}") from exc
+
+
 class TestReconstruction:
+    """The moment series inverted, a round-trip check on ``moment_table``."""
+
     def test_fock1_round_trip(self):
         rho = outer(fock(1, 24))
         rec = reconstruct_from_moments(moment_table(rho, 12), 24)
@@ -315,8 +364,6 @@ class TestReconstruction:
         # diagonal geometric moments M(k,k) = k! nbar^k; the diagonal
         # reconstruction series sums C(r+j, r)(-nbar)^j, so the cutoff
         # must well exceed the matrix size before it converges
-        from qdist.states import MomentTable
-
         nbar, K = 0.5, 60
         m = np.zeros((K + 1, K + 1), dtype=complex)
         for k in range(K + 1):
@@ -331,8 +378,6 @@ class TestReconstruction:
     @pytest.mark.parametrize("cutoff,dim", [(20, 24), (20, 12), (8, 24)])
     def test_matches_the_termwise_series(self, cutoff, dim):
         # rho_{l-j,k-j} += M(k,l) (-1)^j / (j! sqrt((k-j)! (l-j)!)), one term at a time
-        from qdist import reconstruction_matrix
-
         table = moment_table(outer(cat(0.8, 0.7, 64)), cutoff)
         rho = np.zeros((dim, dim), dtype=complex)
         for k in range(cutoff + 1):
@@ -348,16 +393,12 @@ class TestReconstruction:
 
     def test_cutoff_past_170_stays_finite(self):
         # 1/j! for j >= 171 is below the smallest normal double; the weights never form j!
-        from qdist import reconstruction_matrix
-
         nbar = 0.05
         rec = reconstruction_matrix(moment_table(thermal(nbar, 200), 180), 8)
         corner = thermal(nbar, 64).mat[:8, :8]
         assert np.abs(rec - corner / np.trace(corner).real).max() < 1e-12
 
     def test_insufficient_cutoff_raises(self):
-        from qdist.errors import InsufficientCutoffError
-
         rho = thermal(0.5, 64)
         with pytest.raises(InsufficientCutoffError):
             reconstruct_from_moments(moment_table(rho, 20), 22)
@@ -378,8 +419,6 @@ class TestReconstruction:
         # attainable precision is machine epsilon times the largest
         # moment in the table, which is why the squeezing moduli here
         # stay moderate
-        from qdist import reconstruction_matrix
-
         rho = outer(state())
         table = moment_table(rho, 20)
         rec = reconstruction_matrix(table, 24)

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_moments
+from conftest import annihilation, dense_moments
 
 from qdist import (
     StateSpec,
     Tomogram,
     adaptive_dim,
-    annihilation,
     as_density,
     classical_divergence,
     fock,
@@ -346,20 +345,6 @@ class TestTomographicDistance:
 
 
 class TestCsvExports:
-    def test_tomogram_csv_round_trip(self, tmp_path):
-        from qdist import tomogram_to_csv
-
-        x = default_x_grid(0.0, 0.0, math.sqrt(0.5))
-        tom = marginal_analytic(vacuum_spec(), 1.0, 0.0, x)
-        path = tmp_path / "tom.csv"
-        tomogram_to_csv(tom, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "mu,nu,X,w"
-        assert len(lines) == tom.x.size + 1
-        mu, nu, xv, wv = lines[1 + tom.x.size // 2].split(",")
-        assert float(mu) == 1.0 and float(nu) == 0.0
-        assert float(wv) == pytest.approx(tom.w[tom.x.size // 2], rel=1e-10)
-
     def test_grid_csv_round_trip(self, tmp_path):
         from qdist import fock, grid_to_csv, outer, wigner
 
