@@ -35,7 +35,7 @@ for spec in specs:
     dim = adaptive_dim(spec)
     rho = as_density(spec, dim)
     n = np.arange(dim)
-    nbar = float((n * rho.mat.diagonal().real).sum())
+    nbar = float((n * rho.populations).sum())
     try:
         q = f"{mandel_q(rho):+9.4f}"
     except Exception:

@@ -42,6 +42,7 @@ from .distances import (
 )
 from .fock_core import (
     DensityOperator,
+    DiagonalState,
     FockVector,
     hermitian_sqrt,
     outer,

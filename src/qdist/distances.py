@@ -7,10 +7,17 @@ form, the polarized (reference-operator weighted) variants, and the two
 variance-like quasidistances.  The reference operator Z of the
 polarized forms is diagonal in the number basis and is passed as its
 diagonal, a weight vector.  ``METRICS`` maps each CLI metric name to
-its kernel.  All functions are pure and operate on ``FockVector`` /
-``DensityOperator`` values of equal dimension: the density-operator
-kernels read only ``mat`` and ``dim``, which a ``FockVector`` gives as
-its projector, so they take either kind.
+its kernel.  All functions are pure and take states of any kind and
+equal dimension.
+
+Pure and diagonal states take an O(dim) route through one primitive,
+``_product_diagonal``: the diagonal at offset k of the product of two
+state factors, a pure state's amplitudes or a diagonal state's
+populations raised to the metric's power.  Pure pairs read the
+cancellation-free forms of ``pure_state_distance``, so identical rays
+give exactly 0.  A general ``DensityOperator`` takes the dense reference
+route through ``mat``, and so does the trace norm of a diagonal state
+against a pure state that is not a number state.
 """
 
 from __future__ import annotations
@@ -30,13 +37,14 @@ from .errors import (
 )
 from .fock_core import (
     MAX_DENSE_DIM,
+    DiagonalState,
     FockVector,
     hermitian_sqrt,
     psd_power,
     trace_norm,
     trace_product,
 )
-from .states import MomentTable, inv_sqrt_factorials, moment_table
+from .states import MomentTable, _moments, inv_sqrt_factorials, moment_table
 
 # Squared distances are clamped at zero before the square root; a
 # negative square larger than this raises instead.
@@ -88,48 +96,129 @@ def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fs") -> float
 
 
 # ---------------------------------------------------------------------------
+# state factors: the structured route
+# ---------------------------------------------------------------------------
+
+def _pure_pair(r1, r2) -> bool:
+    return isinstance(r1, FockVector) and isinstance(r2, FockVector)
+
+
+def _factors(r1, r2, p: float = 1.0):
+    """Factors of rho1^p and rho2^p, or None when either state is a general DensityOperator.
+
+    A factor is ``(c, None)`` for c c^dag, which is its own power, or
+    ``(None, d)`` for diag(d).
+    """
+    def factor(r):
+        if isinstance(r, FockVector):
+            return r.amp, None
+        if isinstance(r, DiagonalState):
+            return None, r.populations**p
+        return None
+
+    x, y = factor(r1), factor(r2)
+    return None if x is None or y is None else (x, y)
+
+
+def _product_diagonal(x, y, k: int = 0) -> np.ndarray:
+    """Diagonal at offset k (``np.diagonal``'s convention) of the product XY of two factors.
+
+    XY is diag(d_x d_y), or the rank-one u v^dag picked below, whose
+    offset-k diagonal u_i conj(v_{i+k}) costs O(dim).
+    """
+    (cx, dx), (cy, dy) = x, y
+    if cx is None and cy is None:
+        return dx * dy if k == 0 else np.zeros(dx.size - abs(k))
+    if cy is None:
+        u, v = cx, dy * cx  # c c^dag diag(d) = c (d c)^dag, d real
+    elif cx is None:
+        u, v = dx * cy, cy
+    else:
+        u, v = cx * np.vdot(cx, cy), cy
+    n = u.size
+    return u[max(-k, 0) : n - max(k, 0)] * v[max(k, 0) : n - max(-k, 0)].conj()
+
+
+def _delta_sq_diagonal(x, y, k: int = 0) -> np.ndarray:
+    """Offset-k diagonal of (X - Y)^2 for two factors."""
+    if x[0] is None and y[0] is None:
+        # X - Y is diagonal itself: squaring it leaves no cancellation
+        d = (None, x[1] - y[1])
+        return _product_diagonal(d, d, k)
+    return (_product_diagonal(x, x, k) + _product_diagonal(y, y, k)
+            - _product_diagonal(x, y, k) - _product_diagonal(y, x, k))
+
+
+# ---------------------------------------------------------------------------
 # density-operator distances
 # ---------------------------------------------------------------------------
 
 def hilbert_schmidt(r1, r2) -> float:
-    """sqrt(Tr rho1^2 + Tr rho2^2 - 2 Tr rho1 rho2) <= sqrt(2); FockVector or DensityOperator."""
-    sq = trace_product(r1, r1) + trace_product(r2, r2) - 2.0 * trace_product(r1, r2)
-    d = _clamped_sqrt(sq)
+    """sqrt(Tr rho1^2 + Tr rho2^2 - 2 Tr rho1 rho2) <= sqrt(2); states of any kind."""
+    _check_dims(r1, r2)
+    if _factors(r1, r2) is None:
+        d = _clamped_sqrt(trace_product(r1, r1) + trace_product(r2, r2) - 2.0 * trace_product(r1, r2))
+    else:
+        d = modified_hs(r1, r2, 1.0)
     if d > math.sqrt(2.0) + 1e-9:
         raise NumericalToleranceError(f"Hilbert-Schmidt distance {d!r} exceeds sqrt(2)")
     return d
 
 
 def jmg_distance(r1, r2) -> float:
-    """Half the trace norm of rho1 - rho2, FockVector or DensityOperator; the best projector test."""
+    """Half the trace norm of rho1 - rho2, states of any kind; the best projector test.
+
+    A pure pair gives sqrt(1 - |<a|b>|^2) = fs / sqrt(2), and two diagonal
+    states give sum |p1 - p2| / 2.
+    """
     _check_dims(r1, r2)
+    if _pure_pair(r1, r2):
+        return pure_state_distance(r1, r2, "fs") / math.sqrt(2.0)
+    # a number state, whose one nonzero amplitude makes it diagonal, counts as one
+    if all(isinstance(r, DiagonalState) or np.count_nonzero(getattr(r, "amp", ())) == 1 for r in (r1, r2)):
+        return 0.5 * float(np.abs(r1.populations - r2.populations).sum())
     return 0.5 * trace_norm(r1.mat - r2.mat)
 
 
 def bures_uhlmann(r1, r2) -> float:
-    """sqrt(2 - 2 Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))), FockVector or DensityOperator.
+    """sqrt(2 - 2F) with Uhlmann's fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)); states of any kind.
 
-    The trace of the nested root equals the nuclear norm of
-    sqrt(rho2) sqrt(rho1), which is how it is evaluated: singular
-    values are nonnegative by construction, so eigensolver noise in a
-    null space cannot get amplified by the outer square root.
+    A pure pair gives the minimal distance, a pure and a diagonal state
+    F = sqrt(Tr rho1 rho2), two diagonal states F = sum sqrt(p1 p2).  On
+    the dense route F is the nuclear norm of sqrt(rho2) sqrt(rho1):
+    singular values are nonnegative by construction, so eigensolver
+    noise in a null space cannot get amplified by the outer square root.
     """
     _check_dims(r1, r2)
-    s1 = psd_power(r1.mat, 0.5)
-    s2 = psd_power(r2.mat, 0.5)
-    fid_root = float(np.linalg.svd(s2 @ s1, compute_uv=False).sum())
-    return _clamped_sqrt(2.0 - 2.0 * fid_root)
+    if _pure_pair(r1, r2):
+        return pure_state_distance(r1, r2, "minimal")
+    xy = _factors(r1, r2)
+    if xy is None:
+        s1 = psd_power(r1.mat, 0.5)
+        s2 = psd_power(r2.mat, 0.5)
+        fid = float(np.linalg.svd(s2 @ s1, compute_uv=False).sum())
+    elif isinstance(r1, FockVector) or isinstance(r2, FockVector):
+        fid = math.sqrt(max(float(_product_diagonal(*xy).real.sum()), 0.0))
+    else:
+        fid = float(_product_diagonal(*_factors(r1, r2, 0.5)).sum())
+    return _clamped_sqrt(2.0 - 2.0 * fid)
 
 
 def modified_hs(r1, r2, p: float) -> float:
-    """Hilbert-Schmidt distance between rho1^p and rho2^p, p in (0, 1]; FockVector or DensityOperator.
+    """Hilbert-Schmidt distance between rho1^p and rho2^p, p in (0, 1]; states of any kind.
 
     p = 1 is the plain Hilbert-Schmidt distance; p = 1/2 agrees with
-    the Bures-Uhlmann distance whenever the operators commute.
+    the Bures-Uhlmann distance whenever the operators commute.  A pure
+    state is its own power, so a pure pair reads the Fubini-Study form.
     """
     if not 0.0 < p <= 1.0:
         raise StateValidationError(f"power p must lie in (0, 1], got {p!r}")
     _check_dims(r1, r2)
+    if _pure_pair(r1, r2):
+        return pure_state_distance(r1, r2, "fs")
+    xy = _factors(r1, r2, p)
+    if xy is not None:
+        return _clamped_sqrt(float(_delta_sq_diagonal(*xy).real.sum()))
     # the same thresholded root as Bures-Uhlmann, so the commuting-pair
     # identity at p = 1/2 holds to close to machine precision
     diff = psd_power(r1.mat, p) - psd_power(r2.mat, p)
@@ -144,59 +233,65 @@ def _check_polarization(r1, r2, z) -> np.ndarray:
     """The weights ``z``, the diagonal of Z, as a float array once they fit both states."""
     _check_dims(r1, r2)
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or (z < 0).any():
-        raise StateValidationError("polarization weights must be 1-d and nonnegative")
+    if z.ndim != 1 or not (z >= 0).all():
+        raise StateValidationError("polarization weights must be 1-d, nonnegative and not NaN")
     if z.size != r1.dim:
         raise DimensionMismatchError(f"polarization dim {z.size} != state dim {r1.dim}")
     return z
 
 
-def _weighted_norm(delta: np.ndarray, z: np.ndarray) -> float:
-    """sqrt(Tr(Z delta^2)) for a Hermitian delta and the diagonal z of Z."""
-    sq = float((z * np.einsum("ij,ji->i", delta, delta).real).sum())
+def _square_diagonal(delta: np.ndarray) -> np.ndarray:
+    """diag(delta^2) of a Hermitian matrix, real."""
+    return np.einsum("ij,ji->i", delta, delta).real
+
+
+def _weighted_norm(dd: np.ndarray, z: np.ndarray) -> float:
+    """sqrt(Tr(Z delta^2)) from dd = diag(delta^2) and the diagonal z of Z."""
+    sq = float((z * dd).sum())
     if sq < -1e-10:
         raise NumericalToleranceError(f"polarized squared distance {sq:.3e} < -1e-10")
     return math.sqrt(max(sq, 0.0))
 
 
 def polarized(r1, r2, z) -> float:
-    """sqrt(Tr(Z [rho1 - rho2]^2)), FockVector or DensityOperator; Z = 1 gives Hilbert-Schmidt.
+    """sqrt(Tr(Z [rho1 - rho2]^2)), states of any kind; Z = 1 gives Hilbert-Schmidt.
 
     ``z`` is the diagonal of the reference operator Z, one nonnegative
     weight per level: ``np.arange(dim, dtype=float)`` for Z = N.
     """
     z = _check_polarization(r1, r2, z)
-    return _weighted_norm(r1.mat - r2.mat, z)
-
-
-def _root(r) -> np.ndarray:
-    # a pure state is its own root; only density operators need the eigensolver
-    return r.mat if isinstance(r, FockVector) else hermitian_sqrt(r)
+    xy = _factors(r1, r2)
+    dd = _square_diagonal(r1.mat - r2.mat) if xy is None else _delta_sq_diagonal(*xy).real
+    return _weighted_norm(dd, z)
 
 
 def polarized_sqrt(r1, r2, z) -> float:
     """sqrt(Tr(Z [sqrt(rho1) - sqrt(rho2)]^2)); matches `polarized` on pure pairs.
 
-    Either state may be a ``FockVector``, whose root is its own ``mat``.
-    Pass pure states that way: the root of a projector taken by the
-    eigensolver carries sqrt(eps)-sized noise from its null space, which
-    the weight n turns into errors near 1e-7 at dim 496.  Density
-    operators keep their unthresholded root, so tiny thermal populations
-    count in full.  ``z`` is the diagonal of Z, as in ``polarized``.
+    A pure state is its own root and a diagonal state's root is the root
+    of its populations, every one of them counted in full.  A general
+    DensityOperator takes the eigensolver's unthresholded root; a
+    projector's root taken that way carries sqrt(eps)-sized noise from
+    its null space, which the weight n turns into errors near 1e-7 at
+    dim 496, so pass pure states as ``FockVector``.  ``z`` is the
+    diagonal of Z, as in ``polarized``.
     """
     z = _check_polarization(r1, r2, z)
-    return _weighted_norm(_root(r1) - _root(r2), z)
+    xy = _factors(r1, r2, 0.5)
+    if xy is None:
+        return _weighted_norm(_square_diagonal(hermitian_sqrt(r1) - hermitian_sqrt(r2)), z)
+    return _weighted_norm(_delta_sq_diagonal(*xy).real, z)
 
 
 def quasidistance_DZ(r1, r2, z) -> float:
     """Variance-like functional Tr(dZd) - Tr(d Z^{1/2} d)^2 / Tr(d^2), d = rho1-rho2.
 
-    FockVector or DensityOperator; ``z`` is the diagonal of Z, as in
-    ``polarized``.  Identical states (ratio 0/0) give 0 by convention.
+    States of any kind; ``z`` is the diagonal of Z, as in ``polarized``.
+    Identical states (ratio 0/0) give 0 by convention.
     """
     z = _check_polarization(r1, r2, z)
-    delta = r1.mat - r2.mat
-    dd = np.einsum("ij,ji->i", delta, delta).real
+    xy = _factors(r1, r2)
+    dd = _square_diagonal(r1.mat - r2.mat) if xy is None else _delta_sq_diagonal(*xy).real
     t_norm = float(dd.sum())
     if t_norm < 1e-14:
         return 0.0
@@ -207,14 +302,18 @@ def quasidistance_DZ(r1, r2, z) -> float:
 
 
 def quasidistance_Da(r1, r2) -> float:
-    """Lowering-operator quasidistance of d = rho1 - rho2; FockVector or DensityOperator."""
+    """Lowering-operator quasidistance of d = rho1 - rho2; states of any kind."""
     _check_dims(r1, r2)
-    delta = r1.mat - r2.mat
-    d2 = delta @ delta
-    t_norm = float(np.trace(d2).real)
+    xy = _factors(r1, r2)
+    if xy is None:
+        delta = r1.mat - r2.mat
+        m = moment_table(delta @ delta, 1).m
+    else:
+        m = _moments(lambda k: _delta_sq_diagonal(*xy, k), r1.dim, 1)
+    # m[k, l] = Tr(adag^k a^l d^2)
+    t_norm = float(m[0, 0].real)
     if t_norm < 1e-14:
         return 0.0
-    m = moment_table(d2, 1).m  # Tr(adag^k a^l d^2)
     sq = m[1, 1].real - abs(m[0, 1]) ** 2 / t_norm
     return math.sqrt(max(sq, 0.0))
 
@@ -262,14 +361,14 @@ class HSBounds:
 
 
 def hs_bounds(rho, n: int) -> HSBounds:
-    """The three neighbour-state bounds to |n><n| of a FockVector or DensityOperator.
+    """The three neighbour-state bounds to |n><n| of a state of any kind.
 
     b0 = sqrt(2 nbar) applies only at n = 0; bn and bvar bound the
     distance to |n><n| for any n below the truncation.
     """
     if not 0 <= n < rho.dim:
         raise StateValidationError(f"need 0 <= n < dim, got n={n}")
-    p = rho.mat.diagonal().real
+    p = rho.populations
     lv = np.arange(rho.dim)
     nbar = float((lv * p).sum())
     n2bar = float((lv * lv * p).sum())
@@ -305,12 +404,13 @@ METRICS = {
 def evaluate_metric(name, a, b) -> DistanceReport:
     """Compute a named metric between two states.
 
-    ``a`` and ``b`` are FockVector or DensityOperator values of equal
-    dimension, passed to the kernels as given.  The pure-only metrics
-    (fs, minimal, wootters) reject density-operator input; every other
-    metric refuses dims above ``MAX_DENSE_DIM`` before any ``mat`` is
-    built.  The name is read by ``closed_forms.parse_metric``: only
-    ``hs-p`` takes a ``:<p>`` suffix, its power (1/2 when absent).
+    ``a`` and ``b`` are states of any kind and equal dimension, passed
+    to the kernels as given.  The pure-only metrics (fs, minimal,
+    wootters) reject mixed input; every other metric refuses dims above
+    ``MAX_DENSE_DIM`` before any kernel runs, since the dense route and
+    the diagonal-vs-pure trace norm build each state's dim x dim ``mat``.
+    The name is read by ``closed_forms.parse_metric``: only ``hs-p``
+    takes a ``:<p>`` suffix, its power (1/2 when absent).
     """
     base, p = parse_metric(name)
     dim = max(a.dim, b.dim)
@@ -318,5 +418,5 @@ def evaluate_metric(name, a, b) -> DistanceReport:
         if not (isinstance(a, FockVector) and isinstance(b, FockVector)):
             raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
     elif dim > MAX_DENSE_DIM:
-        raise TruncationInfeasibleError(f"dense metric {base!r} stops at dim {MAX_DENSE_DIM}, got {dim}")
+        raise TruncationInfeasibleError(f"metric {base!r} stops at dim {MAX_DENSE_DIM}, got {dim}")
     return DistanceReport(base, METRICS[base](a, b, p), a.dim)

@@ -1,11 +1,14 @@
 """Dense linear algebra for single-mode states in a truncated number basis.
 
 Everything downstream (distance functionals, quasiprobability grids,
-tomograms) stands on the two value types defined here: ``FockVector`` for
-pure states and ``DensityOperator`` for mixed ones.  Both check their
-defining invariants on construction and are treated as immutable
-afterwards, so they are safe to share between workers.  Both expose
-``mat`` and ``dim``, so a kernel that reads only those takes either.
+tomograms) stands on the three state kinds defined here: ``FockVector``
+for pure states, ``DiagonalState`` for mixed states diagonal in the
+number basis (the thermal family) and ``DensityOperator`` for any other
+mixed state.  Each checks its defining invariants on construction and
+is treated as immutable afterwards, so they are safe to share between
+workers.  Each exposes ``dim``, ``populations`` and ``mat``; the first
+two store only a vector and build ``mat``, a dim x dim matrix, on each
+access, so a kernel that reads only ``mat`` and ``dim`` takes any kind.
 
 All arithmetic is double precision; there are no mixed-precision paths.
 """
@@ -31,8 +34,9 @@ TRACE_TOL = 1e-10
 # anything below the floor means the matrix is genuinely corrupted, so we
 # fail loudly instead of repairing it.
 EIG_FLOOR = -1e-10
-# Largest dim at which a dense dim x dim matrix is built: the dense metric
-# kernels and the thermal constructor stop here before allocating.
+# Largest dim at which a dense dim x dim matrix is built: the metric
+# kernels and the thermal constructor stop here before allocating, since
+# any ``mat`` they hand on builds one on access.
 MAX_DENSE_DIM = 4096
 
 
@@ -67,6 +71,11 @@ class FockVector:
         return self.amp.size
 
     @property
+    def populations(self) -> np.ndarray:
+        """|c_n|^2, the diagonal of ``mat`` bit for bit."""
+        return (self.amp * self.amp.conj()).real
+
+    @property
     def mat(self) -> np.ndarray:
         """|psi><psi|, PSD by construction: built on each access, never cached or re-validated."""
         return _readonly(np.outer(self.amp, self.amp.conj()))
@@ -76,6 +85,33 @@ class FockVector:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} != {other.dim}")
         return complex(np.vdot(self.amp, other.amp))
+
+
+@dataclass(frozen=True)
+class DiagonalState:
+    """Mixed state diagonal in the number basis: populations p_n >= 0 summing to 1."""
+
+    populations: np.ndarray
+    tail_mass: float = 0.0
+
+    def __post_init__(self):
+        pop = np.array(self.populations, dtype=float)
+        if pop.ndim != 1 or pop.size < 1:
+            raise StateValidationError("populations must form a non-empty 1-d sequence")
+        if not (pop >= 0.0).all():  # NaN fails too
+            raise NotPositiveSemidefiniteError(f"populations must be nonnegative, min {pop.min()!r}")
+        if not abs(pop.sum() - 1.0) <= TRACE_TOL:
+            raise StateValidationError(f"populations sum to {pop.sum()!r}, not 1")
+        object.__setattr__(self, "populations", _readonly(pop))
+
+    @property
+    def dim(self) -> int:
+        return self.populations.size
+
+    @property
+    def mat(self) -> np.ndarray:
+        """diag(p), built on each access as ``FockVector.mat`` is."""
+        return _readonly(np.diag(self.populations).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -104,6 +140,11 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @property
+    def populations(self) -> np.ndarray:
+        """The diagonal of ``mat``, real."""
+        return self.mat.diagonal().real
+
 
 def outer(psi: FockVector) -> DensityOperator:
     """Projector |psi><psi| of a normalized pure state, validated as a DensityOperator."""
@@ -111,7 +152,7 @@ def outer(psi: FockVector) -> DensityOperator:
 
 
 def trace_product(a, b) -> float:
-    """Re Tr(AB) for two states (FockVector or DensityOperator) of equal dimension.
+    """Re Tr(AB) for two states of any kind and equal dimension.
 
     For Hermitian inputs the trace is real up to roundoff; an imaginary
     part above 1e-12 indicates corrupted inputs and raises.

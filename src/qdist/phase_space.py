@@ -11,8 +11,8 @@ exponentially small as long as 2*pi/dq exceeds the combined momentum
 bandwidth (checked at call time).  The Wigner form of the HS distance
 steps its grid by the states' smallest quadrature spread
 (``states.quadrature_sigma_min``) and fringe scale.  The grid kernels
-read only a state's ``mat`` and ``dim``, so they take a ``FockVector``
-or a ``DensityOperator`` alike.
+read only a state's ``mat``, ``populations`` and ``dim``, so they take
+a state of any kind.
 
 Normalization conventions: int W dq dp / (2 pi) = 1 for the Wigner
 function; Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2);
@@ -33,7 +33,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DensityOperator, FockVector
+from .fock_core import DensityOperator, DiagonalState, FockVector
 from .states import (
     StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, quadrature_sigma_min,
 )
@@ -150,13 +150,12 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _occupied_levels(rho, cut: float = 1e-14) -> int:
-    p = rho.mat.diagonal().real
-    idx = np.nonzero(p > cut)[0]
+    idx = np.nonzero(rho.populations > cut)[0]
     return int(idx[-1]) + 1 if idx.size else 1
 
 
 def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
-    """Wigner function of a FockVector or DensityOperator on the given grid.
+    """Wigner function of a state of any kind on the given grid.
 
     Raises ``GridError`` when the grid does not resolve the state: either
     the q-spacing is too coarse for the combined momentum bandwidth
@@ -229,7 +228,7 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
 def _state_pair(a, b) -> tuple:
     """Both states at one dim: specs are built at the larger dim involved, built states pass."""
     for obj in (a, b):
-        if not isinstance(obj, (StateSpec, FockVector, DensityOperator)):
+        if not isinstance(obj, (StateSpec, FockVector, DiagonalState, DensityOperator)):
             raise StateValidationError(f"cannot interpret {type(obj).__name__} as a state")
     dim = max(adaptive_dim(s) if isinstance(s, StateSpec) else s.dim for s in (a, b))
     ra, rb = (build_state(s, dim) if isinstance(s, StateSpec) else s for s in (a, b))

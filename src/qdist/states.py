@@ -2,15 +2,16 @@
 
 Pure families (Fock, coherent, generalized coherent, cat, squeezed
 vacuum, coherent phase) produce ``FockVector``; the thermal family
-produces a diagonal ``DensityOperator``.  ``build_state`` is the one
-family dispatch.  Each pure family has one amplitude recurrence, whose
-squared moduli are also its populations.  One tail sum, ``_tails``,
-sizes every truncation: ``adaptive_dim`` picks the dim from it and
-every constructor checks a truncation-tail budget of 1e-12 against it,
-renormalizing the retained amplitudes and recording the discarded mass
-on the returned object.  One kernel, ``_moments``, reads every normally
-ordered moment Tr(adag^k a^l rho) off the diagonals of a matrix;
-``moment``, ``moment_table`` and ``ladder_moments`` read entries of it.
+produces a ``DiagonalState``, its population vector.  ``build_state``
+is the one family dispatch.  Each pure family has one amplitude
+recurrence, whose squared moduli are also its populations.  One tail
+sum, ``_tails``, sizes every truncation: ``adaptive_dim`` picks the dim
+from it and every constructor checks a truncation-tail budget of 1e-12
+against it, renormalizing the retained amplitudes and recording the
+discarded mass on the returned object.  One kernel, ``_moments``, reads
+every normally ordered moment Tr(adag^k a^l rho) off the diagonals of a
+matrix; ``moment``, ``moment_table``, ``ladder_moments`` and the ``Da``
+quasidistance read entries of it.
 
 Global phase convention: the first nonvanishing amplitude is made real
 and positive, so state equality is testable despite the projective
@@ -33,7 +34,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import MAX_DENSE_DIM, DensityOperator, FockVector
+from .fock_core import MAX_DENSE_DIM, DensityOperator, DiagonalState, FockVector
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -255,17 +256,21 @@ def _fix_global_phase(amp: np.ndarray) -> np.ndarray:
 
 
 def build_state(spec: StateSpec, dim: int):
-    """Construct the state a spec describes; FockVector unless thermal.
+    """Construct the state a spec describes: a FockVector, or a DiagonalState if thermal.
 
     This is the one family dispatch: the named constructors below, all
     but ``fock``, call it.  The truncation must discard less than ``TAIL_TOL`` of the
     probability; the retained amplitudes (or populations) are
     renormalized and the discarded mass is recorded on the state.  A
-    thermal state, a dense matrix, stops at ``MAX_DENSE_DIM``.
+    thermal state stores only its populations, but stops at
+    ``MAX_DENSE_DIM`` all the same: its ``mat``, which the dense kernels
+    read, is a dim x dim matrix built on access.
     """
     f, p = spec.family, spec.params
     if f == "thermal" and dim > MAX_DENSE_DIM:
-        raise TruncationInfeasibleError(f"thermal states are dense and stop at dim {MAX_DENSE_DIM}, got {dim}")
+        raise TruncationInfeasibleError(
+            f"thermal states build a dim x dim mat and stop at dim {MAX_DENSE_DIM}, got {dim}"
+        )
     if f == "generalized_coherent" and len(p["phases"]) < dim:
         raise StateValidationError(f"phase table has {len(p['phases'])} entries, need >= {dim}")
     tail = truncation_tail(spec, dim)
@@ -276,7 +281,7 @@ def build_state(spec: StateSpec, dim: int):
     if f == "thermal":
         nbar = p["nbar"]
         pops = (nbar / (1.0 + nbar)) ** np.arange(dim) / (1.0 + nbar)
-        return DensityOperator(np.diag(pops / pops.sum()).astype(complex), tail_mass=tail)
+        return DiagonalState(pops / pops.sum(), tail_mass=tail)
     amp = _amplitudes(spec, dim)
     if f == "generalized_coherent":
         amp = amp * np.exp(1j * np.asarray(p["phases"][:dim], dtype=float))
@@ -324,7 +329,7 @@ def coherent_phase(epsilon: complex, dim: int) -> FockVector:
     return build_state(StateSpec("coherent_phase", {"epsilon": complex(epsilon)}), dim)
 
 
-def thermal(nbar: float, dim: int) -> DensityOperator:
+def thermal(nbar: float, dim: int) -> DiagonalState:
     """Thermal state: diagonal geometric populations with mean nbar."""
     return build_state(StateSpec("thermal", {"nbar": float(nbar)}), dim)
 
@@ -332,7 +337,7 @@ def thermal(nbar: float, dim: int) -> DensityOperator:
 def as_density(spec: StateSpec, dim: int) -> DensityOperator:
     """``build_state`` as a validated DensityOperator, whatever the family."""
     state = build_state(spec, dim)
-    return state if isinstance(state, DensityOperator) else DensityOperator(state.mat, state.tail_mass)
+    return DensityOperator(state.mat, state.tail_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +345,8 @@ def as_density(spec: StateSpec, dim: int) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 def mandel_q(rho) -> float:
-    """<N^2>/<N> - <N> - 1 of a FockVector or DensityOperator; zero for Poissonian statistics."""
-    p = rho.mat.diagonal().real
+    """<N^2>/<N> - <N> - 1 of a state of any kind; zero for Poissonian statistics."""
+    p = rho.populations
     n = np.arange(rho.dim)
     nbar = float((n * p).sum())
     if nbar <= 1e-12:
@@ -354,13 +359,15 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(getattr(rho, "mat", rho), dtype=complex)
 
 
-def _moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
-    """M(k,l) = Tr(adag^k a^l mat) for k, l = 0..cutoff, read off the diagonals of mat.
+def _moments(diagonal, dim: int, cutoff: int) -> np.ndarray:
+    """M(k,l) = Tr(adag^k a^l X) for k, l = 0..cutoff, read off the diagonals of X.
 
-    M(k,l) = sum_m f_k(m) f_l(m) mat[m+l, m+k] with f_k(m) = sqrt((m+k)!/m!),
+    ``diagonal(j)`` returns the diagonal of the dim x dim matrix X at
+    offset j, in ``np.diagonal``'s convention: ``mat.diagonal`` for a
+    matrix at hand, or a product formula that never builds X.
+    M(k,l) = sum_m f_k(m) f_l(m) X[m+l, m+k] with f_k(m) = sqrt((m+k)!/m!),
     one cumulative product over k; orders from dim up read 0.
     """
-    dim = mat.shape[0]
     top = min(cutoff, dim - 1)
     km = np.add.outer(np.arange(top + 1), np.arange(dim))
     # f_k(m) is read only where m + k < dim; zero beyond, where it could overflow
@@ -371,15 +378,15 @@ def _moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
     for k in range(top + 1):
         for l in range(top + 1):
             n = dim - max(k, l)
-            # f_l mat first: f_k f_l alone can overflow where the moment does not
-            out[k, l] = f[k, :n] @ (f[l, :n] * mat.diagonal(k - l)[min(k, l) :])
+            # f_l X first: f_k f_l alone can overflow where the moment does not
+            out[k, l] = f[k, :n] @ (f[l, :n] * diagonal(k - l)[min(k, l) :])
     return out
 
 
 def moment(rho, k: int, l: int) -> complex:
     """Normally ordered moment Tr(adag^k a^l rho).
 
-    ``rho`` may be a FockVector, a DensityOperator or a raw matrix.
+    ``rho`` may be a state of any kind or a raw matrix.
     """
     mat = _as_matrix(rho)
     dim = mat.shape[0]
@@ -387,16 +394,16 @@ def moment(rho, k: int, l: int) -> complex:
         raise StateValidationError("moment orders must be nonnegative")
     if k >= dim or l >= dim:
         raise StateValidationError(f"orders ({k},{l}) overflow truncation dim {dim}")
-    return complex(_moments(mat, max(k, l))[k, l])
+    return complex(_moments(mat.diagonal, dim, max(k, l))[k, l])
 
 
 def ladder_moments(state) -> tuple[complex, complex, float]:
-    """<a>, <a^2> and <adag a> of a FockVector or DensityOperator.
+    """<a>, <a^2> and <adag a> of a state of any kind.
 
     Entries (0,1), (0,2) and (1,1) of the moment kernel on ``state.mat``;
     orders a truncation of dim 1 or 2 cannot hold read 0.
     """
-    m = _moments(state.mat, 2)
+    m = _moments(state.mat.diagonal, state.dim, 2)
     return complex(m[0, 1]), complex(m[0, 2]), float(m[1, 1].real)
 
 
@@ -444,7 +451,7 @@ def moment_table(rho, cutoff: int) -> MomentTable:
     dim = mat.shape[0]
     if not 0 <= cutoff < dim:
         raise StateValidationError(f"cutoff {cutoff} outside [0, {dim}) for truncation dim {dim}")
-    return MomentTable(cutoff, _moments(mat, cutoff))
+    return MomentTable(cutoff, _moments(mat.diagonal, dim, cutoff))
 
 
 def inv_sqrt_factorials(n: int) -> np.ndarray:

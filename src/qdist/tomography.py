@@ -39,7 +39,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DensityOperator
+from .fock_core import FockVector
 from .phase_space import MASS_TOL, QuasiDistribution, oscillator_eigenfunctions, simpson_weights
 from .states import (
     StateSpec, adaptive_dim, alpha_squared, build_state, ladder_moments, quadrature_moments,
@@ -231,11 +231,7 @@ class _FockMarginals:
 
     def __init__(self, spec: StateSpec):
         state = build_state(spec, adaptive_dim(spec))
-        if isinstance(state, DensityOperator):
-            # thermal, the only mixed family, is diagonal in the number basis
-            self.amps = np.diag(np.sqrt(state.mat.diagonal().real))
-        else:
-            self.amps = state.amp[:, None]
+        self.amps = state.amp[:, None] if isinstance(state, FockVector) else np.diag(np.sqrt(state.populations))
         self.moments = ladder_moments(state)
         self.levels = np.arange(state.dim)
 

@@ -209,6 +209,16 @@ def test_polarization_weights_are_checked(kernel, weights, error):
         kernel(thermal(0.1, 16), outer(fock(1, 16)), weights)
 
 
+@pytest.mark.parametrize("kernel", [polarized, polarized_sqrt, quasidistance_DZ], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("other", [lambda: fock(1, 16), lambda: outer(fock(1, 16))], ids=["structured", "dense"])
+def test_nan_polarization_weights_are_refused(kernel, other):
+    # (z < 0).any() is False for NaN, which once let the value come out NaN
+    z = np.arange(16.0)
+    z[3] = np.nan
+    with pytest.raises(StateValidationError):
+        kernel(thermal(0.1, 16), other(), z)
+
+
 class TestQuasidistances:
     def test_dz_fock_pairs(self):
         z = np.arange(16, dtype=float)

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_density
 from qdist import (
     DensityOperator,
+    DiagonalState,
     FockVector,
     coherent,
     fock,
@@ -52,6 +53,28 @@ class TestConstruction:
     def test_dim_property(self):
         assert fock(0, 4).dim == 4
         assert thermal(0.5, 32).dim == 32
+
+    @pytest.mark.parametrize(
+        "pops,error",
+        [
+            ([1.2, -0.2], NotPositiveSemidefiniteError),
+            ([np.nan, 1.0], NotPositiveSemidefiniteError),
+            ([0.5, 0.6], StateValidationError),
+            ([[0.5, 0.5]], StateValidationError),
+            ([], StateValidationError),
+        ],
+        ids=["negative", "nan", "trace", "two-dimensional", "empty"],
+    )
+    def test_bad_populations_rejected(self, pops, error):
+        with pytest.raises(error):
+            DiagonalState(pops)
+
+    def test_diagonal_state_is_its_matrix(self):
+        rho = thermal(0.5, 32)
+        assert isinstance(rho, DiagonalState)
+        assert not rho.mat.flags.writeable and not rho.populations.flags.writeable
+        assert np.array_equal(rho.mat, np.diag(rho.populations))
+        assert np.array_equal(DensityOperator(rho.mat).populations, rho.populations)
 
 
 class TestOuter:

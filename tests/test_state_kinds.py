@@ -1,8 +1,14 @@
-"""A FockVector and its validated projector give the same numbers, bit for bit.
+"""Each state kind against the dense reference route.
 
-Every kernel that reads only ``mat`` and ``dim`` takes a pure state as
-it is; ``outer()`` stays the reference route.
+A ``FockVector`` or ``DiagonalState`` takes the structured kernels,
+which read amplitudes and populations; the same state as a validated
+``DensityOperator`` takes the dense route.  The two agree to 1e-12, and
+on identical pure pairs the structured route reads exactly 0.  Where the
+dense route has a documented defect (the eigensolver root of a
+projector), the reference is the exact root instead.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 
 from qdist import (
     DensityOperator,
+    DiagonalState,
     FockVector,
     StateSpec,
     adaptive_dim,
@@ -23,14 +30,14 @@ from qdist import (
     moment_table,
     outer,
     parse_state_spec,
-    polarized,
     thermal,
     wigner,
     yurke_stoler_phases,
 )
-from qdist.closed_forms import METRIC_NAMES
-from qdist.distances import evaluate_metric
+from qdist.closed_forms import METRIC_NAMES, thermal_pair
+from qdist.distances import METRICS, evaluate_metric
 from qdist.errors import DimensionMismatchError, StateValidationError, UnsupportedCombinationError
+from qdist.states import FAMILIES
 
 # one member of every pure family, each at adaptive dim <= 64
 PURE_SPECS = {
@@ -56,21 +63,109 @@ def states():
     return {name: build_state(spec, DIM) for name, spec in PURE_SPECS.items()}
 
 
+def _exact_root_dn_sqrt(a, b) -> float:
+    """dn-sqrt with each root exact: a pure state's own projector, or diag(sqrt p)."""
+    def root(s):
+        return s.mat if isinstance(s, FockVector) else np.diag(np.sqrt(s.populations))
+
+    delta = root(a) - root(b)
+    return math.sqrt(max(float(np.arange(a.dim) @ np.einsum("ij,ji->i", delta, delta).real), 0.0))
+
+
+def _dense_reference(metric, a, b) -> float:
+    if metric == "dn-sqrt":
+        # the dense route's eigensolver root of a projector is ~1e-7 off at dim 496
+        return _exact_root_dn_sqrt(a, b)
+    return evaluate_metric(metric, DensityOperator(a.mat), DensityOperator(b.mat)).value
+
+
 @pytest.mark.parametrize("metric", METRIC_NAMES)
 def test_metrics_equal_the_projector_route(states, metric):
     for a in states.values():
         for b in states.values():
             got = evaluate_metric(metric, a, b).value
+            if a is b:
+                assert got == 0.0
             if metric in PURE_ONLY:
                 with pytest.raises(UnsupportedCombinationError):
                     evaluate_metric(metric, outer(a), outer(b))
-            elif metric == "dn-sqrt":
-                # a pure state is its own root; the projector route takes an
-                # eigensolver root instead, so it is only close
-                assert got == polarized(outer(a), outer(b), np.arange(DIM, dtype=float))
-                assert got == pytest.approx(evaluate_metric(metric, outer(a), outer(b)).value, abs=1e-7)
-            else:
-                assert got == evaluate_metric(metric, outer(a), outer(b)).value
+            elif a is not b:
+                assert abs(got - _dense_reference(metric, a, b)) <= 1e-12
+
+
+def _random_state(draw_kind, dim, rng):
+    """A random pure state, number state or diagonal state; populations stay far above eps."""
+    if draw_kind == "pure":
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return FockVector(v / np.linalg.norm(v))
+    if draw_kind == "number":
+        return fock(int(rng.integers(dim)), dim)
+    p = rng.random(dim) + 0.05
+    return DiagonalState(p / p.sum())
+
+
+@given(
+    dim=st.integers(min_value=2, max_value=64),
+    kinds=st.tuples(*[st.sampled_from(("pure", "number", "diagonal"))] * 2),
+    metric=st.sampled_from([m for m in METRIC_NAMES if m not in PURE_ONLY] + ["hs-p:0.2", "hs-p:0.9"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_structured_kernels_match_the_dense_route(dim, kinds, metric, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (_random_state(kind, dim, rng) for kind in kinds)
+    got = evaluate_metric(metric, a, b).value
+    assert abs(got - _dense_reference(metric, a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [("thermal:0.3", "thermal:17"), ("thermal:0.1", "thermal:10")])
+def test_thermal_pairs_match_their_closed_form(pair):
+    # the dense route's null threshold once dropped the tail populations: 4.0e-8 and 3.4e-8 off
+    sa, sb = map(parse_state_spec, pair)
+    dim = max(adaptive_dim(sa), adaptive_dim(sb))
+    a, b = build_state(sa, dim), build_state(sb, dim)
+    expect = thermal_pair(sa.params["nbar"], sb.params["nbar"])["bu"]
+    for metric in ("bu", "hs-p:0.5"):
+        assert abs(evaluate_metric(metric, a, b).value - expect) <= 1e-10, metric
+
+
+class TestNoDenseSolver:
+    """The structured route makes no eigensolver or SVD call, so it cannot fall back to dense unseen."""
+
+    PAIRS = {
+        "pure": ("cat:1.2,0,0.7", "squeezed:0.4,0.1"),
+        "pure-number": ("coherent:1.2,0.3", "fock:3"),
+        "thermal": ("thermal:0.5", "thermal:2"),
+        "thermal-number": ("thermal:0.5", "fock:2"),
+        "thermal-coherent": ("thermal:0.5", "coherent:1.2,0.3"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_solvers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solver called")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    # the trace norm of a diagonal state against a non-number pure state stays dense
+    @pytest.mark.parametrize(
+        "pair,metric", [(p, m) for p in PAIRS for m in METRICS if (p, m) != ("thermal-coherent", "jmg")]
+    )
+    def test_metrics(self, pair, metric):
+        sa, sb = map(parse_state_spec, self.PAIRS[pair])
+        dim = max(adaptive_dim(sa), adaptive_dim(sb))
+        a, b = build_state(sa, dim), build_state(sb, dim)
+        if metric in PURE_ONLY and not pair.startswith("pure"):
+            with pytest.raises(UnsupportedCombinationError):
+                evaluate_metric(metric, a, b)
+        else:
+            assert math.isfinite(evaluate_metric(metric, a, b).value)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_build_state(self, family):
+        spec = {**PURE_SPECS, "thermal": parse_state_spec("thermal:0.5")}[family]
+        assert build_state(spec, DIM).dim == DIM
 
 
 @pytest.mark.parametrize("family", PURE_SPECS)
@@ -82,6 +177,16 @@ def test_kernels_equal_the_projector_route(states, family):
     assert np.array_equal(moment_table(psi, 6).m, moment_table(rho, 6).m)
     assert hs_bounds(psi, 2) == hs_bounds(rho, 2)
     assert mandel_q(psi) == mandel_q(rho)
+
+
+def test_diagonal_state_kernels_equal_the_matrix_route():
+    rho = thermal(0.8, 48)
+    dense = DensityOperator(rho.mat)
+    assert np.array_equal(wigner(rho).grid.values, wigner(dense).grid.values)
+    assert np.array_equal(husimi_q(rho).grid.values, husimi_q(dense).grid.values)
+    assert np.array_equal(moment_table(rho, 6).m, moment_table(dense, 6).m)
+    assert hs_bounds(rho, 2) == hs_bounds(dense, 2)
+    assert mandel_q(rho) == mandel_q(dense)
 
 
 def test_mat_is_a_fresh_read_only_projector(states):
