@@ -125,11 +125,13 @@ class DensityOperator:
         mat = np.array(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise StateValidationError(f"density matrix must be square, got {mat.shape}")
+        if not np.isfinite(mat).all():  # before eigvalsh, which fails on NaN or inf
+            raise StateValidationError("density matrix has a NaN or infinite entry")
         herm_defect = float(np.abs(mat - mat.conj().T).max())
-        if herm_defect > HERMITICITY_TOL:
+        if not herm_defect <= HERMITICITY_TOL:
             raise NotHermitianError(f"hermiticity defect {herm_defect:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateValidationError(f"trace {tr!r} differs from 1")
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < EIG_FLOOR:

@@ -10,9 +10,15 @@ band-limited integrands at hand the resulting error is pure aliasing,
 exponentially small as long as 2*pi/dq exceeds the combined momentum
 bandwidth (checked at call time).  The Wigner form of the HS distance
 steps its grid by the states' smallest quadrature spread
-(``states.quadrature_sigma_min``) and fringe scale.  The grid kernels
-read only a state's ``mat``, ``populations`` and ``dim``, so they take
-a state of any kind.
+(``states.quadrature_sigma_min``) and fringe scale.  The Wigner grid
+reads a state's ``mat``, ``populations`` and ``dim``, so it takes a
+state of any kind.  The Husimi grid reads the state's factors instead:
+populations against the Poisson weights |<n|alpha>|^2
+(``states.poisson_weights``) for a diagonal state, amplitudes against
+``states.coherent_amplitudes`` for a pure one; a general density matrix
+keeps the dense form.  The ``pp`` form's Bessel pairing kernel is a sum
+of products of the same Poisson weights, so no special function beyond
+them is evaluated here.
 
 Normalization conventions: int W dq dp / (2 pi) = 1 for the Wigner
 function; Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2);
@@ -35,7 +41,8 @@ from .errors import (
 )
 from .fock_core import DensityOperator, DiagonalState, FockVector
 from .states import (
-    StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, quadrature_sigma_min,
+    StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, poisson_weights,
+    quadrature_sigma_min,
 )
 
 MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wigner and P functions
@@ -137,16 +144,17 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
 
     Upward recurrence on the *normalized* eigenfunctions keeps every
     intermediate bounded, so no per-level rescaling is needed even at
-    n of a few hundred.
+    n of a few hundred.  Each level is one contiguous row while the
+    recurrence runs; the table is transposed once at the end.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((x.size, dim))
-    out[:, 0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    out = np.zeros((dim, x.size))
+    out[0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
     if dim > 1:
-        out[:, 1] = math.sqrt(2.0) * x * out[:, 0]
+        out[1] = math.sqrt(2.0) * x * out[0]
     for n in range(2, dim):
-        out[:, n] = math.sqrt(2.0 / n) * x * out[:, n - 1] - math.sqrt((n - 1.0) / n) * out[:, n - 2]
-    return out
+        out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    return np.ascontiguousarray(out.T)
 
 
 def _occupied_levels(rho, cut: float = 1e-14) -> int:
@@ -191,18 +199,35 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
 
 
 def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
-    """Q(alpha) = <alpha|rho|alpha> on the grid, alpha = (q + ip)/sqrt(2)."""
+    """Q(alpha) = <alpha|rho|alpha> on the grid, alpha = (q + ip)/sqrt(2).
+
+    Read off the state's factors: sum_n p_n e^{-|alpha|^2} |alpha|^{2n}/n!
+    (``states.poisson_weights``) for a ``DiagonalState`` and
+    |sum_n conj(c_n(alpha)) psi_n|^2 for a ``FockVector``; a general
+    ``DensityOperator`` takes the dense form c^dag rho c, the reference
+    route.  Points go 16,384 at a time, so memory stays at one
+    chunk x dim block.
+    """
     if grid is None:
         grid = default_grid(rho.dim)
     qq, pp = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
     alpha = ((qq + 1j * pp) / math.sqrt(2.0)).ravel()
     vals = np.empty(alpha.size)
     chunk = 16384
-    mat = rho.mat
     for lo in range(0, alpha.size, chunk):
-        c = coherent_amplitudes(alpha[lo : lo + chunk], rho.dim)
-        vals[lo : lo + chunk] = np.einsum("am,mn,an->a", c.conj(), mat, c).real
+        vals[lo : lo + chunk] = _coherent_expectations(rho, alpha[lo : lo + chunk])
     return QuasiDistribution(-1, grid.with_values(vals.reshape(grid.nq, grid.n_p)))
+
+
+def _coherent_expectations(rho, alpha: np.ndarray) -> np.ndarray:
+    """<alpha|rho|alpha> at each point of ``alpha``: from the factors of a pure or diagonal state, else dense."""
+    if isinstance(rho, DiagonalState):
+        return poisson_weights(alpha.real**2 + alpha.imag**2, 0, rho.dim) @ rho.populations
+    c = coherent_amplitudes(alpha, rho.dim)
+    if isinstance(rho, FockVector):
+        z = c.conj() @ rho.amp
+        return z.real**2 + z.imag**2
+    return np.einsum("am,mn,an->a", c.conj(), rho.mat, c, optimize=True).real
 
 
 def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistribution:
@@ -243,8 +268,10 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
     form = "wigner": sqrt( int dq dp/(2 pi) [W1 - W2]^2 ), any states.
     form = "qp":     sqrt( int d2a/pi [Q1 - Q2][P1 - P2] ), thermal pairs.
     form = "pp":     the double P-function integral with the Gaussian
-                     pairing kernel, thermal pairs (exact angular
-                     reduction to a radial double integral).
+                     pairing kernel, thermal pairs: angular integrals
+                     exact, the radial double integral on ``n_points``
+                     (1025) Simpson nodes with its kernel summed over
+                     Poisson weights (``_poisson_form``).
 
     ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states;
     specs are built at the larger dim the pair needs.
@@ -279,22 +306,39 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
             dp_vals = p_function_thermal(n1, grid).grid.values - p_function_thermal(n2, grid).grid.values
             sq = grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi)
             return math.sqrt(max(sq, 0.0))
-        # pp: angular integrals done exactly, radial double integral by Simpson;
-        # scipy is imported here so that importing qdist loads none of it
-        from scipy.special import i0e
-
+        # pp: angular integrals done exactly, radial double integral by Simpson
         n = n_points or 1025
         rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
         r = np.linspace(0.0, rmax, n)
         w = simpson_weights(n, r[1] - r[0])
         f = np.exp(-(r**2) / n1) / n1 - np.exp(-(r**2) / n2) / n2
-        rr, ss = np.meshgrid(r, r, indexing="ij")
-        kernel = i0e(2.0 * rr * ss) * np.exp(-((rr - ss) ** 2))
-        g = w * r * f
-        sq = 4.0 * float(g @ kernel @ g)
+        sq = 4.0 * _poisson_form(r * r, w * r * f)
         return math.sqrt(max(sq, 0.0))
 
     raise UnsupportedCombinationError(f"unknown phase-space form {form!r}")
+
+
+def _poisson_form(lam: np.ndarray, g: np.ndarray) -> float:
+    """g^T K g for the pp pairing kernel K_ij = I_0(2 r_i r_j) e^{-r_i^2 - r_j^2}, lam = r^2 rising.
+
+    K factors exactly as sum_k phi_k(lam_i) phi_k(lam_j) over the Poisson
+    weights phi_k(lam) = e^{-lam} lam^k / k!, so g^T K g is
+    sum_k (sum_i g_i phi_k(lam_i))^2, a sum of squares.  Node i's
+    weights are negligible outside its window lam_i +- (12 sqrt(lam_i) + 12);
+    the levels go in blocks of 256, each against the contiguous run of
+    nodes whose windows reach it, so the work is about n sqrt(lam) and
+    memory stays at one block.
+    """
+    half = 12.0 * np.sqrt(lam) + 12.0
+    hi = lam + half
+    lo = np.maximum(lam - half, 0.0)  # rising with lam, as hi is: 0 up to lam ~ 167
+    block = 256
+    total = 0.0
+    for k0 in range(0, int(hi[-1]) + 1, block):
+        i0, i1 = np.searchsorted(hi, k0), np.searchsorted(lo, k0 + block)
+        s = g[i0:i1] @ poisson_weights(lam[i0:i1], k0, k0 + block)
+        total += float(s @ s)
+    return total
 
 
 def grid_to_csv(qd: QuasiDistribution, path) -> None:

@@ -4,7 +4,9 @@ Pure families (Fock, coherent, generalized coherent, cat, squeezed
 vacuum, coherent phase) produce ``FockVector``; the thermal family
 produces a ``DiagonalState``, its population vector.  ``build_state``
 is the one family dispatch.  Each pure family has one amplitude
-recurrence, whose squared moduli are also its populations.  One tail
+recurrence, whose squared moduli are also its populations; the
+coherent amplitudes' squared moduli, the Poisson weights, also have a
+log-space form (``poisson_weights``) for the phase-space kernels.  One tail
 sum, ``_tails``, sizes every truncation: ``adaptive_dim`` picks the dim
 from it and every constructor checks a truncation-tail budget of 1e-12
 against it, renormalizing the retained amplitudes and recording the
@@ -121,6 +123,26 @@ def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
     steps[..., :1] = np.exp(-0.5 * np.abs(alpha) ** 2)
     steps[..., 1:] = alpha / np.sqrt(np.arange(1, dim))
     return np.cumprod(steps, axis=-1)
+
+
+def poisson_weights(lam, start: int, stop: int) -> np.ndarray:
+    """e^{-lam} lam^k / k! for start <= k < stop: |c_k|^2 of ``coherent_amplitudes`` at |alpha|^2 = lam.
+
+    Evaluated in log space, so none of e^{-lam}, lam^k and k! under- or
+    overflows on its own at any lam; log k! is lgamma(start + 1) plus a
+    cumulative sum of logs, so its rounding grows with stop - start, not
+    with k.  ``lam`` may be an array; the levels then run along a
+    new last axis.  lam = 0 reads as the smallest normal double, which
+    leaves the k = 0 weight 1 and every other one below 1e-307.
+    """
+    lam = np.asarray(lam, dtype=float)[..., None]
+    k = np.arange(start, stop)
+    log_fact = math.lgamma(start + 1) + np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    # in place: at a Husimi chunk these are 16,384 x dim arrays
+    w = k * np.log(np.maximum(lam, np.finfo(float).tiny))
+    w -= lam
+    w -= log_fact
+    return np.exp(w, out=w)
 
 
 def _amplitudes(spec: StateSpec, nmax: int) -> np.ndarray:

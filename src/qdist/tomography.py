@@ -224,21 +224,22 @@ class _AnalyticMarginals:
 class _FockMarginals:
     """Unit-radius marginals <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis.
 
-    With rho = sum_k v_k v_k^dag (the amplitudes of a pure state, or the
-    unit vectors of a thermal one scaled by the square roots of its
-    populations), w_theta(X) = sum_k |sum_n psi_n(X) e^{-i n theta} v_kn|^2.
+    A pure state gives w_theta(X) = |sum_n psi_n(X) e^{-i n theta} c_n|^2.
+    A thermal state is diagonal, so its marginal is the same at every
+    angle: w(X) = sum_n p_n psi_n(X)^2, O(points x dim) per node.
     """
 
     def __init__(self, spec: StateSpec):
-        state = build_state(spec, adaptive_dim(spec))
-        self.amps = state.amp[:, None] if isinstance(state, FockVector) else np.diag(np.sqrt(state.populations))
-        self.moments = ladder_moments(state)
-        self.levels = np.arange(state.dim)
+        self.state = build_state(spec, adaptive_dim(spec))
+        self.moments = ladder_moments(self.state)
 
     def tomogram(self, theta, x):
-        v = np.exp(-1j * theta * self.levels)[:, None] * self.amps
-        psi = oscillator_eigenfunctions(x, self.levels.size)
-        w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
+        psi = oscillator_eigenfunctions(x, self.state.dim)
+        if isinstance(self.state, FockVector):
+            v = np.exp(-1j * theta * np.arange(self.state.dim))[:, None] * self.state.amp[:, None]
+            w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
+        else:
+            w = psi**2 @ self.state.populations
         return Tomogram(math.cos(theta), math.sin(theta), x, w)
 
 

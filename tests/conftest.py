@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qdist import DensityOperator
+from qdist.phase_space import simpson_weights
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -35,6 +38,25 @@ def dense_moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
     powers = [np.linalg.matrix_power(a, k) for k in range(cutoff + 1)]
     # Tr(adag^k X) = <a^k, X> in the Frobenius inner product
     return np.array([[np.vdot(pk, pl @ mat) for pl in powers] for pk in powers])
+
+
+def bessel_pp_distance(n1: float, n2: float, n: int = 1025) -> float:
+    """The pp form of the HS distance between two thermal states, from a dense Bessel kernel.
+
+    The reference for the factored kernel in ``qdist.phase_space``: the
+    same radial Simpson nodes, with the n x n pairing kernel
+    K(r, s) = i0e(2rs) e^{-(r-s)^2} = I_0(2rs) e^{-r^2-s^2} built whole.
+    """
+    from scipy.special import i0e
+
+    rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
+    r = np.linspace(0.0, rmax, n)
+    w = simpson_weights(n, r[1] - r[0])
+    f = np.exp(-(r**2) / n1) / n1 - np.exp(-(r**2) / n2) / n2
+    rr, ss = np.meshgrid(r, r, indexing="ij")
+    kernel = i0e(2.0 * rr * ss) * np.exp(-((rr - ss) ** 2))
+    g = w * r * f
+    return math.sqrt(max(4.0 * float(g @ kernel @ g), 0.0))
 
 
 @pytest.fixture

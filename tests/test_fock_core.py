@@ -50,6 +50,19 @@ class TestConstruction:
         with pytest.raises(NotPositiveSemidefiniteError):
             DensityOperator(m)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [{(0, 0): np.nan}, {(0, 1): np.nan, (1, 0): np.nan}, {(1, 1): np.inf}],
+        ids=["nan-diagonal", "nan-off-diagonal-pair", "inf"],
+    )
+    def test_non_finite_entries_rejected(self, entries):
+        # NaN fails every comparison, so a check written as "defect > tol" would let it through
+        m = np.diag([0.5, 0.5]).astype(complex)
+        for index, value in entries.items():
+            m[index] = value
+        with pytest.raises(StateValidationError):
+            DensityOperator(m)
+
     def test_dim_property(self):
         assert fock(0, 4).dim == 4
         assert thermal(0.5, 32).dim == 32

@@ -108,7 +108,7 @@ def _module_level_imports(tree):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    # scipy costs ~0.3 s to import; only the pp form and the Wigner line integral need it
+    # scipy costs ~0.3 s to import; only the Wigner line integral (scipy.ndimage) needs it
     tree = ast.parse(path.read_text(encoding="utf-8"))
     scipy = sorted(
         f"{name} (line {line})" for line, name in _module_level_imports(tree) if name.split(".")[0] == "scipy"
@@ -116,10 +116,37 @@ def test_no_module_level_scipy_import(path):
     assert not scipy, f"{path.name} imports at module level: {', '.join(scipy)}"
 
 
-def test_importing_qdist_loads_no_scipy():
-    src = str(PACKAGE.resolve().parent)
-    code = "import qdist, qdist.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=src)
+def _scipy_loaded_after(code: str) -> str:
+    """The sorted scipy module names a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr[-300:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_qdist_loads_no_scipy():
+    assert _scipy_loaded_after("import qdist, qdist.cli") == "[]"
+
+
+def test_phase_space_imports_no_scipy():
+    # not even inside a function: the Husimi and pp kernels read Poisson weights from ``states``
+    tree = ast.parse((PACKAGE / "phase_space.py").read_text(encoding="utf-8"))
+    scipy = sorted(
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
+        if name.split(".")[0] == "scipy"
+    )
+    assert not scipy, f"phase_space.py imports {', '.join(scipy)}"
+
+
+def test_phase_space_forms_load_no_scipy():
+    code = (
+        "from qdist import hs_from_phase_space, parse_state_spec\n"
+        "a, b = parse_state_spec('thermal:1'), parse_state_spec('thermal:2')\n"
+        "hs_from_phase_space(a, b, 'pp')\n"
+        "hs_from_phase_space(a, b, 'qp')"
+    )
+    assert _scipy_loaded_after(code) == "[]"

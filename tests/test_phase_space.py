@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bessel_pp_distance
 from qdist import (
     PhaseGrid,
     StateSpec,
@@ -21,6 +22,7 @@ from qdist import (
     thermal,
     wigner,
 )
+from qdist.closed_forms import thermal_pair
 from qdist.errors import GridError, UnsupportedCombinationError
 from qdist.phase_space import grid_integral, simpson_weights
 
@@ -144,12 +146,44 @@ class TestPhaseSpaceDistance:
         d = hs_from_phase_space(a, b, "pp")
         assert d == pytest.approx(0.18257418583505539, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "n1,n2,rel",
+        [
+            (0.2, 0.5, 1e-12),
+            (1.0, 2.0, 1e-12),
+            (1.5, 3.5, 1e-12),
+            (3.0, 7.0, 1e-12),
+            (30.0, 50.0, 1e-12),
+            (100.0, 300.0, 1e-12),
+            (0.2, 1000.0, 1e-12),
+            (1000.0, 700.0, 1e-12),
+            (1e4, 5e3, 1e-10),
+            (1e4, 1.01e4, 1e-10),
+        ],
+    )
+    def test_pp_form_matches_the_bessel_kernel(self, n1, n2, rel):
+        a = StateSpec("thermal", {"nbar": n1})
+        b = StateSpec("thermal", {"nbar": n2})
+        expect = bessel_pp_distance(n1, n2)
+        assert abs(hs_from_phase_space(a, b, "pp") - expect) <= rel * expect
+
+    @pytest.mark.parametrize("nbar", [0.2, 2.5, 1000.0])
+    def test_pp_form_identical_pair_is_zero(self, nbar):
+        a = StateSpec("thermal", {"nbar": nbar})
+        assert hs_from_phase_space(a, a, "pp") == 0.0
+
     def test_qp_form_thermal(self):
         a = StateSpec("thermal", {"nbar": 0.5})
         b = StateSpec("thermal", {"nbar": 1.5})
         dim = max(adaptive_dim(a), adaptive_dim(b))
         expect = hilbert_schmidt(thermal(0.5, dim), thermal(1.5, dim))
         assert hs_from_phase_space(a, b, "qp") == pytest.approx(expect, abs=1e-4)
+
+    def test_qp_form_wide_thermal_pair(self):
+        # dim 240: the factored Husimi grids make this a fraction of a second
+        a = StateSpec("thermal", {"nbar": 5.0})
+        b = StateSpec("thermal", {"nbar": 8.0})
+        assert abs(hs_from_phase_space(a, b, "qp") - thermal_pair(5.0, 8.0)["hs"]) <= 1e-10
 
     def test_qp_rejects_non_thermal(self):
         a = StateSpec("thermal", {"nbar": 1.0})
