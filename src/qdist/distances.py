@@ -10,14 +10,16 @@ diagonal, a weight vector.  ``METRICS`` maps each CLI metric name to
 its kernel.  All functions are pure and take states of any kind and
 equal dimension.
 
-Pure and diagonal states take an O(dim) route through one primitive,
-``_product_diagonal``: the diagonal at offset k of the product of two
-state factors, a pure state's amplitudes or a diagonal state's
-populations raised to the metric's power.  Pure pairs read the
+Every kernel reads the states' factors (``fock_core``: a 2-d W with
+rho^p = W W^dag, or a 1-d d with rho^p = diag(d)) through one
+primitive, ``_product_diagonal``, the diagonal at offset k of the
+product of two factored operators; the Bures fidelity is the trace norm
+of W1^dag W2.  A pure or diagonal state's factor is its amplitudes or
+populations, so those take O(dim) work.  Pure pairs read the
 cancellation-free forms of ``pure_state_distance``, so identical rays
-give exactly 0.  A general ``DensityOperator`` takes the dense reference
-route through ``mat``, and so does the trace norm of a diagonal state
-against a pure state that is not a number state.
+give exactly 0.  Only the trace norm of a general state, or of a
+diagonal state against a pure state that is not a number state, reads
+the dense ``mat``.
 """
 
 from __future__ import annotations
@@ -32,19 +34,10 @@ from .errors import (
     DimensionMismatchError,
     NumericalToleranceError,
     StateValidationError,
-    TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
-from .fock_core import (
-    MAX_DENSE_DIM,
-    DiagonalState,
-    FockVector,
-    hermitian_sqrt,
-    psd_power,
-    trace_norm,
-    trace_product,
-)
-from .states import MomentTable, _moments, inv_sqrt_factorials, moment_table
+from .fock_core import DiagonalState, FockVector, trace_norm
+from .states import MomentTable, _moments, inv_sqrt_factorials
 
 # Squared distances are clamped at zero before the square root; a
 # negative square larger than this raises instead.
@@ -103,48 +96,31 @@ def _pure_pair(r1, r2) -> bool:
     return isinstance(r1, FockVector) and isinstance(r2, FockVector)
 
 
-def _factors(r1, r2, p: float = 1.0):
-    """Factors of rho1^p and rho2^p, or None when either state is a general DensityOperator.
-
-    A factor is ``(c, None)`` for c c^dag, which is its own power, or
-    ``(None, d)`` for diag(d).
-    """
-    def factor(r):
-        if isinstance(r, FockVector):
-            return r.amp, None
-        if isinstance(r, DiagonalState):
-            return None, r.populations**p
-        return None
-
-    x, y = factor(r1), factor(r2)
-    return None if x is None or y is None else (x, y)
-
-
 def _product_diagonal(x, y, k: int = 0) -> np.ndarray:
-    """Diagonal at offset k (``np.diagonal``'s convention) of the product XY of two factors.
+    """Diagonal at offset k (``np.diagonal``'s convention) of the product XY of two factored operators.
 
-    XY is diag(d_x d_y), or the rank-one u v^dag picked below, whose
-    offset-k diagonal u_i conj(v_{i+k}) costs O(dim).
+    A factor is a 1-d d for X = diag(d) or a 2-d W for X = W W^dag.  XY
+    is diag(d_x d_y), or U V^dag with U, V picked below, whose offset-k
+    diagonal sum_j U_ij conj(V_{i+k,j}) costs O(dim x rank).
     """
-    (cx, dx), (cy, dy) = x, y
-    if cx is None and cy is None:
-        return dx * dy if k == 0 else np.zeros(dx.size - abs(k))
-    if cy is None:
-        u, v = cx, dy * cx  # c c^dag diag(d) = c (d c)^dag, d real
-    elif cx is None:
-        u, v = dx * cy, cy
+    if x.ndim == 1 and y.ndim == 1:
+        return x * y if k == 0 else np.zeros(x.size - abs(k))
+    if y.ndim == 1:
+        u, v = x, y[:, None] * x  # W W^dag diag(d) = W (d W)^dag, d real
+    elif x.ndim == 1:
+        u, v = x[:, None] * y, y
     else:
-        u, v = cx * np.vdot(cx, cy), cy
-    n = u.size
-    return u[max(-k, 0) : n - max(k, 0)] * v[max(k, 0) : n - max(-k, 0)].conj()
+        g = x.conj().T @ y  # W_x W_x^dag W_y W_y^dag = (W_x g) W_y^dag
+        u, v = (x * g if x.shape[1] == 1 else x @ g), y  # one column scales elementwise, bit for bit
+    n = u.shape[0]
+    return (u[max(-k, 0) : n - max(k, 0)] * v[max(k, 0) : n - max(-k, 0)].conj()).sum(axis=1)
 
 
 def _delta_sq_diagonal(x, y, k: int = 0) -> np.ndarray:
-    """Offset-k diagonal of (X - Y)^2 for two factors."""
-    if x[0] is None and y[0] is None:
+    """Offset-k diagonal of (X - Y)^2 for two factored operators."""
+    if x.ndim == 1 and y.ndim == 1:
         # X - Y is diagonal itself: squaring it leaves no cancellation
-        d = (None, x[1] - y[1])
-        return _product_diagonal(d, d, k)
+        return _product_diagonal(x - y, x - y, k)
     return (_product_diagonal(x, x, k) + _product_diagonal(y, y, k)
             - _product_diagonal(x, y, k) - _product_diagonal(y, x, k))
 
@@ -155,11 +131,7 @@ def _delta_sq_diagonal(x, y, k: int = 0) -> np.ndarray:
 
 def hilbert_schmidt(r1, r2) -> float:
     """sqrt(Tr rho1^2 + Tr rho2^2 - 2 Tr rho1 rho2) <= sqrt(2); states of any kind."""
-    _check_dims(r1, r2)
-    if _factors(r1, r2) is None:
-        d = _clamped_sqrt(trace_product(r1, r1) + trace_product(r2, r2) - 2.0 * trace_product(r1, r2))
-    else:
-        d = modified_hs(r1, r2, 1.0)
+    d = modified_hs(r1, r2, 1.0)
     if d > math.sqrt(2.0) + 1e-9:
         raise NumericalToleranceError(f"Hilbert-Schmidt distance {d!r} exceeds sqrt(2)")
     return d
@@ -183,24 +155,25 @@ def jmg_distance(r1, r2) -> float:
 def bures_uhlmann(r1, r2) -> float:
     """sqrt(2 - 2F) with Uhlmann's fidelity F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)); states of any kind.
 
-    A pure pair gives the minimal distance, a pure and a diagonal state
-    F = sqrt(Tr rho1 rho2), two diagonal states F = sum sqrt(p1 p2).  On
-    the dense route F is the nuclear norm of sqrt(rho2) sqrt(rho1):
-    singular values are nonnegative by construction, so eigensolver
-    noise in a null space cannot get amplified by the outer square root.
+    F = ||W1^dag W2||_1 for any factors rho = W W^dag (Uhlmann, Rep.
+    Math. Phys. 9, 273 (1976)).  A pure pair gives the minimal distance.
+    When either state has rank one, W1^dag W2 is a vector and F its norm,
+    sqrt(Tr rho1 rho2); two diagonal states give F = sum sqrt(p1 p2).
+    Otherwise F is the nuclear norm of W1^dag W2: singular values are
+    nonnegative by construction, so eigensolver noise in a null space
+    cannot get amplified by an outer square root.
     """
     _check_dims(r1, r2)
     if _pure_pair(r1, r2):
         return pure_state_distance(r1, r2, "minimal")
-    xy = _factors(r1, r2)
-    if xy is None:
-        s1 = psd_power(r1.mat, 0.5)
-        s2 = psd_power(r2.mat, 0.5)
-        fid = float(np.linalg.svd(s2 @ s1, compute_uv=False).sum())
-    elif isinstance(r1, FockVector) or isinstance(r2, FockVector):
-        fid = math.sqrt(max(float(_product_diagonal(*xy).real.sum()), 0.0))
+    x, y = r1.factor(1.0), r2.factor(1.0)
+    if x.ndim == 1 and y.ndim == 1:
+        fid = float(_product_diagonal(r1.factor(0.5), r2.factor(0.5)).sum())
+    elif x.shape[1:] == (1,) or y.shape[1:] == (1,):
+        fid = math.sqrt(max(float(_product_diagonal(x, y).real.sum()), 0.0))
     else:
-        fid = float(_product_diagonal(*_factors(r1, r2, 0.5)).sum())
+        w1, w2 = (w if w.ndim == 2 else np.diag(np.sqrt(w)) for w in (x, y))
+        fid = float(np.linalg.svd(w1.conj().T @ w2, compute_uv=False).sum())
     return _clamped_sqrt(2.0 - 2.0 * fid)
 
 
@@ -216,13 +189,7 @@ def modified_hs(r1, r2, p: float) -> float:
     _check_dims(r1, r2)
     if _pure_pair(r1, r2):
         return pure_state_distance(r1, r2, "fs")
-    xy = _factors(r1, r2, p)
-    if xy is not None:
-        return _clamped_sqrt(float(_delta_sq_diagonal(*xy).real.sum()))
-    # the same thresholded root as Bures-Uhlmann, so the commuting-pair
-    # identity at p = 1/2 holds to close to machine precision
-    diff = psd_power(r1.mat, p) - psd_power(r2.mat, p)
-    return float(np.linalg.norm(diff))
+    return _clamped_sqrt(float(_delta_sq_diagonal(r1.factor(p), r2.factor(p)).real.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +207,6 @@ def _check_polarization(r1, r2, z) -> np.ndarray:
     return z
 
 
-def _square_diagonal(delta: np.ndarray) -> np.ndarray:
-    """diag(delta^2) of a Hermitian matrix, real."""
-    return np.einsum("ij,ji->i", delta, delta).real
-
-
 def _weighted_norm(dd: np.ndarray, z: np.ndarray) -> float:
     """sqrt(Tr(Z delta^2)) from dd = diag(delta^2) and the diagonal z of Z."""
     sq = float((z * dd).sum())
@@ -260,9 +222,7 @@ def polarized(r1, r2, z) -> float:
     weight per level: ``np.arange(dim, dtype=float)`` for Z = N.
     """
     z = _check_polarization(r1, r2, z)
-    xy = _factors(r1, r2)
-    dd = _square_diagonal(r1.mat - r2.mat) if xy is None else _delta_sq_diagonal(*xy).real
-    return _weighted_norm(dd, z)
+    return _weighted_norm(_delta_sq_diagonal(r1.factor(1.0), r2.factor(1.0)).real, z)
 
 
 def polarized_sqrt(r1, r2, z) -> float:
@@ -270,17 +230,12 @@ def polarized_sqrt(r1, r2, z) -> float:
 
     A pure state is its own root and a diagonal state's root is the root
     of its populations, every one of them counted in full.  A general
-    DensityOperator takes the eigensolver's unthresholded root; a
-    projector's root taken that way carries sqrt(eps)-sized noise from
-    its null space, which the weight n turns into errors near 1e-7 at
-    dim 496, so pass pure states as ``FockVector``.  ``z`` is the
+    DensityOperator's root drops the eigenvalues below its null
+    threshold (see ``fock_core.DensityOperator``).  ``z`` is the
     diagonal of Z, as in ``polarized``.
     """
     z = _check_polarization(r1, r2, z)
-    xy = _factors(r1, r2, 0.5)
-    if xy is None:
-        return _weighted_norm(_square_diagonal(hermitian_sqrt(r1) - hermitian_sqrt(r2)), z)
-    return _weighted_norm(_delta_sq_diagonal(*xy).real, z)
+    return _weighted_norm(_delta_sq_diagonal(r1.factor(0.5), r2.factor(0.5)).real, z)
 
 
 def quasidistance_DZ(r1, r2, z) -> float:
@@ -290,8 +245,7 @@ def quasidistance_DZ(r1, r2, z) -> float:
     Identical states (ratio 0/0) give 0 by convention.
     """
     z = _check_polarization(r1, r2, z)
-    xy = _factors(r1, r2)
-    dd = _square_diagonal(r1.mat - r2.mat) if xy is None else _delta_sq_diagonal(*xy).real
+    dd = _delta_sq_diagonal(r1.factor(1.0), r2.factor(1.0)).real
     t_norm = float(dd.sum())
     if t_norm < 1e-14:
         return 0.0
@@ -304,12 +258,8 @@ def quasidistance_DZ(r1, r2, z) -> float:
 def quasidistance_Da(r1, r2) -> float:
     """Lowering-operator quasidistance of d = rho1 - rho2; states of any kind."""
     _check_dims(r1, r2)
-    xy = _factors(r1, r2)
-    if xy is None:
-        delta = r1.mat - r2.mat
-        m = moment_table(delta @ delta, 1).m
-    else:
-        m = _moments(lambda k: _delta_sq_diagonal(*xy, k), r1.dim, 1)
+    x, y = r1.factor(1.0), r2.factor(1.0)
+    m = _moments(lambda k: _delta_sq_diagonal(x, y, k), r1.dim, 1)
     # m[k, l] = Tr(adag^k a^l d^2)
     t_norm = float(m[0, 0].real)
     if t_norm < 1e-14:
@@ -406,17 +356,11 @@ def evaluate_metric(name, a, b) -> DistanceReport:
 
     ``a`` and ``b`` are states of any kind and equal dimension, passed
     to the kernels as given.  The pure-only metrics (fs, minimal,
-    wootters) reject mixed input; every other metric refuses dims above
-    ``MAX_DENSE_DIM`` before any kernel runs, since the dense route and
-    the diagonal-vs-pure trace norm build each state's dim x dim ``mat``.
-    The name is read by ``closed_forms.parse_metric``: only ``hs-p``
-    takes a ``:<p>`` suffix, its power (1/2 when absent).
+    wootters) reject mixed input.  The name is read by
+    ``closed_forms.parse_metric``: only ``hs-p`` takes a ``:<p>``
+    suffix, its power (1/2 when absent).
     """
     base, p = parse_metric(name)
-    dim = max(a.dim, b.dim)
-    if base in PURE_ONLY:
-        if not (isinstance(a, FockVector) and isinstance(b, FockVector)):
-            raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
-    elif dim > MAX_DENSE_DIM:
-        raise TruncationInfeasibleError(f"metric {base!r} stops at dim {MAX_DENSE_DIM}, got {dim}")
+    if base in PURE_ONLY and not _pure_pair(a, b):
+        raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
     return DistanceReport(base, METRICS[base](a, b, p), a.dim)

@@ -6,16 +6,21 @@ for pure states, ``DiagonalState`` for mixed states diagonal in the
 number basis (the thermal family) and ``DensityOperator`` for any other
 mixed state.  Each checks its defining invariants on construction and
 is treated as immutable afterwards, so they are safe to share between
-workers.  Each exposes ``dim``, ``populations`` and ``mat``; the first
-two store only a vector and build ``mat``, a dim x dim matrix, on each
-access, so a kernel that reads only ``mat`` and ``dim`` takes any kind.
+workers.  Each exposes ``dim``, ``populations``, ``mat`` and
+``factor(p)``.  The first two kinds store only a vector and build
+``mat``, a dim x dim matrix, on each access, up to ``MAX_DENSE_DIM``.
+
+``factor(p)`` is what the kernels read: a 2-d W with rho^p = W W^dag
+(a pure state's amplitudes as one column, since a projector is its own
+power; a general state's eigenvectors scaled by eigenvalue^(p/2)), or a
+1-d d with rho^p = diag(d) (a diagonal state's populations to the p).
 
 All arithmetic is double precision; there are no mixed-precision paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     NumericalToleranceError,
     StateValidationError,
+    TruncationInfeasibleError,
 )
 
 NORM_TOL = 1e-10
@@ -34,15 +40,19 @@ TRACE_TOL = 1e-10
 # anything below the floor means the matrix is genuinely corrupted, so we
 # fail loudly instead of repairing it.
 EIG_FLOOR = -1e-10
-# Largest dim at which a dense dim x dim matrix is built: the metric
-# kernels and the thermal constructor stop here before allocating, since
-# any ``mat`` they hand on builds one on access.
+# Largest dim at which ``FockVector.mat`` and ``DiagonalState.mat`` build
+# their dim x dim matrix; above it they raise before allocating.
 MAX_DENSE_DIM = 4096
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_dense_dim(dim: int) -> None:
+    if dim > MAX_DENSE_DIM:
+        raise TruncationInfeasibleError(f"a dense dim x dim matrix stops at dim {MAX_DENSE_DIM}, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,12 @@ class FockVector:
     @property
     def mat(self) -> np.ndarray:
         """|psi><psi|, PSD by construction: built on each access, never cached or re-validated."""
+        _check_dense_dim(self.dim)
         return _readonly(np.outer(self.amp, self.amp.conj()))
+
+    def factor(self, p: float) -> np.ndarray:
+        """The amplitudes as one column W, with rho^p = rho = W W^dag for every p."""
+        return self.amp[:, None]
 
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>."""
@@ -111,21 +126,34 @@ class DiagonalState:
     @property
     def mat(self) -> np.ndarray:
         """diag(p), built on each access as ``FockVector.mat`` is."""
+        _check_dense_dim(self.dim)
         return _readonly(np.diag(self.populations).astype(complex))
+
+    def factor(self, p: float) -> np.ndarray:
+        """The populations to the p, a 1-d d with rho^p = diag(d)."""
+        return self.populations**p
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Mixed state: Hermitian, trace-one, positive-semidefinite matrix."""
+    """Mixed state: Hermitian, trace-one, positive-semidefinite matrix.
+
+    The constructor's eigendecomposition is kept for ``factor``.
+    Eigenvalues below ``EIG_FLOOR`` raise; those up to
+    dim * eps * max(eigenvalue), clamped noise included, count as exact
+    zeros, since a power of eigensolver noise in a null space would
+    inject errors of order eps^p per rank-deficient direction.
+    """
 
     mat: np.ndarray
     tail_mass: float = 0.0
+    _eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise StateValidationError(f"density matrix must be square, got {mat.shape}")
-        if not np.isfinite(mat).all():  # before eigvalsh, which fails on NaN or inf
+        if not np.isfinite(mat).all():  # before eigh, which fails on NaN or inf
             raise StateValidationError("density matrix has a NaN or infinite entry")
         herm_defect = float(np.abs(mat - mat.conj().T).max())
         if not herm_defect <= HERMITICITY_TOL:
@@ -133,14 +161,21 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateValidationError(f"trace {tr!r} differs from 1")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < EIG_FLOOR:
-            raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
+        vals, vecs = np.linalg.eigh(mat)
+        if vals[0] < EIG_FLOOR:
+            raise NotPositiveSemidefiniteError(f"eigenvalue {vals[0]:.3e} below {EIG_FLOOR}")
+        keep = vals > mat.shape[0] * np.finfo(float).eps * vals[-1]
         object.__setattr__(self, "mat", _readonly(mat))
+        object.__setattr__(self, "_eig", (vals[keep], vecs[:, keep]))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    def factor(self, p: float) -> np.ndarray:
+        """W = eigenvectors x eigenvalue^(p/2), one column per eigenvalue above the null threshold: rho^p = W W^dag."""
+        vals, vecs = self._eig
+        return vecs * vals ** (0.5 * p)
 
     @property
     def populations(self) -> np.ndarray:
@@ -176,35 +211,10 @@ def purity(rho: DensityOperator) -> float:
     return p
 
 
-def psd_power(mat: np.ndarray, p: float, threshold_null: bool = True) -> np.ndarray:
-    """Hermitian power mat^p, p > 0, of a PSD Hermitian matrix.
-
-    Eigenvalues below ``EIG_FLOOR`` raise ``NotPositiveSemidefiniteError``;
-    those in [EIG_FLOOR, 0) are clamped to zero.  With ``threshold_null``
-    eigenvalues up to dim * eps * max(eigenvalue) count as exact zeros
-    too: a power of eigensolver noise in a null space would otherwise
-    inject errors of order eps^p per rank-deficient direction.  Without
-    it every positive eigenvalue is kept, preserving genuinely tiny
-    populations exactly.
-    """
-    vals, vecs = np.linalg.eigh(mat)
-    lo = float(vals[0])
-    if lo < EIG_FLOOR:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3e} below {EIG_FLOOR}")
-    tiny = mat.shape[0] * np.finfo(float).eps * max(float(vals[-1]), 0.0) if threshold_null else 0.0
-    powed = np.where(vals > tiny, vals, 0.0) ** p
-    out = (vecs * powed) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def hermitian_sqrt(rho: DensityOperator) -> np.ndarray:
-    """The unique PSD Hermitian S with S^2 = rho.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero before the square
-    root; anything lower raises ``NotPositiveSemidefiniteError``.  No
-    null-space threshold is applied.
-    """
-    return psd_power(rho.mat, 0.5, threshold_null=False)
+def hermitian_sqrt(rho) -> np.ndarray:
+    """The PSD Hermitian S with S^2 = rho, for a state of any kind, from ``factor(0.5)``."""
+    w = rho.factor(0.5)
+    return np.diag(w) if w.ndim == 1 else w @ w.conj().T
 
 
 def trace_norm(delta: np.ndarray) -> float:

@@ -12,13 +12,12 @@ bandwidth (checked at call time).  The Wigner form of the HS distance
 steps its grid by the states' smallest quadrature spread
 (``states.quadrature_sigma_min``) and fringe scale.  The Wigner grid
 reads a state's ``mat``, ``populations`` and ``dim``, so it takes a
-state of any kind.  The Husimi grid reads the state's factors instead:
-populations against the Poisson weights |<n|alpha>|^2
-(``states.poisson_weights``) for a diagonal state, amplitudes against
-``states.coherent_amplitudes`` for a pure one; a general density matrix
-keeps the dense form.  The ``pp`` form's Bessel pairing kernel is a sum
-of products of the same Poisson weights, so no special function beyond
-them is evaluated here.
+state of any kind.  The Husimi grid reads the state's factor
+(``fock_core``) instead: a 1-d factor, a diagonal state's populations,
+against the Poisson weights |<n|alpha>|^2 (``states.poisson_weights``);
+the columns of a 2-d one against ``states.coherent_amplitudes``.  The
+``pp`` form's Bessel pairing kernel is a sum of products of the same
+Poisson weights, so no special function beyond them is evaluated here.
 
 Normalization conventions: int W dq dp / (2 pi) = 1 for the Wigner
 function; Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2);
@@ -46,6 +45,8 @@ from .states import (
 )
 
 MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wigner and P functions
+# points x levels a Husimi chunk holds: 16,384 points up to dim 512, fewer above
+HUSIMI_BLOCK = 16384 * 512
 
 
 @dataclass(frozen=True)
@@ -201,33 +202,30 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
 def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     """Q(alpha) = <alpha|rho|alpha> on the grid, alpha = (q + ip)/sqrt(2).
 
-    Read off the state's factors: sum_n p_n e^{-|alpha|^2} |alpha|^{2n}/n!
-    (``states.poisson_weights``) for a ``DiagonalState`` and
-    |sum_n conj(c_n(alpha)) psi_n|^2 for a ``FockVector``; a general
-    ``DensityOperator`` takes the dense form c^dag rho c, the reference
-    route.  Points go 16,384 at a time, so memory stays at one
-    chunk x dim block.
+    Read off the state's factor: sum_n p_n e^{-|alpha|^2} |alpha|^{2n}/n!
+    (``states.poisson_weights``) for a 1-d one, the populations, and
+    sum_j |sum_n conj(c_n(alpha)) W_nj|^2 for a 2-d W.  Points go in
+    chunks of ``HUSIMI_BLOCK`` / dim (at most 16,384), so memory stays at
+    a few chunk x dim blocks whatever the dim.
     """
     if grid is None:
         grid = default_grid(rho.dim)
     qq, pp = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
     alpha = ((qq + 1j * pp) / math.sqrt(2.0)).ravel()
     vals = np.empty(alpha.size)
-    chunk = 16384
+    w = rho.factor(1.0)
+    chunk = max(min(16384, HUSIMI_BLOCK // rho.dim), 1)
     for lo in range(0, alpha.size, chunk):
-        vals[lo : lo + chunk] = _coherent_expectations(rho, alpha[lo : lo + chunk])
+        vals[lo : lo + chunk] = _coherent_expectations(w, alpha[lo : lo + chunk])
     return QuasiDistribution(-1, grid.with_values(vals.reshape(grid.nq, grid.n_p)))
 
 
-def _coherent_expectations(rho, alpha: np.ndarray) -> np.ndarray:
-    """<alpha|rho|alpha> at each point of ``alpha``: from the factors of a pure or diagonal state, else dense."""
-    if isinstance(rho, DiagonalState):
-        return poisson_weights(alpha.real**2 + alpha.imag**2, 0, rho.dim) @ rho.populations
-    c = coherent_amplitudes(alpha, rho.dim)
-    if isinstance(rho, FockVector):
-        z = c.conj() @ rho.amp
-        return z.real**2 + z.imag**2
-    return np.einsum("am,mn,an->a", c.conj(), rho.mat, c, optimize=True).real
+def _coherent_expectations(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """<alpha|rho|alpha> at each point of ``alpha`` from a factor ``w`` of rho."""
+    if w.ndim == 1:
+        return poisson_weights(alpha.real**2 + alpha.imag**2, 0, w.size) @ w
+    z = coherent_amplitudes(alpha, w.shape[0]).conj() @ w
+    return (z.real**2 + z.imag**2).sum(axis=1)
 
 
 def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistribution:

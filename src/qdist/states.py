@@ -36,7 +36,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import MAX_DENSE_DIM, DensityOperator, DiagonalState, FockVector
+from .fock_core import DensityOperator, DiagonalState, FockVector
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -283,16 +283,9 @@ def build_state(spec: StateSpec, dim: int):
     This is the one family dispatch: the named constructors below, all
     but ``fock``, call it.  The truncation must discard less than ``TAIL_TOL`` of the
     probability; the retained amplitudes (or populations) are
-    renormalized and the discarded mass is recorded on the state.  A
-    thermal state stores only its populations, but stops at
-    ``MAX_DENSE_DIM`` all the same: its ``mat``, which the dense kernels
-    read, is a dim x dim matrix built on access.
+    renormalized and the discarded mass is recorded on the state.
     """
     f, p = spec.family, spec.params
-    if f == "thermal" and dim > MAX_DENSE_DIM:
-        raise TruncationInfeasibleError(
-            f"thermal states build a dim x dim mat and stop at dim {MAX_DENSE_DIM}, got {dim}"
-        )
     if f == "generalized_coherent" and len(p["phases"]) < dim:
         raise StateValidationError(f"phase table has {len(p['phases'])} entries, need >= {dim}")
     tail = truncation_tail(spec, dim)

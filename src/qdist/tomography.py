@@ -39,7 +39,6 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import FockVector
 from .phase_space import MASS_TOL, QuasiDistribution, oscillator_eigenfunctions, simpson_weights
 from .states import (
     StateSpec, adaptive_dim, alpha_squared, build_state, ladder_moments, quadrature_moments,
@@ -224,22 +223,26 @@ class _AnalyticMarginals:
 class _FockMarginals:
     """Unit-radius marginals <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis.
 
-    A pure state gives w_theta(X) = |sum_n psi_n(X) e^{-i n theta} c_n|^2.
-    A thermal state is diagonal, so its marginal is the same at every
-    angle: w(X) = sum_n p_n psi_n(X)^2, O(points x dim) per node.
+    Read off the state's factor (``fock_core``).  A 2-d W gives
+    w_theta(X) = sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2, one column
+    for a pure state.  A 1-d factor, a diagonal state's populations p_n,
+    gives the same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2,
+    O(points x dim) per node.
     """
 
     def __init__(self, spec: StateSpec):
-        self.state = build_state(spec, adaptive_dim(spec))
-        self.moments = ladder_moments(self.state)
+        state = build_state(spec, adaptive_dim(spec))
+        self.factor = state.factor(1.0)
+        self.moments = ladder_moments(state)
 
     def tomogram(self, theta, x):
-        psi = oscillator_eigenfunctions(x, self.state.dim)
-        if isinstance(self.state, FockVector):
-            v = np.exp(-1j * theta * np.arange(self.state.dim))[:, None] * self.state.amp[:, None]
-            w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
+        f = self.factor
+        psi = oscillator_eigenfunctions(x, f.shape[0])
+        if f.ndim == 1:
+            w = psi**2 @ f
         else:
-            w = psi**2 @ self.state.populations
+            v = np.exp(-1j * theta * np.arange(f.shape[0]))[:, None] * f
+            w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
         return Tomogram(math.cos(theta), math.sin(theta), x, w)
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qdist import DensityOperator
+from qdist.closed_forms import parse_metric
 from qdist.phase_space import simpson_weights
+from qdist.states import coherent_amplitudes
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -38,6 +40,76 @@ def dense_moments(mat: np.ndarray, cutoff: int) -> np.ndarray:
     powers = [np.linalg.matrix_power(a, k) for k in range(cutoff + 1)]
     # Tr(adag^k X) = <a^k, X> in the Frobenius inner product
     return np.array([[np.vdot(pk, pl @ mat) for pl in powers] for pk in powers])
+
+
+def dense_power(mat: np.ndarray, p: float) -> np.ndarray:
+    """mat^p of a PSD Hermitian matrix from its eigendecomposition, the thresholded eigen-root.
+
+    Eigenvalues up to dim * eps * max(eigenvalue) count as exact zeros,
+    the null threshold ``qdist.fock_core.DensityOperator`` applies.
+    """
+    vals, vecs = np.linalg.eigh(mat)
+    tiny = mat.shape[0] * np.finfo(float).eps * vals[-1]
+    out = (vecs * np.where(vals > tiny, vals, 0.0) ** p) @ vecs.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def _square_diagonal(delta: np.ndarray) -> np.ndarray:
+    """diag(delta^2) of a Hermitian matrix, real."""
+    return np.einsum("ij,ji->i", delta, delta).real
+
+
+def _trace_product(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.einsum("ij,ji->", x, y).real)
+
+
+def dense_metric(metric: str, a, b) -> float:
+    """A density metric of ``qdist.distances.METRICS`` between two states, from their dense ``mat``.
+
+    The reference for the factored kernels in ``qdist.distances``: trace
+    products, thresholded eigen-roots, the SVD fidelity, diag(delta^2)
+    and the dense moment table, with Z = N for the polarized forms.
+    """
+    base, p = parse_metric(metric)
+    m1, m2 = a.mat, b.mat
+    z = np.arange(a.dim, dtype=float)
+    dd = _square_diagonal(m1 - m2)
+    if base == "hs":
+        return math.sqrt(max(_trace_product(m1, m1) + _trace_product(m2, m2) - 2.0 * _trace_product(m1, m2), 0.0))
+    if base == "hs-p":
+        return float(np.linalg.norm(dense_power(m1, p) - dense_power(m2, p)))
+    if base == "bu":
+        fid = float(np.linalg.svd(dense_power(m2, 0.5) @ dense_power(m1, 0.5), compute_uv=False).sum())
+        return math.sqrt(max(2.0 - 2.0 * fid, 0.0))
+    if base == "jmg":
+        return 0.5 * float(np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
+    if base == "dn":
+        return math.sqrt(max(float(z @ dd), 0.0))
+    if base == "dn-sqrt":
+        return math.sqrt(max(float(z @ _square_diagonal(dense_power(m1, 0.5) - dense_power(m2, 0.5))), 0.0))
+    if base == "DZ":
+        t_norm = float(dd.sum())
+        if t_norm < 1e-14:
+            return 0.0
+        return math.sqrt(max(float(z @ dd) - float(np.sqrt(z) @ dd) ** 2 / t_norm, 0.0))
+    if base == "Da":
+        m = dense_moments((m1 - m2) @ (m1 - m2), 1)
+        t_norm = float(m[0, 0].real)
+        if t_norm < 1e-14:
+            return 0.0
+        return math.sqrt(max(m[1, 1].real - abs(m[0, 1]) ** 2 / t_norm, 0.0))
+    raise ValueError(f"no dense reference for {metric!r}")
+
+
+def dense_husimi(mat: np.ndarray, grid) -> np.ndarray:
+    """Q(alpha) = c^dag rho c on the grid from the dense matrix, c the coherent amplitudes.
+
+    The reference for the factored Husimi kernel in ``qdist.phase_space``.
+    """
+    qq, pp = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    c = coherent_amplitudes(((qq + 1j * pp) / math.sqrt(2.0)).ravel(), mat.shape[0])
+    q = np.einsum("am,mn,an->a", c.conj(), mat, c, optimize=True).real
+    return q.reshape(grid.nq, grid.n_p)
 
 
 def bessel_pp_distance(n1: float, n2: float, n: int = 1025) -> float:

@@ -306,32 +306,37 @@ class TestBoundedAllocations:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
         else:
             assert proc.stderr == "", proc.stderr[-300:]
-        return proc.returncode
+        return proc
 
     def test_huge_displacement_is_a_truncation_error(self):
         for dim in ("auto", "64"):
             argv = ("distance", "--a", "coherent:1e5", "--b", "fock:0", "--metric", "hs", "--dim", dim)
-            assert self.run_capped(*argv) == 3, dim
+            assert self.run_capped(*argv).returncode == 3, dim
 
     def test_sweep_row_count_is_bounded(self):
         argv = ("sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", "0:1e9:1e-9")
-        assert self.run_capped(*argv) == 2
+        assert self.run_capped(*argv).returncode == 2
 
     def test_dense_metrics_stop_at_their_dim_cap(self):
-        # hs at dim 60008 once asked for 53.7 GiB; fs reads only amplitudes
+        # hs at dim 60008 once asked for 53.7 GiB; it reads amplitudes now, as fs does
         env = {"QDIST_MAX_DIM": str(MAX_HORIZON - 64)}
         argv = ("distance", "--a", "fock:60000", "--b", "fock:0", "--metric")
-        assert self.run_capped(*argv, "hs", env=env) == 3
-        assert self.run_capped(*argv, "fs", env=env) == 0
-        # a thermal state is itself dense: at dim 60000 it once asked for 26.8 GiB, whatever the metric
         for metric in ("hs", "fs"):
-            argv = ("distance", "--a", "thermal:1", "--b", "fock:0", "--metric", metric, "--dim", "60000")
-            assert self.run_capped(*argv, env=env) == 3, metric
+            proc = self.run_capped(*argv, metric, env=env)
+            assert proc.returncode == 0, metric
+            assert last_row(proc.stdout)[1] == f"{math.sqrt(2.0):.12g}", metric
+        # a thermal state stores its populations: hs reads them, fs refuses a mixed state as at small dims
+        argv = ("distance", "--a", "thermal:1", "--b", "fock:0", "--dim", "60000", "--metric")
+        assert self.run_capped(*argv, "hs", env=env).returncode == 0
+        assert self.run_capped(*argv, "fs", env=env).returncode == 4
+        # the trace norm against a non-number pure state needs the dense mat, which stops at its cap
+        argv = ("distance", "--a", "thermal:1", "--b", "coherent:1", "--metric", "jmg", "--dim", "60000")
+        assert self.run_capped(*argv, env=env).returncode == 3
 
     def test_huge_dim_cap_is_a_parse_error(self):
         for spec in ("thermal:1", "phase:0.3", "coherent:1"):
             argv = ("distance", "--a", spec, "--b", "fock:0", "--metric", "hs")
-            assert self.run_capped(*argv, env={"QDIST_MAX_DIM": "1000000000"}) == 2, spec
+            assert self.run_capped(*argv, env={"QDIST_MAX_DIM": "1000000000"}).returncode == 2, spec
 
 
 class TestLargestDimCap:

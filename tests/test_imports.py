@@ -61,20 +61,28 @@ def test_only_fock_core_uses_dense_ladder_operators(path):
     assert not calls, f"{path.name} calls {', '.join(calls)}"
 
 
-def _callers(path, name):
-    """Calls of ``name`` in the module, counted by the qualified name of the function that makes them."""
+def _scopes(path, match):
+    """Nodes of the module that satisfy ``match``, counted by the qualified name of the function that holds them."""
     counts = {}
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+        elif match(node):
             counts[scope] = counts.get(scope, 0) + 1
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return counts
+
+
+def _callers(path, name):
+    """Calls of ``name`` in the module, counted by the qualified name of the function that makes them."""
+    def match(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+    return _scopes(path, match)
 
 
 # The density types check their own mass; no producer integrates one itself.
@@ -91,6 +99,17 @@ MASS_INTEGRALS = {
 @pytest.mark.parametrize("module,name", MASS_INTEGRALS, ids=lambda v: v)
 def test_only_the_density_types_integrate_their_mass(module, name):
     assert _callers(PACKAGE / module, name) == MASS_INTEGRALS[module, name]
+
+
+# The kernels read state factors; only these functions read a state's dense ``mat``:
+# the trace norm of a general pair, and the Wigner grid's position-space density matrix.
+DENSE_READERS = {"distances.py": {"jmg_distance"}, "phase_space.py": {"wigner"}}
+
+
+@pytest.mark.parametrize("module", DENSE_READERS)
+def test_only_named_kernels_read_the_dense_matrix(module):
+    readers = _scopes(PACKAGE / module, lambda node: isinstance(node, ast.Attribute) and node.attr == "mat")
+    assert set(readers) <= DENSE_READERS[module], f"{module} reads .mat in {sorted(readers)}"
 
 
 def _module_level_imports(tree):

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qdist
 from conftest import bessel_pp_distance
 from qdist import (
     PhaseGrid,
@@ -101,6 +105,21 @@ class TestHusimi:
         qd = husimi_q(outer(cat(1.0, math.pi, 32)))
         assert qd.grid.values.min() >= 0.0
         assert qd.s == -1
+
+    def test_chunks_fit_a_capped_child(self):
+        # 16,384 points x 2048 levels once asked for 512 MiB per block, a MemoryError under a 1 GB cap
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qdist import fock, husimi_q\n"
+            "qd = husimi_q(fock(0, 2048))\n"
+            "print(qd.grid.values.shape, qd.grid.values.max())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qdist.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert proc.stdout.split() == ["(257,", "257)", "1.0"]
 
 
 class TestThermalP:

@@ -1,11 +1,11 @@
-"""Each state kind against the dense reference route.
+"""Each state kind against the dense reference.
 
-A ``FockVector`` or ``DiagonalState`` takes the structured kernels,
-which read amplitudes and populations; the same state as a validated
-``DensityOperator`` takes the dense route.  The two agree to 1e-12, and
-on identical pure pairs the structured route reads exactly 0.  Where the
-dense route has a documented defect (the eigensolver root of a
-projector), the reference is the exact root instead.
+Every kernel reads a state's factor: a ``FockVector``'s amplitudes, a
+``DiagonalState``'s populations or a ``DensityOperator``'s scaled
+eigenvectors.  The reference (``conftest.dense_metric`` and
+``conftest.dense_husimi``) works on the dense ``mat`` instead.  The two
+agree to 1e-12, and on identical pure pairs the factored route reads
+exactly 0.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_husimi, dense_metric, random_density
 from qdist import (
     DensityOperator,
     DiagonalState,
@@ -64,22 +65,6 @@ def states():
     return {name: build_state(spec, DIM) for name, spec in PURE_SPECS.items()}
 
 
-def _exact_root_dn_sqrt(a, b) -> float:
-    """dn-sqrt with each root exact: a pure state's own projector, or diag(sqrt p)."""
-    def root(s):
-        return s.mat if isinstance(s, FockVector) else np.diag(np.sqrt(s.populations))
-
-    delta = root(a) - root(b)
-    return math.sqrt(max(float(np.arange(a.dim) @ np.einsum("ij,ji->i", delta, delta).real), 0.0))
-
-
-def _dense_reference(metric, a, b) -> float:
-    if metric == "dn-sqrt":
-        # the dense route's eigensolver root of a projector is ~1e-7 off at dim 496
-        return _exact_root_dn_sqrt(a, b)
-    return evaluate_metric(metric, DensityOperator(a.mat), DensityOperator(b.mat)).value
-
-
 @pytest.mark.parametrize("metric", METRIC_NAMES)
 def test_metrics_equal_the_projector_route(states, metric):
     for a in states.values():
@@ -91,23 +76,35 @@ def test_metrics_equal_the_projector_route(states, metric):
                 with pytest.raises(UnsupportedCombinationError):
                     evaluate_metric(metric, outer(a), outer(b))
             elif a is not b:
-                assert abs(got - _dense_reference(metric, a, b)) <= 1e-12
+                assert abs(got - dense_metric(metric, a, b)) <= 1e-12
+
+
+def _random_vector(dim, rng):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
 
 
 def _random_state(draw_kind, dim, rng):
-    """A random pure state, number state or diagonal state; populations stay far above eps."""
+    """A random state of the drawn kind; populations and eigenvalues stay far above eps.
+
+    ``general`` is a ``DensityOperator``, full-rank or a rank-2 mixture with even odds.
+    """
     if draw_kind == "pure":
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return FockVector(v / np.linalg.norm(v))
+        return FockVector(_random_vector(dim, rng))
     if draw_kind == "number":
         return fock(int(rng.integers(dim)), dim)
+    if draw_kind == "general":
+        if rng.random() < 0.5:
+            return random_density(rng, dim)
+        u, v, w = _random_vector(dim, rng), _random_vector(dim, rng), rng.uniform(0.2, 0.8)
+        return DensityOperator(w * np.outer(u, u.conj()) + (1.0 - w) * np.outer(v, v.conj()))
     p = rng.random(dim) + 0.05
     return DiagonalState(p / p.sum())
 
 
 @given(
     dim=st.integers(min_value=2, max_value=64),
-    kinds=st.tuples(*[st.sampled_from(("pure", "number", "diagonal"))] * 2),
+    kinds=st.tuples(*[st.sampled_from(("pure", "number", "diagonal", "general"))] * 2),
     metric=st.sampled_from([m for m in METRIC_NAMES if m not in PURE_ONLY] + ["hs-p:0.2", "hs-p:0.9"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -116,7 +113,8 @@ def test_structured_kernels_match_the_dense_route(dim, kinds, metric, seed):
     rng = np.random.default_rng(seed)
     a, b = (_random_state(kind, dim, rng) for kind in kinds)
     got = evaluate_metric(metric, a, b).value
-    assert abs(got - _dense_reference(metric, a, b)) <= 1e-12
+    assert abs(got - dense_metric(metric, a, b)) <= 1e-12
+    assert abs(got - evaluate_metric(metric, b, a).value) <= 1e-12
 
 
 @pytest.mark.parametrize("pair", [("thermal:0.3", "thermal:17"), ("thermal:0.1", "thermal:10")])
@@ -175,15 +173,14 @@ HUSIMI_TOL = 1e-14
 
 @given(
     dim=st.integers(min_value=1, max_value=32),
-    kind=st.sampled_from(("pure", "number", "diagonal")),
+    kind=st.sampled_from(("pure", "number", "diagonal", "general")),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
 def test_factored_husimi_matches_the_dense_route(dim, kind, seed):
     state = _random_state(kind, dim, np.random.default_rng(seed))
     grid = default_grid(dim, 33)
-    dense = husimi_q(DensityOperator(state.mat), grid).grid.values
-    assert np.abs(husimi_q(state, grid).grid.values - dense).max() <= HUSIMI_TOL
+    assert np.abs(husimi_q(state, grid).grid.values - dense_husimi(state.mat, grid)).max() <= HUSIMI_TOL
 
 
 @pytest.mark.parametrize("family", PURE_SPECS)
