@@ -15,13 +15,13 @@ The package provides, over a truncated number basis:
 """
 
 from .closed_forms import (
-    ClosedFormResult,
     cat_distances,
     coherent_fock,
     coherent_pair,
     fock_pair,
     phase_pair,
     squeezed_pair,
+    thermal_approximations,
     thermal_pair,
 )
 from .distances import (

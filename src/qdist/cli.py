@@ -28,7 +28,7 @@ from .errors import (
     TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
-from .states import MAX_HORIZON, StateSpec, adaptive_dim, build_state, parse_state_spec
+from .states import MAX_DIM, MAX_HORIZON, StateSpec, adaptive_dim, build_state, parse_state_spec
 from .tomography import DIVERGENCE_KINDS, tomographic_distance
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _fmt(x: float) -> str:
 
 
 def _max_dim() -> int:
-    text = os.environ.get("QDIST_MAX_DIM", "512")
+    text = os.environ.get("QDIST_MAX_DIM", str(MAX_DIM))
     top = MAX_HORIZON - 64  # the tail sums at the cap run over dim + 64 levels
     if not text.strip().isdecimal() or not 1 <= int(text) <= top:
         raise SpecParseError(f"QDIST_MAX_DIM must be an integer in [1, {top}], got {text!r}")
@@ -165,8 +165,6 @@ def cmd_figure(args) -> int:
 def cmd_tomo_distance(args) -> int:
     spec_a = parse_state_spec(args.a)
     spec_b = parse_state_spec(args.b)
-    if args.kind not in DIVERGENCE_KINDS:
-        raise SpecParseError(f"unknown divergence kind {args.kind!r}")
     value = tomographic_distance(spec_a, spec_b, kind=args.kind, angular_nodes=args.nodes_angular)
     _emit(["kind,value,nodes_angular", f"{args.kind},{_fmt(value)},{args.nodes_angular}"], args.out)
     return EXIT_OK

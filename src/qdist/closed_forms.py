@@ -2,14 +2,14 @@
 
 These are the cross-validation oracles: every function here evaluates a
 printed closed form directly from scalar parameters, sharing no code
-with the matrix-based numerics in ``distances``.  Keys in the returned
-``values`` map: ``hs`` (Hilbert-Schmidt), ``bu`` (Bures-Uhlmann),
+with the matrix-based numerics in ``distances``.  Each returns a plain
+dict; its keys: ``hs`` (Hilbert-Schmidt), ``bu`` (Bures-Uhlmann),
 ``dN`` (number-polarized), ``dN_sqrt`` (number-polarized on square
 roots), ``DN`` / ``Da`` (quasidistances), and for pure pairs
 ``overlap`` = |<a|b>|.
 
-Asymptotic simplifications are never mixed into ``values``; they live
-in the separate ``approximations`` map.
+Asymptotic simplifications are never mixed into those dicts; the
+large-nbar thermal forms come from ``thermal_approximations`` alone.
 
 ``closed_form_lookup`` picks the oracle for a state pair and a CLI
 metric name from one table with a row per family pair.  ``parse_metric``
@@ -20,7 +20,6 @@ alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DegenerateStateError, StateValidationError
 
@@ -34,21 +33,7 @@ def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
-    values: dict = field(default_factory=dict)
-    approximations: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        bad = {k: v for k, v in self.values.items() if v < 0.0}
-        if bad:
-            raise StateValidationError(f"negative closed-form distances: {bad}")
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-
-def coherent_pair(alpha: complex, beta: complex) -> ClosedFormResult:
+def coherent_pair(alpha: complex, beta: complex) -> dict:
     """hs, dN, Da and the overlap between two coherent states."""
     alpha, beta = complex(alpha), complex(beta)
     gap2 = _abs2(alpha - beta)
@@ -56,11 +41,10 @@ def coherent_pair(alpha: complex, beta: complex) -> ClosedFormResult:
     hs = SQRT2 * math.sqrt(1.0 - e)
     dn_sq = _abs2(alpha) + _abs2(beta) - 2.0 * (beta.conjugate() * alpha).real * e
     da = math.sqrt(gap2 * (1.0 + e) / 2.0)
-    values = {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "Da": da, "overlap": math.exp(-gap2 / 2.0)}
-    return ClosedFormResult(values)
+    return {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "Da": da, "overlap": math.exp(-gap2 / 2.0)}
 
 
-def coherent_fock(alpha: complex, m: int) -> ClosedFormResult:
+def coherent_fock(alpha: complex, m: int) -> dict:
     """hs, dN and the overlap sqrt(p_m) between a coherent state and |m>."""
     if m < 0:
         raise StateValidationError("m must be >= 0")
@@ -69,20 +53,20 @@ def coherent_fock(alpha: complex, m: int) -> ClosedFormResult:
     pm = math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0.0 else float(m == 0)
     hs = SQRT2 * math.sqrt(max(1.0 - pm, 0.0))
     dn = math.sqrt(max(m + lam - 2.0 * m * pm, 0.0))
-    return ClosedFormResult({"hs": hs, "dN": dn, "overlap": math.sqrt(pm)})
+    return {"hs": hs, "dN": dn, "overlap": math.sqrt(pm)}
 
 
-def fock_pair(m: int, n: int) -> ClosedFormResult:
+def fock_pair(m: int, n: int) -> dict:
     """hs, dN, quasidistance DN and the overlap between two number states."""
     if m < 0 or n < 0:
         raise StateValidationError("occupation numbers must be >= 0")
     dn = 0.0 if m == n else math.sqrt(m + n)
     dn_star = abs(math.sqrt(n) - math.sqrt(m)) / SQRT2
     hs = SQRT2 * (m != n)
-    return ClosedFormResult({"hs": hs, "dN": dn, "DN": dn_star, "overlap": float(m == n)})
+    return {"hs": hs, "dN": dn, "DN": dn_star, "overlap": float(m == n)}
 
 
-def squeezed_pair(zeta1: complex, zeta2: complex) -> ClosedFormResult:
+def squeezed_pair(zeta1: complex, zeta2: complex) -> dict:
     """hs, dN and the overlap sqrt(root/denom) between two squeezed vacua.
 
     When the two squeezing phases coincide, the simplified forms in the
@@ -111,10 +95,10 @@ def squeezed_pair(zeta1: complex, zeta2: complex) -> ClosedFormResult:
         )
         values["hs_samephase"] = hs_sp
         values["dN_samephase"] = math.sqrt(max(dn_sp_sq, 0.0))
-    return ClosedFormResult(values)
+    return values
 
 
-def cat_distances(alpha: complex, phi1: float, phi2: float) -> ClosedFormResult:
+def cat_distances(alpha: complex, phi1: float, phi2: float) -> dict:
     """Distances around the cat family at a fixed displacement alpha.
 
     Keys: d_to_coherent / d_to_vacuum / dN_to_vacuum use phi1;
@@ -138,23 +122,21 @@ def cat_distances(alpha: complex, phi1: float, phi2: float) -> ClosedFormResult:
     d_between_sq = (1.0 - q * q) * (1.0 - math.cos(phi1 - phi2)) / (den1 * den2)
     dn_vac_sq = a2 * (1.0 - math.cos(phi1) * q) / den1
     dn_between_sq = a2 * (1.0 + q * q) * (1.0 - math.cos(phi1 - phi2)) / (den1 * den2)
-    return ClosedFormResult(
-        {
-            "d_to_coherent": math.sqrt(max(d_coh_sq, 0.0)),
-            "d_to_vacuum": math.sqrt(max(d_vac_sq, 0.0)),
-            "d_between": math.sqrt(max(d_between_sq, 0.0)),
-            "dN_to_vacuum": math.sqrt(max(dn_vac_sq, 0.0)),
-            "dN_between": math.sqrt(max(dn_between_sq, 0.0)),
-            "overlap_to_coherent": math.hypot(1.0 + q * math.cos(phi1), q * math.sin(phi1))
-            / math.sqrt(2.0 * den1),
-            "overlap_to_vacuum": math.sqrt(2.0 * x / den1) * abs(math.cos(0.5 * phi1)),
-            "overlap_between": abs(math.cos(0.5 * (phi2 - phi1)) + q * math.cos(0.5 * (phi1 + phi2)))
-            / math.sqrt(den1 * den2),
-        }
-    )
+    return {
+        "d_to_coherent": math.sqrt(max(d_coh_sq, 0.0)),
+        "d_to_vacuum": math.sqrt(max(d_vac_sq, 0.0)),
+        "d_between": math.sqrt(max(d_between_sq, 0.0)),
+        "dN_to_vacuum": math.sqrt(max(dn_vac_sq, 0.0)),
+        "dN_between": math.sqrt(max(dn_between_sq, 0.0)),
+        "overlap_to_coherent": math.hypot(1.0 + q * math.cos(phi1), q * math.sin(phi1))
+        / math.sqrt(2.0 * den1),
+        "overlap_to_vacuum": math.sqrt(2.0 * x / den1) * abs(math.cos(0.5 * phi1)),
+        "overlap_between": abs(math.cos(0.5 * (phi2 - phi1)) + q * math.cos(0.5 * (phi1 + phi2)))
+        / math.sqrt(den1 * den2),
+    }
 
 
-def phase_pair(eps1: complex, eps2: complex) -> ClosedFormResult:
+def phase_pair(eps1: complex, eps2: complex) -> dict:
     """hs, dN and the overlap between two coherent phase states."""
     if abs(eps1) >= 1.0 or abs(eps2) >= 1.0:
         raise StateValidationError("phase-state parameters must satisfy |eps| < 1")
@@ -169,11 +151,11 @@ def phase_pair(eps1: complex, eps2: complex) -> ClosedFormResult:
         + 2.0 * (1.0 - m1) * (1.0 - m2) * (m1 * m2 - ee.real) / denom
     )
     overlap = math.sqrt((1.0 - m1) * (1.0 - m2)) / abs(1.0 - ee)
-    return ClosedFormResult({"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": overlap})
+    return {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": overlap}
 
 
-def thermal_pair(nbar1: float, nbar2: float) -> ClosedFormResult:
-    """All thermal-pair distances, plus large-nbar approximations.
+def thermal_pair(nbar1: float, nbar2: float) -> dict:
+    """All thermal-pair distances; ``thermal_approximations`` has their large-nbar forms.
 
     ``dN_min_pseudo`` is the minimal number-polarized distance between
     two phase states with the same mean photon numbers, attained when
@@ -194,24 +176,34 @@ def thermal_pair(nbar1: float, nbar2: float) -> ClosedFormResult:
     g = math.sqrt(n1 * n2)
     dn_sqrt_sq = n1 + n2 - 2.0 * g * cross**2
     dn_min_sq = n1 + n2 - 2.0 * g * cross**3
-    values = {
+    return {
         "hs": hs,
         "bu": bu,
         "dN": dn,
         "dN_sqrt": math.sqrt(max(dn_sqrt_sq, 0.0)),
         "dN_min_pseudo": math.sqrt(max(dn_min_sq, 0.0)),
     }
-    approx = {}
-    if n1 > 0 and n2 > 0:
-        # valid for nbar >> 1; the close-gap forms additionally need
-        # |nbar1 - nbar2| << nbar.  All are for the *unsquared* distances.
-        approx["bu_large"] = SQRT2 * abs(math.sqrt(n1) - math.sqrt(n2)) / math.sqrt(n1 + n2)
-        approx["dN_sqrt_large"] = math.sqrt(max(n1 + n2 - 8.0 * g**3 / (n1 + n2) ** 2, 0.0))
-        approx["dN_min_large"] = math.sqrt(max(n1 + n2 - 16.0 * g**4 / (n1 + n2) ** 3, 0.0))
-        gap_root = abs(math.sqrt(n1) - math.sqrt(n2))
-        approx["dN_sqrt_close"] = math.sqrt(3.0) * gap_root
-        approx["dN_min_close"] = 2.0 * gap_root
-    return ClosedFormResult(values, approximations=approx)
+
+
+def thermal_approximations(nbar1: float, nbar2: float) -> dict:
+    """Large-nbar forms of ``thermal_pair``'s bu, dN_sqrt and dN_min_pseudo.
+
+    Valid for nbar >> 1; the close-gap forms additionally need
+    |nbar1 - nbar2| << nbar.  All are for the *unsquared* distances.
+    Empty unless both mean photon numbers are positive.
+    """
+    n1, n2 = float(nbar1), float(nbar2)
+    if not (n1 > 0 and n2 > 0):
+        return {}
+    g = math.sqrt(n1 * n2)
+    gap_root = abs(math.sqrt(n1) - math.sqrt(n2))
+    return {
+        "bu_large": SQRT2 * gap_root / math.sqrt(n1 + n2),
+        "dN_sqrt_large": math.sqrt(max(n1 + n2 - 8.0 * g**3 / (n1 + n2) ** 2, 0.0)),
+        "dN_min_large": math.sqrt(max(n1 + n2 - 16.0 * g**4 / (n1 + n2) ** 3, 0.0)),
+        "dN_sqrt_close": math.sqrt(3.0) * gap_root,
+        "dN_min_close": 2.0 * gap_root,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +228,8 @@ def _pure(hs: float, overlap: float, **energy) -> dict:
     return values
 
 
-def _pure_row(r: ClosedFormResult, **keys) -> dict:
-    """``_pure`` on a result holding hs and overlap; ``keys`` maps metric -> result key."""
+def _pure_row(r: dict, **keys) -> dict:
+    """``_pure`` on a family result holding hs and overlap; ``keys`` maps metric -> result key."""
     return _pure(r["hs"], r["overlap"], **{metric: r[key] for metric, key in keys.items()})
 
 

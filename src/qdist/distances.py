@@ -10,12 +10,12 @@ diagonal, a weight vector.  ``METRICS`` maps each CLI metric name to
 its kernel.  All functions are pure and take states of any kind and
 equal dimension.
 
-Every kernel reads the states' factors (``fock_core``: a 2-d W with
-rho^p = W W^dag, or a 1-d d with rho^p = diag(d)) through one
-primitive, ``_product_diagonal``, the diagonal at offset k of the
-product of two factored operators; the Bures fidelity is the trace norm
-of W1^dag W2.  A pure or diagonal state's factor is its amplitudes or
-populations, so those take O(dim) work.  Pure pairs read the
+Every kernel reads the states' factors (a 2-d W with rho^p = W W^dag,
+or a 1-d d with rho^p = diag(d)) through one primitive that lives in
+``fock_core`` next to them, ``_product_diagonal``, the diagonal at
+offset k of the product of two factored operators; the Bures fidelity
+is the trace norm of W1^dag W2.  A pure or diagonal state's factor is
+its amplitudes or populations, so those take O(dim) work.  Pure pairs read the
 cancellation-free forms of ``pure_state_distance``, so identical rays
 give exactly 0.  Only the trace norm of a general state, or of a
 diagonal state against a pure state that is not a number state, reads
@@ -36,12 +36,12 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DiagonalState, FockVector, trace_norm
+from .fock_core import DiagonalState, FockVector, _product_diagonal, trace_norm
 from .states import MomentTable, _moments, inv_sqrt_factorials
 
-# Squared distances are clamped at zero before the square root; a
-# negative square larger than this raises instead.
-CLAMP_WARN = 1e-9
+# Every square root here but the moment series' goes through ``_clamped_sqrt``:
+# squares are clamped at zero, and a negative square larger than this raises.
+CLAMP_WARN = 1e-10
 
 
 @dataclass
@@ -94,26 +94,6 @@ def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fs") -> float
 
 def _pure_pair(r1, r2) -> bool:
     return isinstance(r1, FockVector) and isinstance(r2, FockVector)
-
-
-def _product_diagonal(x, y, k: int = 0) -> np.ndarray:
-    """Diagonal at offset k (``np.diagonal``'s convention) of the product XY of two factored operators.
-
-    A factor is a 1-d d for X = diag(d) or a 2-d W for X = W W^dag.  XY
-    is diag(d_x d_y), or U V^dag with U, V picked below, whose offset-k
-    diagonal sum_j U_ij conj(V_{i+k,j}) costs O(dim x rank).
-    """
-    if x.ndim == 1 and y.ndim == 1:
-        return x * y if k == 0 else np.zeros(x.size - abs(k))
-    if y.ndim == 1:
-        u, v = x, y[:, None] * x  # W W^dag diag(d) = W (d W)^dag, d real
-    elif x.ndim == 1:
-        u, v = x[:, None] * y, y
-    else:
-        g = x.conj().T @ y  # W_x W_x^dag W_y W_y^dag = (W_x g) W_y^dag
-        u, v = (x * g if x.shape[1] == 1 else x @ g), y  # one column scales elementwise, bit for bit
-    n = u.shape[0]
-    return (u[max(-k, 0) : n - max(k, 0)] * v[max(k, 0) : n - max(-k, 0)].conj()).sum(axis=1)
 
 
 def _delta_sq_diagonal(x, y, k: int = 0) -> np.ndarray:
@@ -170,7 +150,7 @@ def bures_uhlmann(r1, r2) -> float:
     if x.ndim == 1 and y.ndim == 1:
         fid = float(_product_diagonal(r1.factor(0.5), r2.factor(0.5)).sum())
     elif x.shape[1:] == (1,) or y.shape[1:] == (1,):
-        fid = math.sqrt(max(float(_product_diagonal(x, y).real.sum()), 0.0))
+        fid = _clamped_sqrt(float(_product_diagonal(x, y).real.sum()))
     else:
         w1, w2 = (w if w.ndim == 2 else np.diag(np.sqrt(w)) for w in (x, y))
         fid = float(np.linalg.svd(w1.conj().T @ w2, compute_uv=False).sum())
@@ -207,14 +187,6 @@ def _check_polarization(r1, r2, z) -> np.ndarray:
     return z
 
 
-def _weighted_norm(dd: np.ndarray, z: np.ndarray) -> float:
-    """sqrt(Tr(Z delta^2)) from dd = diag(delta^2) and the diagonal z of Z."""
-    sq = float((z * dd).sum())
-    if sq < -1e-10:
-        raise NumericalToleranceError(f"polarized squared distance {sq:.3e} < -1e-10")
-    return math.sqrt(max(sq, 0.0))
-
-
 def polarized(r1, r2, z) -> float:
     """sqrt(Tr(Z [rho1 - rho2]^2)), states of any kind; Z = 1 gives Hilbert-Schmidt.
 
@@ -222,7 +194,7 @@ def polarized(r1, r2, z) -> float:
     weight per level: ``np.arange(dim, dtype=float)`` for Z = N.
     """
     z = _check_polarization(r1, r2, z)
-    return _weighted_norm(_delta_sq_diagonal(r1.factor(1.0), r2.factor(1.0)).real, z)
+    return _clamped_sqrt(float((z * _delta_sq_diagonal(r1.factor(1.0), r2.factor(1.0)).real).sum()))
 
 
 def polarized_sqrt(r1, r2, z) -> float:
@@ -235,7 +207,7 @@ def polarized_sqrt(r1, r2, z) -> float:
     diagonal of Z, as in ``polarized``.
     """
     z = _check_polarization(r1, r2, z)
-    return _weighted_norm(_delta_sq_diagonal(r1.factor(0.5), r2.factor(0.5)).real, z)
+    return _clamped_sqrt(float((z * _delta_sq_diagonal(r1.factor(0.5), r2.factor(0.5)).real).sum()))
 
 
 def quasidistance_DZ(r1, r2, z) -> float:
@@ -251,8 +223,7 @@ def quasidistance_DZ(r1, r2, z) -> float:
         return 0.0
     t_z = float((z * dd).sum())
     t_zroot = float((np.sqrt(z) * dd).sum())
-    sq = t_z - t_zroot * t_zroot / t_norm
-    return math.sqrt(max(sq, 0.0))
+    return _clamped_sqrt(t_z - t_zroot * t_zroot / t_norm)
 
 
 def quasidistance_Da(r1, r2) -> float:
@@ -264,8 +235,7 @@ def quasidistance_Da(r1, r2) -> float:
     t_norm = float(m[0, 0].real)
     if t_norm < 1e-14:
         return 0.0
-    sq = m[1, 1].real - abs(m[0, 1]) ** 2 / t_norm
-    return math.sqrt(max(sq, 0.0))
+    return _clamped_sqrt(m[1, 1].real - abs(m[0, 1]) ** 2 / t_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +293,8 @@ def hs_bounds(rho, n: int) -> HSBounds:
     nbar = float((lv * p).sum())
     n2bar = float((lv * lv * p).sum())
     var = n2bar - nbar * nbar
-    b0 = math.sqrt(2.0 * nbar)
-    bn = math.sqrt(2.0 * max(p[0] + nbar - n * p[n], 0.0))
-    bvar = math.sqrt(2.0 * max(var + (n - nbar) ** 2, 0.0))
-    return HSBounds(b0=b0, bn=bn, bvar=bvar)
+    return HSBounds(b0=_clamped_sqrt(2.0 * nbar), bn=_clamped_sqrt(2.0 * (p[0] + nbar - n * p[n])),
+                    bvar=_clamped_sqrt(2.0 * (var + (n - nbar) ** 2)))
 
 
 # ---------------------------------------------------------------------------

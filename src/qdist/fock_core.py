@@ -14,6 +14,8 @@ workers.  Each exposes ``dim``, ``populations``, ``mat`` and
 (a pure state's amplitudes as one column, since a projector is its own
 power; a general state's eigenvectors scaled by eigenvalue^(p/2)), or a
 1-d d with rho^p = diag(d) (a diagonal state's populations to the p).
+``_product_diagonal`` reads the diagonals of a product of two factors;
+``trace_product``, ``purity`` and every kernel in ``distances`` read it.
 
 All arithmetic is double precision; there are no mixed-precision paths.
 """
@@ -40,8 +42,8 @@ TRACE_TOL = 1e-10
 # anything below the floor means the matrix is genuinely corrupted, so we
 # fail loudly instead of repairing it.
 EIG_FLOOR = -1e-10
-# Largest dim at which ``FockVector.mat`` and ``DiagonalState.mat`` build
-# their dim x dim matrix; above it they raise before allocating.
+# Largest dim at which ``FockVector.mat``, ``DiagonalState.mat`` and
+# ``hermitian_sqrt`` build a dim x dim matrix; above it they raise before allocating.
 MAX_DENSE_DIM = 4096
 
 
@@ -72,7 +74,7 @@ class FockVector:
         if amp.ndim != 1 or amp.size < 1:
             raise StateValidationError("amplitudes must form a non-empty 1-d sequence")
         norm2 = float(np.vdot(amp, amp).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise StateValidationError(f"state not normalized: sum |c_n|^2 = {norm2!r}")
         object.__setattr__(self, "amp", _readonly(amp))
 
@@ -188,15 +190,35 @@ def outer(psi: FockVector) -> DensityOperator:
     return DensityOperator(psi.mat, tail_mass=psi.tail_mass)
 
 
+def _product_diagonal(x, y, k: int = 0) -> np.ndarray:
+    """Diagonal at offset k (``np.diagonal``'s convention) of the product XY of two factored operators.
+
+    A factor is a 1-d d for X = diag(d) or a 2-d W for X = W W^dag.  XY
+    is diag(d_x d_y), or U V^dag with U, V picked below, whose offset-k
+    diagonal sum_j U_ij conj(V_{i+k,j}) costs O(dim x rank).
+    """
+    if x.ndim == 1 and y.ndim == 1:
+        return x * y if k == 0 else np.zeros(x.size - abs(k))
+    if y.ndim == 1:
+        u, v = x, y[:, None] * x  # W W^dag diag(d) = W (d W)^dag, d real
+    elif x.ndim == 1:
+        u, v = x[:, None] * y, y
+    else:
+        g = x.conj().T @ y  # W_x W_x^dag W_y W_y^dag = (W_x g) W_y^dag
+        u, v = (x * g if x.shape[1] == 1 else x @ g), y  # one column scales elementwise, bit for bit
+    n = u.shape[0]
+    return (u[max(-k, 0) : n - max(k, 0)] * v[max(k, 0) : n - max(-k, 0)].conj()).sum(axis=1)
+
+
 def trace_product(a, b) -> float:
-    """Re Tr(AB) for two states of any kind and equal dimension.
+    """Re Tr(AB) for two states of any kind and equal dimension, from their factors.
 
     For Hermitian inputs the trace is real up to roundoff; an imaginary
     part above 1e-12 indicates corrupted inputs and raises.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
-    t = complex(np.einsum("ij,ji->", a.mat, b.mat))
+    t = complex(_product_diagonal(a.factor(1.0), b.factor(1.0)).sum())
     if abs(t.imag) > 1e-12:
         raise NumericalToleranceError(f"Tr(AB) has imaginary part {t.imag:.3e}")
     return float(t.real)
@@ -212,7 +234,8 @@ def purity(rho: DensityOperator) -> float:
 
 
 def hermitian_sqrt(rho) -> np.ndarray:
-    """The PSD Hermitian S with S^2 = rho, for a state of any kind, from ``factor(0.5)``."""
+    """The PSD Hermitian S with S^2 = rho, for a state of any kind, from ``factor(0.5)``; dense, so capped as ``mat``."""
+    _check_dense_dim(rho.dim)
     w = rho.factor(0.5)
     return np.diag(w) if w.ndim == 1 else w @ w.conj().T
 

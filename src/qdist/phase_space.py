@@ -47,6 +47,7 @@ from .states import (
 MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wigner and P functions
 # points x levels a Husimi chunk holds: 16,384 points up to dim 512, fewer above
 HUSIMI_BLOCK = 16384 * 512
+OCCUPIED_CUT = 1e-14  # a level at or below this population is left out of the Wigner bandwidth check
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,8 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def _occupied_levels(rho, cut: float = 1e-14) -> int:
-    idx = np.nonzero(rho.populations > cut)[0]
+def _occupied_levels(rho) -> int:
+    idx = np.nonzero(rho.populations > OCCUPIED_CUT)[0]
     return int(idx[-1]) + 1 if idx.size else 1
 
 

@@ -3,7 +3,8 @@
 Pure families (Fock, coherent, generalized coherent, cat, squeezed
 vacuum, coherent phase) produce ``FockVector``; the thermal family
 produces a ``DiagonalState``, its population vector.  ``build_state``
-is the one family dispatch.  Each pure family has one amplitude
+is the one family dispatch, and every named constructor, ``fock``
+included, calls it.  Each pure family has one amplitude
 recurrence, whose squared moduli are also its populations; the
 coherent amplitudes' squared moduli, the Poisson weights, also have a
 log-space form (``poisson_weights``) for the phase-space kernels.  One tail
@@ -280,8 +281,8 @@ def _fix_global_phase(amp: np.ndarray) -> np.ndarray:
 def build_state(spec: StateSpec, dim: int):
     """Construct the state a spec describes: a FockVector, or a DiagonalState if thermal.
 
-    This is the one family dispatch: the named constructors below, all
-    but ``fock``, call it.  The truncation must discard less than ``TAIL_TOL`` of the
+    This is the one family dispatch: every named constructor below calls
+    it.  The truncation must discard less than ``TAIL_TOL`` of the
     probability; the retained amplitudes (or populations) are
     renormalized and the discarded mass is recorded on the state.
     """
@@ -291,8 +292,6 @@ def build_state(spec: StateSpec, dim: int):
     tail = truncation_tail(spec, dim)
     if tail >= TAIL_TOL:
         raise TailMassError(f"truncation discards {tail:.3e} > {TAIL_TOL} probability")
-    if f == "fock":
-        return fock(p["n"], dim)
     if f == "thermal":
         nbar = p["nbar"]
         pops = (nbar / (1.0 + nbar)) ** np.arange(dim) / (1.0 + nbar)
@@ -304,12 +303,10 @@ def build_state(spec: StateSpec, dim: int):
 
 
 def fock(n: int, dim: int) -> FockVector:
-    """Number state |n> in a dim-dimensional truncation."""
-    if not 0 <= n < dim:
-        raise StateValidationError(f"need 0 <= n < dim, got n={n}, dim={dim}")
-    amp = np.zeros(dim, dtype=complex)
-    amp[n] = 1.0
-    return FockVector(amp)
+    """Number state |n> in a dim-dimensional truncation; n is an integer in [0, dim)."""
+    if not isinstance(n, (int, np.integer)) or not 0 <= n < dim:
+        raise StateValidationError(f"need an integer 0 <= n < dim, got n={n!r}, dim={dim}")
+    return build_state(StateSpec("fock", {"n": int(n)}), dim)
 
 
 def coherent(alpha: complex, dim: int) -> FockVector:

@@ -16,7 +16,7 @@ from qdist import (
     squeezed_pair,
     thermal_pair,
 )
-from qdist.closed_forms import METRIC_NAMES, closed_form_lookup, parse_metric
+from qdist.closed_forms import METRIC_NAMES, closed_form_lookup, parse_metric, thermal_approximations
 from qdist.errors import StateValidationError
 
 SQRT2 = math.sqrt(2.0)
@@ -205,13 +205,13 @@ class TestThermalPair:
 
     def test_large_nbar_bures_approximation(self):
         exact = thermal_pair(50.0, 100.0)["bu"]
-        approx = thermal_pair(50.0, 100.0).approximations["bu_large"]
+        approx = thermal_approximations(50.0, 100.0)["bu_large"]
         assert abs(approx - exact) / exact < 0.05
 
     def test_close_gap_approximations(self):
         r = thermal_pair(100.0, 110.0)
-        assert abs(r.approximations["dN_sqrt_close"] - r["dN_sqrt"]) / r["dN_sqrt"] < 0.01
-        assert abs(r.approximations["dN_min_close"] - r["dN_min_pseudo"]) / r["dN_min_pseudo"] < 0.01
+        assert abs(thermal_approximations(100.0, 110.0)["dN_sqrt_close"] - r["dN_sqrt"]) / r["dN_sqrt"] < 0.01
+        assert abs(thermal_approximations(100.0, 110.0)["dN_min_close"] - r["dN_min_pseudo"]) / r["dN_min_pseudo"] < 0.01
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(StateValidationError):

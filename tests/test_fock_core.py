@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qdist.errors import (
     NotHermitianError,
     NotPositiveSemidefiniteError,
     StateValidationError,
+    TruncationInfeasibleError,
 )
 
 
@@ -35,6 +37,12 @@ class TestConstruction:
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(StateValidationError):
             FockVector(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # |norm^2 - 1| is NaN for both, and NaN fails every comparison: the check must be "not <= tol"
+        with pytest.raises(StateValidationError):
+            FockVector(np.array([bad, 1.0]))
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)
@@ -153,6 +161,18 @@ class TestHermitianSqrt:
     def test_maximally_mixed(self):
         rho = DensityOperator(np.eye(2, dtype=complex) / 2.0)
         assert np.allclose(hermitian_sqrt(rho), np.eye(2) / math.sqrt(2.0), atol=1e-14)
+
+    def test_stops_at_the_dense_cap_before_allocating(self):
+        # one past MAX_DENSE_DIM: the 4097 x 4097 complex root would take 268 MB
+        psi = fock(0, 4097)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationInfeasibleError):
+                hermitian_sqrt(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTraceNorm:

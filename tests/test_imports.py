@@ -112,6 +112,22 @@ def test_only_named_kernels_read_the_dense_matrix(module):
     assert set(readers) <= DENSE_READERS[module], f"{module} reads .mat in {sorted(readers)}"
 
 
+# A squared distance is clamped at zero in one place, which raises on a negative square
+# beyond CLAMP_WARN; the moment series keeps its own clamp until it carries an error estimate.
+SQRT_CLAMPS = {"_clamped_sqrt": 1, "hs_from_moments": 1}
+
+
+def _is_sqrt_of_max(node):
+    """math.sqrt(...) with a max(...) call anywhere in its argument."""
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "math.sqrt"
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "max"
+                    for arg in node.args for n in ast.walk(arg)))
+
+
+def test_one_clamp_for_negative_squares():
+    assert _scopes(PACKAGE / "distances.py", _is_sqrt_of_max) == SQRT_CLAMPS
+
+
 def _module_level_imports(tree):
     """Modules named by the import statements that run when the module is imported."""
     stack = list(tree.body)

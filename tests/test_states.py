@@ -63,6 +63,18 @@ class TestFock:
         with pytest.raises(StateValidationError):
             fock(4, 4)
 
+    @pytest.mark.parametrize("n", [2.5, -1], ids=["non-integral", "negative"])
+    def test_needs_a_nonnegative_integer(self, n):
+        with pytest.raises(StateValidationError):
+            fock(n, 8)
+
+    def test_numpy_integer_builds_the_same_state(self):
+        assert np.array_equal(fock(np.int64(3), 8).amp, fock(3, 8).amp)
+
+    def test_one_hot_through_the_family_dispatch(self):
+        # normalization and the global-phase fix leave a one-hot vector bit for bit
+        assert fock(5, 16).amp.tobytes() == np.eye(16, dtype=complex)[5].tobytes()
+
 
 class TestCoherent:
     def test_zero_is_vacuum(self):
