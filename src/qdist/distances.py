@@ -17,9 +17,10 @@ offset k of the product of two factored operators; the Bures fidelity
 is the trace norm of W1^dag W2.  A pure or diagonal state's factor is
 its amplitudes or populations, so those take O(dim) work.  Pure pairs read the
 cancellation-free forms of ``pure_state_distance``, so identical rays
-give exactly 0.  Only the trace norm of a general state, or of a
-diagonal state against a pure state that is not a number state, reads
-the dense ``mat``.
+give exactly 0.  Only the trace norm reads the dense ``mat``, when the
+two factors are not both diagonal (a 1-d d, or a number state's one
+nonzero entry).  Every square root of a squared distance, the moment
+series' included, goes through ``fock_core._clamped_sqrt``.
 """
 
 from __future__ import annotations
@@ -36,27 +37,15 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DiagonalState, FockVector, _product_diagonal, trace_norm
+from .fock_core import FockVector, _clamped_sqrt, _product_diagonal, trace_norm
 from .states import MomentTable, _moments, inv_sqrt_factorials
-
-# Every square root here but the moment series' goes through ``_clamped_sqrt``:
-# squares are clamped at zero, and a negative square larger than this raises.
-CLAMP_WARN = 1e-10
 
 
 @dataclass
 class DistanceReport:
-    """A metric value plus the bookkeeping the CLI prints."""
+    """A metric value, as the CLI prints it."""
 
-    kind: str
     value: float
-    dim: int
-
-
-def _clamped_sqrt(sq: float) -> float:
-    if sq < -CLAMP_WARN:
-        raise NumericalToleranceError(f"squared distance {sq:.3e} below -{CLAMP_WARN}")
-    return math.sqrt(max(sq, 0.0))
 
 
 def _check_dims(r1, r2):
@@ -126,8 +115,8 @@ def jmg_distance(r1, r2) -> float:
     _check_dims(r1, r2)
     if _pure_pair(r1, r2):
         return pure_state_distance(r1, r2, "fs") / math.sqrt(2.0)
-    # a number state, whose one nonzero amplitude makes it diagonal, counts as one
-    if all(isinstance(r, DiagonalState) or np.count_nonzero(getattr(r, "amp", ())) == 1 for r in (r1, r2)):
+    # a 1-d factor is diagonal, and so is a factor whose one nonzero entry makes a number-state projector
+    if all(f.ndim == 1 or np.count_nonzero(f) == 1 for f in (r1.factor(1.0), r2.factor(1.0))):
         return 0.5 * float(np.abs(r1.populations - r2.populations).sum())
     return 0.5 * trace_norm(r1.mat - r2.mat)
 
@@ -247,7 +236,8 @@ def hs_from_moments(m1: MomentTable, m2: MomentTable, s_max: int):
 
     Returns ``(distance, partial_squared)`` where ``partial_squared[s]``
     is the partial sum of the squared distance through order s.  The
-    distance is the square root of the final partial sum clamped at 0.
+    distance is ``_clamped_sqrt`` of the last, so a series that has not
+    converged by s_max and ends below -1e-10 raises.
     """
     if m1.cutoff != m2.cutoff:
         raise DimensionMismatchError("moment tables have different cutoffs")
@@ -268,7 +258,7 @@ def hs_from_moments(m1: MomentTable, m2: MomentTable, s_max: int):
         term = np.einsum("k,l,kl,kl->", w, w, block, flipped)
         total += (-1.0) ** s * float(term.real)
         partials[s] = total
-    return math.sqrt(max(total, 0.0)), partials
+    return _clamped_sqrt(total), partials
 
 
 @dataclass(frozen=True)
@@ -331,4 +321,4 @@ def evaluate_metric(name, a, b) -> DistanceReport:
     base, p = parse_metric(name)
     if base in PURE_ONLY and not _pure_pair(a, b):
         raise UnsupportedCombinationError(f"metric {base!r} needs two pure states")
-    return DistanceReport(base, METRICS[base](a, b, p), a.dim)
+    return DistanceReport(METRICS[base](a, b, p))

@@ -17,11 +17,16 @@ power; a general state's eigenvectors scaled by eigenvalue^(p/2)), or a
 ``_product_diagonal`` reads the diagonals of a product of two factors;
 ``trace_product``, ``purity`` and every kernel in ``distances`` read it.
 
+One floor, ``NOISE_FLOOR``, bounds the eigenvalues a ``DensityOperator``
+accepts and ``_clamped_sqrt``, the one clamp for every square root in the
+package of a quantity that rounding can push below 0.
+
 All arithmetic is double precision; there are no mixed-precision paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +43,19 @@ from .errors import (
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
-# Eigenvalues in [EIG_FLOOR, 0) are truncation noise and get clamped to 0;
-# anything below the floor means the matrix is genuinely corrupted, so we
-# fail loudly instead of repairing it.
-EIG_FLOOR = -1e-10
+# An eigenvalue or a square in [NOISE_FLOOR, 0) is rounding noise and reads as 0;
+# below the floor the input is corrupt or a cancellation failed, so it raises.
+NOISE_FLOOR = -1e-10
 # Largest dim at which ``FockVector.mat``, ``DiagonalState.mat`` and
 # ``hermitian_sqrt`` build a dim x dim matrix; above it they raise before allocating.
 MAX_DENSE_DIM = 4096
+
+
+def _clamped_sqrt(sq: float) -> float:
+    """sqrt of a quantity nonnegative in exact arithmetic: noise down to ``NOISE_FLOOR`` reads as 0, below it raises."""
+    if sq < NOISE_FLOOR:
+        raise NumericalToleranceError(f"square {sq:.3e} below {NOISE_FLOOR}")
+    return math.sqrt(max(sq, 0.0))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -140,11 +151,12 @@ class DiagonalState:
 class DensityOperator:
     """Mixed state: Hermitian, trace-one, positive-semidefinite matrix.
 
-    The constructor's eigendecomposition is kept for ``factor``.
-    Eigenvalues below ``EIG_FLOOR`` raise; those up to
-    dim * eps * max(eigenvalue), clamped noise included, count as exact
-    zeros, since a power of eigensolver noise in a null space would
-    inject errors of order eps^p per rank-deficient direction.
+    The constructor's eigendecomposition is kept for ``factor``.  Eigenvalues
+    below ``NOISE_FLOOR`` raise; those up to dim * eps * max(eigenvalue),
+    clamped noise included, count as exact zeros, since a power of eigensolver
+    noise in a null space would inject errors of order eps^p per rank-deficient
+    direction.  An exactly diagonal matrix has no such noise (eigh returns its
+    diagonal as it is), so only its zero and clamped entries drop.
     """
 
     mat: np.ndarray
@@ -164,9 +176,10 @@ class DensityOperator:
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateValidationError(f"trace {tr!r} differs from 1")
         vals, vecs = np.linalg.eigh(mat)
-        if vals[0] < EIG_FLOOR:
-            raise NotPositiveSemidefiniteError(f"eigenvalue {vals[0]:.3e} below {EIG_FLOOR}")
-        keep = vals > mat.shape[0] * np.finfo(float).eps * vals[-1]
+        if vals[0] < NOISE_FLOOR:
+            raise NotPositiveSemidefiniteError(f"eigenvalue {vals[0]:.3e} below {NOISE_FLOOR}")
+        diagonal = np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
+        keep = vals > (0.0 if diagonal else mat.shape[0] * np.finfo(float).eps * vals[-1])
         object.__setattr__(self, "mat", _readonly(mat))
         object.__setattr__(self, "_eig", (vals[keep], vecs[:, keep]))
 

@@ -38,7 +38,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import DensityOperator, DiagonalState, FockVector
+from .fock_core import DensityOperator, DiagonalState, FockVector, _clamped_sqrt
 from .states import (
     StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, poisson_weights,
     quadrature_sigma_min,
@@ -288,8 +288,7 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
         grid = default_grid(ra.dim, n_points)
         wa = wigner(ra, grid)
         wb = wigner(rb, grid)
-        sq = grid_integral(grid, (wa.grid.values - wb.grid.values) ** 2) / (2.0 * math.pi)
-        return math.sqrt(max(sq, 0.0))
+        return math.sqrt(grid_integral(grid, (wa.grid.values - wb.grid.values) ** 2) / (2.0 * math.pi))  # squares
 
     if form in ("qp", "pp"):
         for s in (a, b):
@@ -303,16 +302,14 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
             grid = default_grid(ra.dim, n_points or 257)
             dq_vals = husimi_q(ra, grid).grid.values - husimi_q(rb, grid).grid.values
             dp_vals = p_function_thermal(n1, grid).grid.values - p_function_thermal(n2, grid).grid.values
-            sq = grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi)
-            return math.sqrt(max(sq, 0.0))
+            return _clamped_sqrt(grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi))
         # pp: angular integrals done exactly, radial double integral by Simpson
         n = n_points or 1025
         rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
         r = np.linspace(0.0, rmax, n)
         w = simpson_weights(n, r[1] - r[0])
         f = np.exp(-(r**2) / n1) / n1 - np.exp(-(r**2) / n2) / n2
-        sq = 4.0 * _poisson_form(r * r, w * r * f)
-        return math.sqrt(max(sq, 0.0))
+        return math.sqrt(4.0 * _poisson_form(r * r, w * r * f))  # a sum of squares
 
     raise UnsupportedCombinationError(f"unknown phase-space form {form!r}")
 

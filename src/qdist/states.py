@@ -37,7 +37,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import DensityOperator, DiagonalState, FockVector
+from .fock_core import DensityOperator, DiagonalState, FockVector, _clamped_sqrt
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -222,7 +222,7 @@ def _tail_horizon(spec: StateSpec, dim: int) -> int:
         if az < 1e-12:
             horizon = dim + 8
         else:
-            k = int(-60.0 / math.log(az * az)) + 8 if az < 1.0 else MAX_DIM
+            k = int(-60.0 / math.log(az * az)) + 8  # StateSpec holds |zeta| below 1
             horizon = max(horizon, 2 * k)
     if horizon > MAX_HORIZON:
         raise TruncationInfeasibleError(f"{spec.family} state spreads over more than {MAX_HORIZON} levels")
@@ -429,13 +429,13 @@ def quadrature_moments(moments, theta: float) -> tuple[float, float]:
     m, a2, n = moments
     rot = cmath.exp(-1j * theta)
     var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
-    return math.sqrt(2.0) * (m * rot).real, math.sqrt(max(var, 0.0))
+    return math.sqrt(2.0) * (m * rot).real, _clamped_sqrt(var)
 
 
 def quadrature_sigma_min(moments) -> float:
     """Smallest standard deviation of ``quadrature_moments``, where its cosine term is -1."""
     m, a2, n = moments
-    return math.sqrt(max(n - abs(m) ** 2 + 0.5 - abs(a2 - m * m), 0.0))
+    return _clamped_sqrt(n - abs(m) ** 2 + 0.5 - abs(a2 - m * m))
 
 
 @dataclass(frozen=True)

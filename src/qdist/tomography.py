@@ -190,8 +190,7 @@ def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
     weights = simpson_weights(wa.x.size, wa.x[1] - wa.x[0])
     p, q = wa.w, wb.w
     if kind == "hellinger":
-        val = float(weights @ (np.sqrt(p) - np.sqrt(q)) ** 2)
-        return math.sqrt(max(val, 0.0))
+        return math.sqrt(float(weights @ (np.sqrt(p) - np.sqrt(q)) ** 2))  # squares, positive weights
     if kind == "kolmogorov":
         return float(weights @ np.abs(p - q))
     if kind == "bhattacharyya":

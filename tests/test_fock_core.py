@@ -25,6 +25,7 @@ from qdist.errors import (
     StateValidationError,
     TruncationInfeasibleError,
 )
+from qdist.fock_core import _clamped_sqrt
 
 
 def geometric_populations(nbar, nterms):
@@ -96,6 +97,11 @@ class TestConstruction:
         assert not rho.mat.flags.writeable and not rho.populations.flags.writeable
         assert np.array_equal(rho.mat, np.diag(rho.populations))
         assert np.array_equal(DensityOperator(rho.mat).populations, rho.populations)
+
+
+def test_clamp_reads_noise_above_the_floor_as_zero():
+    assert _clamped_sqrt(-5e-11) == 0.0
+    assert _clamped_sqrt(0.25) == 0.5  # below the floor it raises: see test_refusals
 
 
 class TestOuter:

@@ -112,20 +112,27 @@ def test_only_named_kernels_read_the_dense_matrix(module):
     assert set(readers) <= DENSE_READERS[module], f"{module} reads .mat in {sorted(readers)}"
 
 
-# A squared distance is clamped at zero in one place, which raises on a negative square
-# beyond CLAMP_WARN; the moment series keeps its own clamp until it carries an error estimate.
-SQRT_CLAMPS = {"_clamped_sqrt": 1, "hs_from_moments": 1}
+# A square that rounding can push below 0 is clamped there in one place, which raises
+# below fock_core.NOISE_FLOOR.  The closed forms keep their own: their oracles stay
+# independent of the numerics.
+SQRT_CLAMPS = {"_clamped_sqrt": 1}
 
 
 def _is_sqrt_of_max(node):
-    """math.sqrt(...) with a max(...) call anywhere in its argument."""
+    """math.sqrt(...) with a max(..., 0) call, one argument a literal 0, anywhere in its argument."""
     return (isinstance(node, ast.Call) and ast.unparse(node.func) == "math.sqrt"
             and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "max"
+                    and any(isinstance(a, ast.Constant) and a.value == 0 for a in n.args)
                     for arg in node.args for n in ast.walk(arg)))
 
 
 def test_one_clamp_for_negative_squares():
-    assert _scopes(PACKAGE / "distances.py", _is_sqrt_of_max) == SQRT_CLAMPS
+    counts = {}
+    for path in MODULES:
+        if path.name != "closed_forms.py":
+            for scope, n in _scopes(path, _is_sqrt_of_max).items():
+                counts[scope] = counts.get(scope, 0) + n
+    assert counts == SQRT_CLAMPS
 
 
 def _module_level_imports(tree):

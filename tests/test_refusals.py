@@ -5,6 +5,8 @@ fragment pins the ``raise`` that fires, so a case cannot pass on an
 earlier, unrelated refusal of the same class.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qdist import (
     StateSpec,
     Tomogram,
     classical_divergence,
+    coherent,
     coherent_fock,
     default_grid,
     fock,
@@ -35,10 +38,12 @@ from qdist import cli
 from qdist.errors import (
     DimensionMismatchError,
     GridError,
+    NumericalToleranceError,
     SpecParseError,
     StateValidationError,
     UnsupportedCombinationError,
 )
+from qdist.fock_core import _clamped_sqrt
 from qdist.phase_space import simpson_weights
 
 
@@ -48,6 +53,12 @@ def _grid(nq=16, n_p=16, shape=(16, 16)):
 
 def _table(cutoff):
     return moment_table(fock(1, 8), cutoff)
+
+
+@functools.cache
+def _coherent_tables():
+    # coherent:3 vs coherent:3.5; the series has not converged at s = 25 or s = 100
+    return tuple(moment_table(coherent(alpha, 104), 100) for alpha in (3.0, 3.5))
 
 
 def _tomogram(w):
@@ -70,8 +81,13 @@ REFUSALS = {
         lambda: pure_state_distance(fock(0, 4), fock(1, 4), "nope"), StateValidationError, "unknown pure-state"),
     "hs_from_moments-cutoffs": (lambda: hs_from_moments(_table(2), _table(3), 1), DimensionMismatchError, "cutoffs"),
     "hs_from_moments-s_max": (lambda: hs_from_moments(_table(2), _table(2), 3), StateValidationError, "exceeds"),
+    "hs_from_moments-diverged-s25": (
+        lambda: hs_from_moments(*_coherent_tables(), 25), NumericalToleranceError, "square -1.985e+00 below"),
+    "hs_from_moments-diverged-s100": (
+        lambda: hs_from_moments(*_coherent_tables(), 100), NumericalToleranceError, "square -1.483e+03 below"),
     "hs_bounds-n-at-dim": (lambda: hs_bounds(fock(0, 4), 4), StateValidationError, "0 <= n < dim"),
     "hs_bounds-negative-n": (lambda: hs_bounds(fock(0, 4), -1), StateValidationError, "0 <= n < dim"),
+    "_clamped_sqrt-below-floor": (lambda: _clamped_sqrt(-2e-10), NumericalToleranceError, "below -1e-10"),
     # state kinds
     "FockVector-empty": (lambda: FockVector(np.array([])), StateValidationError, "non-empty 1-d"),
     "FockVector-2d": (lambda: FockVector(np.eye(2)), StateValidationError, "non-empty 1-d"),

@@ -22,6 +22,7 @@ from qdist import (
     FockVector,
     StateSpec,
     adaptive_dim,
+    as_density,
     build_state,
     default_grid,
     fock,
@@ -36,7 +37,7 @@ from qdist import (
     wigner,
     yurke_stoler_phases,
 )
-from qdist.closed_forms import METRIC_NAMES, thermal_pair
+from qdist.closed_forms import METRIC_NAMES, closed_form_lookup, thermal_pair
 from qdist.distances import METRICS, evaluate_metric
 from qdist.errors import DimensionMismatchError, StateValidationError, UnsupportedCombinationError
 from qdist.states import FAMILIES
@@ -126,6 +127,30 @@ def test_thermal_pairs_match_their_closed_form(pair):
     expect = thermal_pair(sa.params["nbar"], sb.params["nbar"])["bu"]
     for metric in ("bu", "hs-p:0.5"):
         assert abs(evaluate_metric(metric, a, b).value - expect) <= 1e-10, metric
+
+
+@pytest.fixture(scope="module")
+def diagonal_density_pair():
+    specs = parse_state_spec("thermal:0.3"), parse_state_spec("thermal:17")
+    return specs, tuple(as_density(s, 488) for s in specs)
+
+
+@pytest.mark.parametrize("metric", ["dn-sqrt", "bu", "hs-p:0.5"])
+def test_diagonal_density_operator_keeps_its_tail(diagonal_density_pair, metric):
+    # an exactly diagonal matrix has no eigensolver noise, so no null threshold drops its
+    # tail populations: with one, dn-sqrt was 2.35e-7 off and bu and hs-p:0.5 4.0e-8
+    (sa, sb), (a, b) = diagonal_density_pair
+    assert abs(evaluate_metric(metric, a, b).value - closed_form_lookup(sa, sb, metric)) <= 1e-10
+
+
+def test_number_state_projector_takes_the_population_route(monkeypatch):
+    a, b = outer(fock(2, 48)), thermal(0.5, 48)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert evaluate_metric("jmg", a, b).value == 0.5 * float(np.abs(a.populations - b.populations).sum())
 
 
 class TestNoDenseSolver:
