@@ -12,81 +12,56 @@ The package provides, over a truncated number basis:
 - Wigner / Husimi / thermal-P phase-space grids and the phase-space
   integral forms of the Hilbert-Schmidt distance;
 - quadrature tomograms and classical-like distances built on them.
+
+Every public name is exported lazily (PEP 562): ``import qdist`` loads
+neither numpy nor scipy, and the first use of a name imports its home
+module, as listed in ``_EXPORTS``.
 """
 
-from .closed_forms import (
-    cat_distances,
-    coherent_fock,
-    coherent_pair,
-    fock_pair,
-    phase_pair,
-    squeezed_pair,
-    thermal_approximations,
-    thermal_pair,
-)
-from .distances import (
-    DistanceReport,
-    HSBounds,
-    bures_uhlmann,
-    evaluate_metric,
-    hilbert_schmidt,
-    hs_bounds,
-    hs_from_moments,
-    jmg_distance,
-    modified_hs,
-    polarized,
-    polarized_sqrt,
-    pure_state_distance,
-    quasidistance_Da,
-    quasidistance_DZ,
-)
-from .fock_core import (
-    DensityOperator,
-    DiagonalState,
-    FockVector,
-    hermitian_sqrt,
-    outer,
-    purity,
-    trace_norm,
-    trace_product,
-)
-from .phase_space import (
-    PhaseGrid,
-    QuasiDistribution,
-    default_grid,
-    grid_to_csv,
-    hs_from_phase_space,
-    husimi_q,
-    oscillator_eigenfunctions,
-    p_function_thermal,
-    wigner,
-)
-from .states import (
-    MomentTable,
-    StateSpec,
-    adaptive_dim,
-    as_density,
-    build_state,
-    cat,
-    coherent,
-    coherent_phase,
-    fock,
-    generalized_coherent,
-    mandel_q,
-    moment,
-    moment_table,
-    parse_state_spec,
-    squeezed_vacuum,
-    thermal,
-    truncation_tail,
-    yurke_stoler_phases,
-)
-from .tomography import (
-    Tomogram,
-    classical_divergence,
-    marginal_analytic,
-    marginal_from_wigner,
-    tomographic_distance,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# home module -> the public names it exports
+_EXPORTS = {
+    "closed_forms": (
+        "cat_distances", "coherent_fock", "coherent_pair", "fock_pair", "phase_pair", "squeezed_pair",
+        "thermal_approximations", "thermal_pair",
+    ),
+    "distances": (
+        "DistanceReport", "HSBounds", "bures_uhlmann", "evaluate_metric", "hilbert_schmidt", "hs_bounds",
+        "hs_from_moments", "jmg_distance", "modified_hs", "polarized", "polarized_sqrt",
+        "pure_state_distance", "quasidistance_Da", "quasidistance_DZ",
+    ),
+    "fock_core": (
+        "DensityOperator", "DiagonalState", "FockVector", "hermitian_sqrt", "outer", "purity", "trace_norm",
+        "trace_product",
+    ),
+    "phase_space": (
+        "PhaseGrid", "QuasiDistribution", "default_grid", "grid_to_csv", "hs_from_phase_space", "husimi_q",
+        "oscillator_eigenfunctions", "p_function_thermal", "wigner",
+    ),
+    "states": (
+        "MomentTable", "StateSpec", "adaptive_dim", "as_density", "build_state", "cat", "coherent",
+        "coherent_phase", "fock", "generalized_coherent", "mandel_q", "moment", "moment_table",
+        "parse_state_spec", "squeezed_vacuum", "thermal", "truncation_tail", "yurke_stoler_phases",
+    ),
+    "tomography": (
+        "Tomogram", "classical_divergence", "marginal_analytic", "marginal_from_wigner", "tomographic_distance",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,10 @@ Output is CSV with a header row, 12 significant digits, ``.`` decimal
 separator, deterministic row order.  Exit codes: 0 success, 2 parse
 error, 3 numerical failure (truncation, positivity, grids), 4
 unsupported state/metric combination.
+
+Each subcommand imports the numeric modules it calls when it runs;
+only ``closed_forms`` and ``errors`` load with this module, so
+``figure``, which prints closed forms, never loads numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import os
 import sys
 
 from . import closed_forms
-from .closed_forms import METRIC_NAMES, closed_form_lookup, parse_metric
-from .distances import evaluate_metric
+from .closed_forms import DIVERGENCE_KINDS, METRIC_NAMES, closed_form_lookup, parse_metric
 from .errors import (
     QdistError,
     SpecParseError,
@@ -28,8 +31,6 @@ from .errors import (
     TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
-from .states import MAX_DIM, MAX_HORIZON, StateSpec, adaptive_dim, build_state, parse_state_spec
-from .tomography import DIVERGENCE_KINDS, tomographic_distance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -45,6 +46,8 @@ def _fmt(x: float) -> str:
 
 
 def _max_dim() -> int:
+    from .states import MAX_DIM, MAX_HORIZON
+
     text = os.environ.get("QDIST_MAX_DIM", str(MAX_DIM))
     top = MAX_HORIZON - 64  # the tail sums at the cap run over dim + 64 levels
     if not text.strip().isdecimal() or not 1 <= int(text) <= top:
@@ -52,7 +55,9 @@ def _max_dim() -> int:
     return int(text)
 
 
-def _resolve_dim(spec_a: StateSpec, spec_b: StateSpec, dim_arg: str) -> int:
+def _resolve_dim(spec_a, spec_b, dim_arg: str) -> int:
+    from .states import adaptive_dim
+
     cap = _max_dim()
     if dim_arg == "auto":
         return max(adaptive_dim(spec_a, max_dim=cap), adaptive_dim(spec_b, max_dim=cap))
@@ -77,7 +82,10 @@ def _emit(lines: list[str], out: str | None) -> None:
             fh.write(text)
 
 
-def _distance_row(spec_a: StateSpec, spec_b: StateSpec, metric: str, dim: int) -> str:
+def _distance_row(spec_a, spec_b, metric: str, dim: int) -> str:
+    from .distances import evaluate_metric
+    from .states import build_state
+
     sa = build_state(spec_a, dim)
     sb = build_state(spec_b, dim)
     report = evaluate_metric(metric, sa, sb)
@@ -88,6 +96,8 @@ def _distance_row(spec_a: StateSpec, spec_b: StateSpec, metric: str, dim: int) -
 
 
 def cmd_distance(args) -> int:
+    from .states import parse_state_spec
+
     spec_a = parse_state_spec(args.a)
     spec_b = parse_state_spec(args.b)
     parse_metric(args.metric)
@@ -111,6 +121,8 @@ def _sweep_values(rng: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from .states import parse_state_spec
+
     marks = args.a.count("?") + args.b.count("?")
     if marks != 1:
         raise SpecParseError("exactly one '?' placeholder must appear in --a/--b")
@@ -163,6 +175,9 @@ def cmd_figure(args) -> int:
 
 
 def cmd_tomo_distance(args) -> int:
+    from .states import parse_state_spec
+    from .tomography import tomographic_distance
+
     spec_a = parse_state_spec(args.a)
     spec_b = parse_state_spec(args.b)
     value = tomographic_distance(spec_a, spec_b, kind=args.kind, angular_nodes=args.nodes_angular)

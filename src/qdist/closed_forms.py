@@ -14,7 +14,8 @@ large-nbar thermal forms come from ``thermal_approximations`` alone.
 ``closed_form_lookup`` picks the oracle for a state pair and a CLI
 metric name from one table with a row per family pair.  ``parse_metric``
 reads those names, for the lookup and for ``distances.evaluate_metric``
-alike.
+alike.  ``DIVERGENCE_KINDS`` names the tomographic divergences here,
+not in ``tomography``, so that the CLI's help reads them without numpy.
 """
 
 from __future__ import annotations
@@ -289,6 +290,7 @@ _VACUUM = {
 
 
 METRIC_NAMES = ("fs", "minimal", "wootters", "hs", "jmg", "bu", "hs-p", "dn", "dn-sqrt", "DZ", "Da")
+DIVERGENCE_KINDS = ("hellinger", "kolmogorov", "bhattacharyya", "kullback")
 
 
 def parse_metric(name: str) -> tuple[str, float]:

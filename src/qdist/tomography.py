@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closed_forms import DIVERGENCE_KINDS
 from .errors import (
     GridError,
     StateValidationError,
@@ -174,8 +175,6 @@ def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndar
 # ---------------------------------------------------------------------------
 # classical divergences on a shared X grid
 # ---------------------------------------------------------------------------
-
-DIVERGENCE_KINDS = ("hellinger", "kolmogorov", "bhattacharyya", "kullback")
 
 KULLBACK_FLOOR = 1e-300
 KULLBACK_CUT = 1e-15  # points where both densities sit below this are dropped

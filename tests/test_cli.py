@@ -213,6 +213,15 @@ class TestTomoCommand:
         assert code == 0
         assert float(last_row(out)[1]) == pytest.approx(0.2, rel=0.02)
 
+    def test_kind_help_and_the_divergence_check_read_one_tuple(self, capsys):
+        from qdist import cli, closed_forms, tomography
+
+        code, out = run(capsys, "tomo-distance", "--help")
+        assert code == 0
+        assert "  --kind KIND           hellinger|kolmogorov|bhattacharyya|kullback\n" in out
+        # the help line and classical_divergence's check read this one tuple
+        assert cli.DIVERGENCE_KINDS is tomography.DIVERGENCE_KINDS is closed_forms.DIVERGENCE_KINDS
+
     def test_thermal_pair_uses_fock_basis_marginals(self, capsys):
         code, out = run(
             capsys, "tomo-distance", "--a", "thermal:0.7", "--b", "coherent:0.5,0.2", "--kind", "hellinger"

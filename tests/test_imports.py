@@ -1,4 +1,5 @@
-"""Import hygiene: every imported name is used, and importing qdist loads no scipy."""
+"""Import hygiene: every imported name is used, ``import qdist`` loads neither numpy nor scipy, and no
+subcommand loads scipy."""
 
 import ast
 import os
@@ -158,17 +159,79 @@ def test_no_module_level_scipy_import(path):
     assert not scipy, f"{path.name} imports at module level: {', '.join(scipy)}"
 
 
-def _scipy_loaded_after(code: str) -> str:
-    """The sorted scipy module names a fresh interpreter holds after running ``code``."""
+def _child_stdout(code: str) -> str:
+    """What a fresh interpreter, importing this qdist, prints on running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr[-300:]
-    return proc.stdout.strip()
+    return proc.stdout
 
 
-def test_importing_qdist_loads_no_scipy():
-    assert _scipy_loaded_after("import qdist, qdist.cli") == "[]"
+def _loaded_after(code: str) -> set:
+    """Which of numpy and scipy a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys; print(*sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    return set(_child_stdout(code).splitlines()[-1].split())
+
+
+def test_importing_qdist_loads_neither_numpy_nor_scipy():
+    assert _loaded_after("import qdist") == set()
+
+
+@pytest.mark.parametrize("fid", [1, 2])
+def test_figure_loads_no_numpy(fid):
+    # the figures are closed forms: cli imports only closed_forms and errors at module level
+    assert _loaded_after(f"from qdist.cli import main; assert main(['figure', '--id', '{fid}']) == 0") == set()
+
+
+# one light call of each subcommand; tomo-distance on a thermal state takes the Fock-basis marginals
+SUBCOMMANDS = {
+    "distance": ["distance", "--a", "thermal:1", "--b", "coherent:1,0.5", "--metric", "bu"],
+    "sweep": ["sweep", "--a", "coherent:?", "--b", "fock:1", "--metric", "hs", "--range", "0:1:0.5"],
+    "figure": ["figure", "--id", "2"],
+    "tomo-distance": ["tomo-distance", "--a", "thermal:0.5", "--b", "coherent:1", "--kind", "kullback"],
+}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_no_subcommand_loads_scipy(argv):
+    assert "scipy" not in _loaded_after(f"from qdist.cli import main; assert main({argv!r}) == 0")
+
+
+# the names qdist exported before its exports went lazy; none may be lost
+EXPORTS = [
+    "DensityOperator", "DiagonalState", "DistanceReport", "FockVector", "HSBounds", "MomentTable", "PhaseGrid",
+    "QuasiDistribution", "StateSpec", "Tomogram", "adaptive_dim", "as_density", "build_state", "bures_uhlmann",
+    "cat", "cat_distances", "classical_divergence", "coherent", "coherent_fock", "coherent_pair", "coherent_phase",
+    "default_grid", "evaluate_metric", "fock", "fock_pair", "generalized_coherent", "grid_to_csv", "hermitian_sqrt",
+    "hilbert_schmidt", "hs_bounds", "hs_from_moments", "hs_from_phase_space", "husimi_q", "jmg_distance",
+    "mandel_q", "marginal_analytic", "marginal_from_wigner", "modified_hs", "moment", "moment_table",
+    "oscillator_eigenfunctions", "outer", "p_function_thermal", "parse_state_spec", "phase_pair", "polarized",
+    "polarized_sqrt", "pure_state_distance", "purity", "quasidistance_DZ", "quasidistance_Da", "squeezed_pair",
+    "squeezed_vacuum", "thermal", "thermal_approximations", "thermal_pair", "tomographic_distance", "trace_norm",
+    "trace_product", "truncation_tail", "wigner", "yurke_stoler_phases",
+]
+
+
+def test_lazy_exports_are_pinned():
+    assert sorted(qdist.__all__) == EXPORTS
+    assert set(EXPORTS) <= set(dir(qdist))
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_its_home_modules_object(name):
+    obj = getattr(qdist, name)
+    assert obj.__module__.startswith("qdist.")
+    assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qdist.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_export():
+    code = "from qdist import *\nprint(sorted(n for n in dir() if not n.startswith('_')))"
+    assert _child_stdout(code).strip() == repr(EXPORTS)
 
 
 def test_phase_space_imports_no_scipy():
@@ -191,4 +254,4 @@ def test_phase_space_forms_load_no_scipy():
         "hs_from_phase_space(a, b, 'pp')\n"
         "hs_from_phase_space(a, b, 'qp')"
     )
-    assert _scipy_loaded_after(code) == "[]"
+    assert "scipy" not in _loaded_after(code)
