@@ -31,12 +31,12 @@ q = husimi_q(rho)
 i0 = int(np.argmin(np.abs(w.grid.q_axis)))
 j0 = int(np.argmin(np.abs(w.grid.p_axis)))
 print(f"even cat, dim {dim}:")
-print(f"  Wigner at origin      {w.grid.values[i0, j0]:+.4f}  (interference fringe)")
-print(f"  Wigner minimum        {w.grid.values.min():+.4f}  (negativity = nonclassical)")
-print(f"  Husimi at origin      {q.grid.values[i0, j0]:+.4f}  (always nonnegative)")
+print(f"  Wigner at origin      {w.values[i0, j0]:+.4f}  (interference fringe)")
+print(f"  Wigner minimum        {w.values.min():+.4f}  (negativity = nonclassical)")
+print(f"  Husimi at origin      {q.values[i0, j0]:+.4f}  (always nonnegative)")
 
 p = p_function_thermal(2.0)
-print(f"  thermal P peak        {p.grid.values.max():+.4f}  (= 1/nbar)")
+print(f"  thermal P peak        {p.values.max():+.4f}  (= 1/nbar)")
 
 grid_to_csv(w, "cat_wigner.csv")
 print("  wrote cat_wigner.csv (q, p, value rows)")
@@ -56,5 +56,5 @@ for sa, sb in pairs:
     print(line)
 
 print("\nall routes agree to the quadrature tolerance (1e-4 or better)")
-print(f"cat Wigner range [{w.grid.values.min():+.4f}, {w.grid.values.max():+.4f}]; "
+print(f"cat Wigner range [{w.values.min():+.4f}, {w.values.max():+.4f}]; "
       f"in this normalization |W| <= 2, saturated where the state has definite parity")

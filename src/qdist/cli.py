@@ -46,10 +46,10 @@ def _fmt(x: float) -> str:
 
 
 def _max_dim() -> int:
-    from .states import MAX_DIM, MAX_HORIZON
+    from .states import MAX_DIM, MAX_HORIZON, TAIL_MARGIN
 
     text = os.environ.get("QDIST_MAX_DIM", str(MAX_DIM))
-    top = MAX_HORIZON - 64  # the tail sums at the cap run over dim + 64 levels
+    top = MAX_HORIZON - TAIL_MARGIN  # the tail sums at the cap run over dim + TAIL_MARGIN levels
     if not text.strip().isdecimal() or not 1 <= int(text) <= top:
         raise SpecParseError(f"QDIST_MAX_DIM must be an integer in [1, {top}], got {text!r}")
     return int(text)

@@ -19,10 +19,11 @@ the columns of a 2-d one against ``states.coherent_amplitudes``.  The
 ``pp`` form's Bessel pairing kernel is a sum of products of the same
 Poisson weights, so no special function beyond them is evaluated here.
 
-Normalization conventions: int W dq dp / (2 pi) = 1 for the Wigner
-function; Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2);
-the thermal P function is P(alpha) = exp(-|alpha|^2/nbar)/nbar with
-int P d^2alpha/pi = 1.
+A ``PhaseGrid`` is geometry only; each ``QuasiDistribution`` owns its
+values on one, a read-only copy it checks when it is built.  Their
+normalization: int W dq dp / (2 pi) = 1 for the Wigner function;
+Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2); the thermal
+P function is P(alpha) = exp(-|alpha|^2/nbar)/nbar with int P d^2alpha/pi = 1.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ OCCUPIED_CUT = 1e-14  # a level at or below this population is left out of the W
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Scalar field over a uniform rectangular (q, p) grid."""
+    """A uniform rectangular (q, p) grid: its geometry only."""
 
     q_min: float
     q_max: float
@@ -60,16 +61,10 @@ class PhaseGrid:
     p_max: float
     nq: int
     n_p: int
-    values: np.ndarray  # shape (nq, n_p), indexed [iq, ip]
 
     def __post_init__(self):
         if self.nq < 16 or self.n_p < 16:
             raise StateValidationError("grids need at least 16 points per axis")
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.nq, self.n_p):
-            raise StateValidationError(f"values shape {v.shape} != ({self.nq}, {self.n_p})")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def q_axis(self) -> np.ndarray:
@@ -87,13 +82,10 @@ class PhaseGrid:
     def dp(self) -> float:
         return (self.p_max - self.p_min) / (self.n_p - 1)
 
-    def with_values(self, values: np.ndarray) -> "PhaseGrid":
-        return PhaseGrid(self.q_min, self.q_max, self.p_min, self.p_max, self.nq, self.n_p, values)
-
 
 @dataclass(frozen=True)
 class QuasiDistribution:
-    """A Cahill-Glauber ordered distribution on a phase-space grid.
+    """A Cahill-Glauber ordered distribution: its values, shape (nq, n_p) indexed [iq, ip], on a grid.
 
     s = 0 is the Wigner function, s = -1 the Husimi Q function and
     s = +1 the (thermal-only) Glauber-Sudarshan P function.  Q values
@@ -102,25 +94,30 @@ class QuasiDistribution:
 
     s: int
     grid: PhaseGrid
+    values: np.ndarray
 
     def __post_init__(self):
+        v = np.array(self.values, dtype=float)
+        if v.shape != (self.grid.nq, self.grid.n_p):
+            raise StateValidationError(f"values shape {v.shape} != ({self.grid.nq}, {self.grid.n_p})")
         if self.s not in (-1, 0, 1):
             raise StateValidationError("ordering parameter s must be -1, 0 or +1")
         if self.s == -1:
-            v = self.grid.values
             if v.min() < -1e-12 or v.max() > 1.0 + 1e-9:
                 raise StateValidationError("Q-function values must lie in [0, 1]")
-            object.__setattr__(self, "grid", self.grid.with_values(np.clip(v, 0.0, 1.0)))
-            return
-        mass = grid_integral(self.grid) / (2.0 * math.pi)
-        if not abs(mass - 1.0) <= MASS_TOL:
-            raise GridError(f"s = {self.s} mass on grid is {mass!r}; enlarge or refine the grid")
+            v = np.clip(v, 0.0, 1.0)
+        else:
+            mass = grid_integral(self.grid, v) / (2.0 * math.pi)
+            if not abs(mass - 1.0) <= MASS_TOL:
+                raise GridError(f"s = {self.s} mass on grid is {mass!r}; enlarge or refine the grid")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
 
 def default_grid(dim: int, n: int = 257) -> PhaseGrid:
     """Square grid over +-(sqrt(2 dim) + 4), the default working window."""
     span = math.sqrt(2.0 * dim) + 4.0
-    return PhaseGrid(-span, span, -span, span, n, n, np.zeros((n, n)))
+    return PhaseGrid(-span, span, -span, span, n, n)
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -133,12 +130,11 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def grid_integral(grid: PhaseGrid, values: np.ndarray | None = None) -> float:
+def grid_integral(grid: PhaseGrid, values: np.ndarray) -> float:
     """Simpson integral of a field over the grid area (no 2 pi factor)."""
-    v = grid.values if values is None else values
     wq = simpson_weights(grid.nq, grid.dq)
     wp = simpson_weights(grid.n_p, grid.dp)
-    return float(wq @ v @ wp)
+    return float(wq @ values @ wp)
 
 
 def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
@@ -173,7 +169,6 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     """
     if grid is None:
         grid = default_grid(rho.dim)
-    q = grid.q_axis
     p = grid.p_axis
     dq = grid.dq
     n_eff = _occupied_levels(rho)
@@ -197,7 +192,7 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     g[valid] = r[rows[valid], cols[valid]]
     phases = np.exp(1j * np.outer(p, b * dq))  # u_b = b dq
     w = dq * (r[a, a].real[None, :] + 2.0 * (phases @ g).real)  # shape (n_p, nq)
-    return QuasiDistribution(0, grid.with_values(w.T))
+    return QuasiDistribution(0, grid, w.T)
 
 
 def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
@@ -218,7 +213,7 @@ def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     chunk = max(min(16384, HUSIMI_BLOCK // rho.dim), 1)
     for lo in range(0, alpha.size, chunk):
         vals[lo : lo + chunk] = _coherent_expectations(w, alpha[lo : lo + chunk])
-    return QuasiDistribution(-1, grid.with_values(vals.reshape(grid.nq, grid.n_p)))
+    return QuasiDistribution(-1, grid, vals.reshape(grid.nq, grid.n_p))
 
 
 def _coherent_expectations(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -239,10 +234,10 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
         raise UnsupportedCombinationError("P function is singular for nbar = 0")
     if grid is None:
         span = math.sqrt(80.0 * nbar) + 4.0
-        grid = PhaseGrid(-span, span, -span, span, 257, 257, np.zeros((257, 257)))
+        grid = PhaseGrid(-span, span, -span, span, 257, 257)
     qq, pp = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
     vals = np.exp(-(qq**2 + pp**2) / (2.0 * nbar)) / nbar
-    return QuasiDistribution(1, grid.with_values(vals))
+    return QuasiDistribution(1, grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -261,34 +256,32 @@ def _state_pair(a, b) -> tuple:
     return ra, rb
 
 
-def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None) -> float:
+def hs_from_phase_space(a, b, form: str = "wigner") -> float:
     """Hilbert-Schmidt distance evaluated as a phase-space integral.
 
-    form = "wigner": sqrt( int dq dp/(2 pi) [W1 - W2]^2 ), any states.
-    form = "qp":     sqrt( int d2a/pi [Q1 - Q2][P1 - P2] ), thermal pairs.
+    form = "wigner": sqrt( int dq dp/(2 pi) [W1 - W2]^2 ), any states, on a ``default_grid``
+                     of 257 to 1537 points stepped by their quadrature spread and fringe scale.
+    form = "qp":     sqrt( int d2a/pi [Q1 - Q2][P1 - P2] ), thermal pairs, on the 257-point ``default_grid``.
     form = "pp":     the double P-function integral with the Gaussian
                      pairing kernel, thermal pairs: angular integrals
-                     exact, the radial double integral on ``n_points``
-                     (1025) Simpson nodes with its kernel summed over
-                     Poisson weights (``_poisson_form``).
+                     exact, the radial double integral on 1025 Simpson
+                     nodes with its kernel summed over Poisson weights
+                     (``_poisson_form``).
 
     ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states;
     specs are built at the larger dim the pair needs.
     """
     if form == "wigner":
         ra, rb = _state_pair(a, b)
-        if n_points is None:
-            span = math.sqrt(2.0 * ra.dim) + 4.0
-            n_eff = max(_occupied_levels(ra), _occupied_levels(rb))
-            fringe = math.pi / (2.0 * math.sqrt(2.0 * n_eff + 1.0))
-            # the floor keeps the step finite for a state squeezed to sigma ~ 0
-            sig = max(min(quadrature_sigma_min(ladder_moments(r)) for r in (ra, rb)), 1e-3)
-            h = min(0.15, min(sig, fringe) / 3.0)
-            n_points = int(min(max(2 * round(span / h) + 1, 257), 1537))
-        grid = default_grid(ra.dim, n_points)
-        wa = wigner(ra, grid)
-        wb = wigner(rb, grid)
-        return math.sqrt(grid_integral(grid, (wa.grid.values - wb.grid.values) ** 2) / (2.0 * math.pi))  # squares
+        span = math.sqrt(2.0 * ra.dim) + 4.0
+        n_eff = max(_occupied_levels(ra), _occupied_levels(rb))
+        fringe = math.pi / (2.0 * math.sqrt(2.0 * n_eff + 1.0))
+        # the floor keeps the step finite for a state squeezed to sigma ~ 0
+        sig = max(min(quadrature_sigma_min(ladder_moments(r)) for r in (ra, rb)), 1e-3)
+        h = min(0.15, min(sig, fringe) / 3.0)
+        grid = default_grid(ra.dim, int(min(max(2 * round(span / h) + 1, 257), 1537)))
+        diff = wigner(ra, grid).values - wigner(rb, grid).values
+        return math.sqrt(grid_integral(grid, diff**2) / (2.0 * math.pi))  # a sum of squares
 
     if form in ("qp", "pp"):
         for s in (a, b):
@@ -299,15 +292,14 @@ def hs_from_phase_space(a, b, form: str = "wigner", n_points: int | None = None)
         n1, n2 = a.params["nbar"], b.params["nbar"]
         if form == "qp":
             ra, rb = _state_pair(a, b)
-            grid = default_grid(ra.dim, n_points or 257)
-            dq_vals = husimi_q(ra, grid).grid.values - husimi_q(rb, grid).grid.values
-            dp_vals = p_function_thermal(n1, grid).grid.values - p_function_thermal(n2, grid).grid.values
+            grid = default_grid(ra.dim)
+            dq_vals = husimi_q(ra, grid).values - husimi_q(rb, grid).values
+            dp_vals = p_function_thermal(n1, grid).values - p_function_thermal(n2, grid).values
             return _clamped_sqrt(grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi))
         # pp: angular integrals done exactly, radial double integral by Simpson
-        n = n_points or 1025
         rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
-        r = np.linspace(0.0, rmax, n)
-        w = simpson_weights(n, r[1] - r[0])
+        r = np.linspace(0.0, rmax, 1025)
+        w = simpson_weights(r.size, r[1] - r[0])
         f = np.exp(-(r**2) / n1) / n1 - np.exp(-(r**2) / n2) / n2
         return math.sqrt(4.0 * _poisson_form(r * r, w * r * f))  # a sum of squares
 
@@ -339,9 +331,8 @@ def _poisson_form(lam: np.ndarray, g: np.ndarray) -> float:
 
 def grid_to_csv(qd: QuasiDistribution, path) -> None:
     """Write (q, p, value) triples, one grid point per row."""
-    g = qd.grid
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("q,p,value\n")
-        for i, qv in enumerate(g.q_axis):
-            for j, pv in enumerate(g.p_axis):
-                fh.write(f"{qv:.12g},{pv:.12g},{g.values[i, j]:.12g}\n")
+        for i, qv in enumerate(qd.grid.q_axis):
+            for j, pv in enumerate(qd.grid.p_axis):
+                fh.write(f"{qv:.12g},{pv:.12g},{qd.values[i, j]:.12g}\n")

@@ -45,6 +45,7 @@ MAX_DIM = 512
 # Level horizons of the tail sums are capped here before anything is
 # allocated; a state whose populations reach this far fits no feasible dim.
 MAX_HORIZON = 1 << 16
+TAIL_MARGIN = 64  # levels a tail sum runs past the dim, or past a Poisson tail's extent
 
 FAMILIES = (
     "fock",
@@ -212,11 +213,11 @@ def alpha_squared(spec: StateSpec) -> float:
 
 def _tail_horizon(spec: StateSpec, dim: int) -> int:
     """Index beyond which level populations are negligible (< 1e-25), at most MAX_HORIZON."""
-    horizon = dim + 64
+    horizon = dim + TAIL_MARGIN
     if spec.family in ("coherent", "generalized_coherent", "cat"):
         lam = alpha_squared(spec)
         # Poisson tail: mean + generous multiple of the standard deviation
-        horizon = max(horizon, int(lam + 30.0 * math.sqrt(lam + 1.0)) + 64)
+        horizon = max(horizon, int(lam + 30.0 * math.sqrt(lam + 1.0)) + TAIL_MARGIN)
     elif spec.family == "squeezed_vacuum":
         az = abs(spec.params["zeta"])
         if az < 1e-12:
@@ -442,19 +443,21 @@ def quadrature_sigma_min(moments) -> float:
 class MomentTable:
     """Normally ordered moments M^{(k,l)} for k, l = 0..cutoff."""
 
-    cutoff: int
     m: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex)
-        want = (self.cutoff + 1, self.cutoff + 1)
-        if m.shape != want:
-            raise StateValidationError(f"moment table shape {m.shape} != {want}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise StateValidationError(f"moment table shape {m.shape} is not a non-empty square")
         defect = float(np.abs(m - m.conj().T).max())
         if defect > 1e-9 * max(1.0, float(np.abs(m).max())):
             raise StateValidationError(f"moment table breaks M(k,l) = M(l,k)*: {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
+
+    @property
+    def cutoff(self) -> int:
+        return self.m.shape[0] - 1
 
 
 def moment_table(rho, cutoff: int) -> MomentTable:
@@ -463,7 +466,7 @@ def moment_table(rho, cutoff: int) -> MomentTable:
     dim = mat.shape[0]
     if not 0 <= cutoff < dim:
         raise StateValidationError(f"cutoff {cutoff} outside [0, {dim}) for truncation dim {dim}")
-    return MomentTable(cutoff, _moments(mat.diagonal, dim, cutoff))
+    return MomentTable(_moments(mat.diagonal, dim, cutoff))
 
 
 def inv_sqrt_factorials(n: int) -> np.ndarray:

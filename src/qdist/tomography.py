@@ -164,7 +164,7 @@ def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndar
     ps = np.add.outer(x / r * e_p, v * e_q)
     ci = (qs - g.q_min) / g.dq
     cj = (ps - g.p_min) / g.dp
-    samples = map_coordinates(g.values, [ci.ravel(), cj.ravel()], order=3, mode="constant", cval=0.0)
+    samples = map_coordinates(qd.values, [ci.ravel(), cj.ravel()], order=3, mode="constant", cval=0.0)
     w = (samples.reshape(qs.shape) @ wv) / (2.0 * math.pi * r)
     lo = float(w.min())
     if lo < -1e-4 * max(float(w.max()), 1e-30):

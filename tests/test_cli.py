@@ -9,7 +9,7 @@ import pytest
 import qdist
 from qdist.cli import main
 from qdist.errors import TruncationInfeasibleError
-from qdist.states import MAX_HORIZON, adaptive_dim, parse_state_spec
+from qdist.states import MAX_HORIZON, TAIL_MARGIN, adaptive_dim, parse_state_spec
 
 
 def run(capsys, *argv):
@@ -247,6 +247,17 @@ class TestTomoCommand:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_dim_cap_env_reaches_distance_but_not_tomo_distance(self, capsys, monkeypatch):
+        # QDIST_MAX_DIM caps --dim auto for distance and sweep; tomo-distance keeps adaptive_dim's 512
+        monkeypatch.setenv("QDIST_MAX_DIM", "4096")
+        code, out = run(capsys, "distance", "--a", "thermal:20", "--b", "thermal:19", "--metric", "hs")
+        assert code == 0
+        assert last_row(out)[2] == "568"
+        code = main(["tomo-distance", "--a", "thermal:20", "--b", "coherent:0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: thermal state needs more than 512 levels") and err.count("\n") == 1
+
     def test_huge_node_count_is_a_parse_error(self, capsys):
         code = main(["tomo-distance", "--a", "coherent:1", "--b", "fock:1", "--nodes-angular", "100000000"])
         captured = capsys.readouterr()
@@ -328,7 +339,7 @@ class TestBoundedAllocations:
 
     def test_dense_metrics_stop_at_their_dim_cap(self):
         # hs at dim 60008 once asked for 53.7 GiB; it reads amplitudes now, as fs does
-        env = {"QDIST_MAX_DIM": str(MAX_HORIZON - 64)}
+        env = {"QDIST_MAX_DIM": str(MAX_HORIZON - TAIL_MARGIN)}
         argv = ("distance", "--a", "fock:60000", "--b", "fock:0", "--metric")
         for metric in ("hs", "fs"):
             proc = self.run_capped(*argv, metric, env=env)
@@ -353,7 +364,7 @@ class TestLargestDimCap:
 
     @pytest.mark.parametrize("spec", ["coherent:1", "thermal:1", "phase:0.3", "squeezed:0.3", "cat:1,0,0"])
     def test_small_states_keep_their_dim(self, capsys, monkeypatch, spec):
-        monkeypatch.setenv("QDIST_MAX_DIM", str(MAX_HORIZON - 64))
+        monkeypatch.setenv("QDIST_MAX_DIM", str(MAX_HORIZON - TAIL_MARGIN))
         code, out = run(capsys, "distance", "--a", spec, "--b", "fock:0", "--metric", "hs")
         assert code == 0
         assert int(last_row(out)[2]) <= 64

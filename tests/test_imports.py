@@ -1,5 +1,5 @@
-"""Import hygiene: every imported name is used, ``import qdist`` loads neither numpy nor scipy, and no
-subcommand loads scipy."""
+"""Import hygiene: every imported name is used, ``import qdist`` loads neither numpy nor scipy, no
+subcommand loads scipy, and every qdist name the benchmark harness reaches exists."""
 
 import ast
 import os
@@ -255,3 +255,51 @@ def test_phase_space_forms_load_no_scipy():
         "hs_from_phase_space(a, b, 'qp')"
     )
     assert "scipy" not in _loaded_after(code)
+
+
+# the benchmark harness looks each qdist name up only when it calls it, so a lost name reads as an
+# absent metric, not as a failed run; these files are read here, never imported
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_FILES = ("spans.py", "probes.py", "ops.py")
+
+
+def _bench_names():
+    """(module, name) for every literal entry(layer, name) or .call(layer, name), and every qdist from-import."""
+    found = set()
+    for fname in BENCH_FILES:
+        for node in ast.walk(ast.parse((BENCH / fname).read_text(encoding="utf-8"))):
+            callee = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(callee, "id", getattr(callee, "attr", None)) in ("entry", "call"):
+                args = node.args[:2]
+                if len(args) == 2 and all(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args):
+                    found.add((f"qdist.{args[0].value}", args[1].value))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qdist":
+                found.update((node.module, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+def test_the_benchmark_reaches_qdist_names():
+    names = _bench_names()
+    assert ("qdist.phase_space", "wigner") in names and ("qdist.states", "build_state") in names
+
+
+@pytest.mark.parametrize("module,name", _bench_names(), ids=lambda v: v)
+def test_every_name_the_benchmark_reaches_resolves(module, name):
+    assert hasattr(__import__(module, fromlist=[name]), name), f"{module}.{name} is gone"
+
+
+def test_attributes_the_benchmark_reads():
+    import numpy as np
+
+    from qdist import cli
+    from qdist.distances import evaluate_metric
+    from qdist.phase_space import wigner
+    from qdist.states import fock
+    from qdist.tomography import marginal_from_wigner
+
+    assert callable(cli.figure1_rows) and callable(cli.figure2_rows)  # reached as f"figure{id}_rows"
+    assert isinstance(evaluate_metric("hs", fock(0, 8), fock(1, 8)).value, float)
+    qd = wigner(fock(0, 8))
+    assert (qd.grid.nq, qd.grid.n_p) == (257, 257)
+    span = qd.grid.q_max
+    assert marginal_from_wigner(qd, 0.6, 0.8, np.linspace(-span, span, 2049)).w.shape == (2049,)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -10,8 +12,10 @@ import qdist
 from conftest import bessel_pp_distance
 from qdist import (
     PhaseGrid,
+    QuasiDistribution,
     StateSpec,
     adaptive_dim,
+    build_state,
     cat,
     coherent,
     default_grid,
@@ -41,21 +45,21 @@ class TestWigner:
     def test_vacuum_gaussian(self):
         qd = wigner(outer(fock(0, 8)))
         i, j = center_indices(qd.grid)
-        assert qd.grid.values[i, j] == pytest.approx(2.0, abs=1e-9)
-        assert qd.grid.values.max() == pytest.approx(2.0, abs=1e-9)
-        assert grid_integral(qd.grid) / TWO_PI == pytest.approx(1.0, abs=1e-6)
+        assert qd.values[i, j] == pytest.approx(2.0, abs=1e-9)
+        assert qd.values.max() == pytest.approx(2.0, abs=1e-9)
+        assert grid_integral(qd.grid, qd.values) / TWO_PI == pytest.approx(1.0, abs=1e-6)
 
     def test_fock1_negative_at_origin(self):
         qd = wigner(outer(fock(1, 8)))
         i, j = center_indices(qd.grid)
-        assert qd.grid.values[i, j] < -1.9  # parity gives exactly -2
+        assert qd.values[i, j] < -1.9  # parity gives exactly -2
 
     def test_coherent_peak_position(self):
         alpha = 0.8 + 0.5j
         dim = adaptive_dim(StateSpec("coherent", {"alpha": alpha}))
         qd = wigner(outer(coherent(alpha, dim)))
         g = qd.grid
-        i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
+        i, j = np.unravel_index(np.argmax(qd.values), qd.values.shape)
         assert abs(g.q_axis[i] - math.sqrt(2.0) * alpha.real) <= g.dq
         assert abs(g.p_axis[j] - math.sqrt(2.0) * alpha.imag) <= g.dp
 
@@ -64,20 +68,20 @@ class TestWigner:
         qd = wigner(rho)
         g = qd.grid
         wp = simpson_weights(g.n_p, g.dp)
-        marg = (g.values @ wp) / TWO_PI
+        marg = (qd.values @ wp) / TWO_PI
         psi = oscillator_eigenfunctions(g.q_axis, rho.dim)
         dens = np.einsum("am,mn,an->a", psi, rho.mat, psi).real  # <q|rho|q>
         assert np.abs(marg - dens).max() < 1e-4
 
     def test_mass_check_rejects_small_grid(self):
         n = 33
-        small = PhaseGrid(-2.0, 2.0, -2.0, 2.0, n, n, np.zeros((n, n)))
+        small = PhaseGrid(-2.0, 2.0, -2.0, 2.0, n, n)
         with pytest.raises(GridError):
             wigner(outer(coherent(2.0, 40)), small)
 
     def test_aliasing_guard(self):
         n = 17
-        coarse = PhaseGrid(-12.0, 12.0, -12.0, 12.0, n, n, np.zeros((n, n)))
+        coarse = PhaseGrid(-12.0, 12.0, -12.0, 12.0, n, n)
         with pytest.raises(GridError):
             wigner(thermal(2.5, 96), coarse)
 
@@ -88,22 +92,22 @@ class TestHusimi:
         alpha = 0.75 + 0.25j
         qc, pc = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
         n = 33
-        grid = PhaseGrid(qc - 4, qc + 4, pc - 4, pc + 4, n, n, np.zeros((n, n)))
+        grid = PhaseGrid(qc - 4, qc + 4, pc - 4, pc + 4, n, n)
         qd = husimi_q(outer(coherent(alpha, 24)), grid)
         i = int(np.argmin(np.abs(qd.grid.q_axis - qc)))
         j = int(np.argmin(np.abs(qd.grid.p_axis - pc)))
-        assert qd.grid.values[i, j] == pytest.approx(1.0, abs=1e-9)
+        assert qd.values[i, j] == pytest.approx(1.0, abs=1e-9)
 
     def test_thermal_at_origin(self):
         for nbar in (0.5, 2.0):
             dim = adaptive_dim(StateSpec("thermal", {"nbar": nbar}))
             qd = husimi_q(thermal(nbar, dim))
             i, j = center_indices(qd.grid)
-            assert qd.grid.values[i, j] == pytest.approx(1.0 / (1.0 + nbar), abs=1e-10)
+            assert qd.values[i, j] == pytest.approx(1.0 / (1.0 + nbar), abs=1e-10)
 
     def test_nonnegative_everywhere(self):
         qd = husimi_q(outer(cat(1.0, math.pi, 32)))
-        assert qd.grid.values.min() >= 0.0
+        assert qd.values.min() >= 0.0
         assert qd.s == -1
 
     def test_chunks_fit_a_capped_child(self):
@@ -113,7 +117,7 @@ class TestHusimi:
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from qdist import fock, husimi_q\n"
             "qd = husimi_q(fock(0, 2048))\n"
-            "print(qd.grid.values.shape, qd.grid.values.max())\n"
+            "print(qd.values.shape, qd.values.max())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(qdist.__file__)))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -125,12 +129,12 @@ class TestHusimi:
 class TestThermalP:
     def test_normalization(self):
         qd = p_function_thermal(1.5)
-        assert grid_integral(qd.grid) / TWO_PI == pytest.approx(1.0, abs=1e-4)
+        assert grid_integral(qd.grid, qd.values) / TWO_PI == pytest.approx(1.0, abs=1e-4)
 
     def test_peak_value(self):
         qd = p_function_thermal(2.0)
         i, j = center_indices(qd.grid)
-        assert qd.grid.values[i, j] == pytest.approx(0.5, abs=1e-12)
+        assert qd.values[i, j] == pytest.approx(0.5, abs=1e-12)
 
     def test_vacuum_population_reconstruction(self):
         # rho_00 = int P(alpha) e^{-|alpha|^2} d2alpha/pi = 1/(1+nbar)
@@ -138,7 +142,7 @@ class TestThermalP:
         qd = p_function_thermal(nbar)
         g = qd.grid
         qq, pp = np.meshgrid(g.q_axis, g.p_axis, indexing="ij")
-        integrand = g.values * np.exp(-(qq**2 + pp**2) / 2.0)
+        integrand = qd.values * np.exp(-(qq**2 + pp**2) / 2.0)
         got = grid_integral(g, integrand) / TWO_PI
         assert got == pytest.approx(1.0 / (1.0 + nbar), abs=1e-4)
 
@@ -217,9 +221,15 @@ class TestPhaseSpaceDistance:
         # than the quoted tolerance
         a = StateSpec("squeezed_vacuum", {"zeta": math.tanh(0.8) + 0j})
         b = StateSpec("fock", {"n": 2})
-        d1 = hs_from_phase_space(a, b, "wigner", n_points=301)
-        d2 = hs_from_phase_space(a, b, "wigner", n_points=601)
-        assert abs(d1 - d2) < 1e-5
+        dim = max(adaptive_dim(a), adaptive_dim(b))
+        ra, rb = build_state(a, dim), build_state(b, dim)
+
+        def hs_on(n):
+            grid = default_grid(dim, n)
+            diff = wigner(ra, grid).values - wigner(rb, grid).values
+            return math.sqrt(grid_integral(grid, diff**2) / TWO_PI)
+
+        assert abs(hs_on(301) - hs_on(601)) < 1e-5
 
 
 class TestEigenfunctions:
@@ -241,12 +251,12 @@ class TestGridFlexibility:
         rho = outer(coherent(alpha, 24))
         qc = math.sqrt(2.0) * alpha.real
         span = default_grid(24).q_max
-        off = PhaseGrid(qc - span, qc + span, -span, span, 257, 257, np.zeros((257, 257)))
+        off = PhaseGrid(qc - span, qc + span, -span, span, 257, 257)
         qd = wigner(rho, off)
         iq = int(np.argmin(np.abs(qd.grid.q_axis - qc)))
         ip = int(np.argmin(np.abs(qd.grid.p_axis)))
-        assert qd.grid.values[iq, ip] == pytest.approx(2.0, abs=1e-9)
-        assert qd.grid.values.max() == pytest.approx(2.0, abs=1e-9)
+        assert qd.values[iq, ip] == pytest.approx(2.0, abs=1e-9)
+        assert qd.values.max() == pytest.approx(2.0, abs=1e-9)
 
     def test_direct_state_inputs(self):
         # prebuilt states of equal dimension work without a spec
@@ -254,3 +264,18 @@ class TestGridFlexibility:
         b = outer(fock(1, 32))
         d = hs_from_phase_space(a, b, "wigner")
         assert d == pytest.approx(hilbert_schmidt(a, b), abs=1e-4)
+
+
+class TestGridAndValues:
+    def test_a_grid_is_geometry_only(self):
+        assert [f.name for f in dataclasses.fields(PhaseGrid)] == ["q_min", "q_max", "p_min", "p_max", "nq", "n_p"]
+        assert list(inspect.signature(hs_from_phase_space).parameters) == ["a", "b", "form"]
+
+    def test_values_are_a_read_only_copy(self):
+        grid = default_grid(4, 33)
+        source = wigner(fock(0, 4), grid).values.copy()
+        qd = QuasiDistribution(0, grid, source)
+        source[0, 0] = 99.0
+        assert qd.values[0, 0] != 99.0
+        with pytest.raises(ValueError):
+            qd.values[0, 0] = 1.0

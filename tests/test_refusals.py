@@ -27,6 +27,7 @@ from qdist import (
     hs_bounds,
     hs_from_moments,
     hs_from_phase_space,
+    husimi_q,
     marginal_from_wigner,
     moment,
     moment_table,
@@ -47,8 +48,8 @@ from qdist.fock_core import _clamped_sqrt
 from qdist.phase_space import simpson_weights
 
 
-def _grid(nq=16, n_p=16, shape=(16, 16)):
-    return PhaseGrid(-4.0, 4.0, -4.0, 4.0, nq, n_p, np.zeros(shape))
+def _grid(nq=16):
+    return PhaseGrid(-4.0, 4.0, -4.0, 4.0, nq, 16)
 
 
 def _table(cutoff):
@@ -94,9 +95,12 @@ REFUSALS = {
     "FockVector.overlap-dims": (lambda: fock(0, 4).overlap(fock(0, 8)), DimensionMismatchError, "dims 4 != 8"),
     "DensityOperator-non-square": (lambda: DensityOperator(np.ones((2, 3))), StateValidationError, "square"),
     # phase space
-    "PhaseGrid-too-few-points": (lambda: _grid(nq=15, shape=(15, 16)), StateValidationError, "16 points"),
-    "PhaseGrid-shape": (lambda: _grid(shape=(16, 17)), StateValidationError, "values shape"),
-    "QuasiDistribution-s=2": (lambda: QuasiDistribution(2, _grid()), StateValidationError, "-1, 0 or +1"),
+    "PhaseGrid-too-few-points": (lambda: _grid(nq=15), StateValidationError, "16 points"),
+    # values that do not match their PhaseGrid's shape
+    "PhaseGrid-shape": (
+        lambda: QuasiDistribution(0, _grid(), np.zeros((16, 17))), StateValidationError, "values shape"),
+    "QuasiDistribution-s=2": (
+        lambda: QuasiDistribution(2, _grid(), np.zeros((16, 16))), StateValidationError, "-1, 0 or +1"),
     "simpson_weights-even": (lambda: simpson_weights(4, 0.1), GridError, "odd point count"),
     "hs_from_phase_space-unknown-form": (
         lambda: hs_from_phase_space(fock(0, 4), fock(1, 4), "nope"), UnsupportedCombinationError, "unknown"),
@@ -106,7 +110,8 @@ REFUSALS = {
     "StateSpec-no-phi": (lambda: StateSpec("cat", {"alpha": 1.0}), StateValidationError, "phase phi"),
     "moment-negative-order": (lambda: moment(fock(0, 4), -1, 0), StateValidationError, "nonnegative"),
     "moment-order-overflows": (lambda: moment(fock(0, 4), 0, 4), StateValidationError, "overflow"),
-    "MomentTable-shape": (lambda: MomentTable(2, np.zeros((2, 2))), StateValidationError, "shape"),
+    "MomentTable-shape": (lambda: MomentTable(np.zeros((2, 3))), StateValidationError, "shape"),
+    "MomentTable-empty": (lambda: MomentTable(np.zeros((0, 0))), StateValidationError, "non-empty square"),
     # grammar
     "spec-coherent-three-fields": (lambda: parse_state_spec("coherent:1,2,3"), SpecParseError, "'re' or 're,im'"),
     "spec-thermal-two-fields": (lambda: parse_state_spec("thermal:1,2"), SpecParseError, "exactly one real"),
@@ -117,7 +122,7 @@ REFUSALS = {
     "Tomogram-negative-density": (
         lambda: _tomogram(np.array([0.5, 0.5, -0.1, 0.5, 0.5])), StateValidationError, "negative tomogram"),
     "marginal_from_wigner-husimi-grid": (
-        lambda: marginal_from_wigner(QuasiDistribution(-1, default_grid(4, 17)), 1.0, 0.0, np.linspace(-1, 1, 5)),
+        lambda: marginal_from_wigner(husimi_q(fock(0, 4), default_grid(4, 17)), 1.0, 0.0, np.linspace(-1, 1, 5)),
         UnsupportedCombinationError, "s = 0"),
     "classical_divergence-unknown-kind": (
         lambda: classical_divergence(_flat_tomogram(), _flat_tomogram(), "nope"), StateValidationError, "unknown"),

@@ -205,15 +205,15 @@ HUSIMI_TOL = 1e-14
 def test_factored_husimi_matches_the_dense_route(dim, kind, seed):
     state = _random_state(kind, dim, np.random.default_rng(seed))
     grid = default_grid(dim, 33)
-    assert np.abs(husimi_q(state, grid).grid.values - dense_husimi(state.mat, grid)).max() <= HUSIMI_TOL
+    assert np.abs(husimi_q(state, grid).values - dense_husimi(state.mat, grid)).max() <= HUSIMI_TOL
 
 
 @pytest.mark.parametrize("family", PURE_SPECS)
 def test_kernels_equal_the_projector_route(states, family):
     psi = states[family]
     rho = outer(psi)
-    assert np.array_equal(wigner(psi).grid.values, wigner(rho).grid.values)
-    assert np.abs(husimi_q(psi).grid.values - husimi_q(rho).grid.values).max() <= HUSIMI_TOL
+    assert np.array_equal(wigner(psi).values, wigner(rho).values)
+    assert np.abs(husimi_q(psi).values - husimi_q(rho).values).max() <= HUSIMI_TOL
     assert np.array_equal(moment_table(psi, 6).m, moment_table(rho, 6).m)
     assert hs_bounds(psi, 2) == hs_bounds(rho, 2)
     assert mandel_q(psi) == mandel_q(rho)
@@ -222,8 +222,8 @@ def test_kernels_equal_the_projector_route(states, family):
 def test_diagonal_state_kernels_equal_the_matrix_route():
     rho = thermal(0.8, 48)
     dense = DensityOperator(rho.mat)
-    assert np.array_equal(wigner(rho).grid.values, wigner(dense).grid.values)
-    assert np.abs(husimi_q(rho).grid.values - husimi_q(dense).grid.values).max() <= HUSIMI_TOL
+    assert np.array_equal(wigner(rho).values, wigner(dense).values)
+    assert np.abs(husimi_q(rho).values - husimi_q(dense).values).max() <= HUSIMI_TOL
     assert np.array_equal(moment_table(rho, 6).m, moment_table(dense, 6).m)
     assert hs_bounds(rho, 2) == hs_bounds(dense, 2)
     assert mandel_q(rho) == mandel_q(dense)

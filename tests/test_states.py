@@ -380,7 +380,7 @@ class TestReconstruction:
         m = np.zeros((K + 1, K + 1), dtype=complex)
         for k in range(K + 1):
             m[k, k] = math.factorial(k) * nbar**k
-        rec = reconstruct_from_moments(MomentTable(K, m), 10)
+        rec = reconstruct_from_moments(MomentTable(m), 10)
         # the reconstruction renormalizes on the 10-level corner, so
         # compare against the equally renormalized corner of the state
         corner = thermal(nbar, 64).mat[:10, :10]

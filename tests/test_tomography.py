@@ -154,8 +154,8 @@ class TestMassBand:
             # mass about 0.79: once renormalized without a word
             lambda: _FockMarginals(parse_state_spec("thermal:2")).tomogram(0.0, np.linspace(-2.0, 2.0, 101)),
             lambda: marginal_from_wigner(wigner(fock(0, 8)), 1.0, 0.0, _narrow()),
-            lambda: wigner(fock(0, 8), PhaseGrid(-1.5, 1.5, -1.5, 1.5, 33, 33, np.zeros((33, 33)))),
-            lambda: p_function_thermal(1.0, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 33, 33, np.zeros((33, 33)))),
+            lambda: wigner(fock(0, 8), PhaseGrid(-1.5, 1.5, -1.5, 1.5, 33, 33)),
+            lambda: p_function_thermal(1.0, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 33, 33)),
         ],
         ids=["analytic", "fock-basis", "wigner-marginal", "wigner", "p-function"],
     )
