@@ -185,8 +185,15 @@ def cmd_tomo_distance(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with one ``error:`` line (exit 2), not a usage block."""
+
+    def error(self, message):
+        raise SpecParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qdist", description=__doc__)
+    ap = _Parser(prog="qdist", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("distance", help="one metric between two states")
@@ -224,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     except (SpecParseError, StateValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -38,10 +38,12 @@ def coherent_pair(alpha: complex, beta: complex) -> dict:
     """hs, dN, Da and the overlap between two coherent states."""
     alpha, beta = complex(alpha), complex(beta)
     gap2 = _abs2(alpha - beta)
-    e = math.exp(-gap2)
-    hs = SQRT2 * math.sqrt(1.0 - e)
-    dn_sq = _abs2(alpha) + _abs2(beta) - 2.0 * (beta.conjugate() * alpha).real * e
-    da = math.sqrt(gap2 * (1.0 + e) / 2.0)
+    # 1 - e^{-g^2} by expm1, and dN^2 = |alpha|^2 + |beta|^2 - 2 Re(conj(beta) alpha) e^{-g^2}
+    # as g^2 + 2 Re(conj(beta) alpha)(1 - e^{-g^2}): neither cancels at a small gap g
+    one_minus_e = -math.expm1(-gap2)
+    hs = SQRT2 * math.sqrt(one_minus_e)
+    dn_sq = gap2 + 2.0 * (beta.conjugate() * alpha).real * one_minus_e
+    da = math.sqrt(gap2 * (1.0 + math.exp(-gap2)) / 2.0)
     return {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "Da": da, "overlap": math.exp(-gap2 / 2.0)}
 
 
@@ -168,21 +170,27 @@ def thermal_pair(nbar1: float, nbar2: float) -> dict:
     s = 1.0 + n1 + n2
     hs = SQRT2 * abs(n1 - n2) / math.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2) * s)
     cross = (math.sqrt((1.0 + n1) * (1.0 + n2)) + math.sqrt(n1 * n2)) / s
-    bu = SQRT2 * math.sqrt(max(1.0 - cross, 0.0))
+    # no cancellation at a small gap: each root difference (sqrt(n1) - sqrt(n2), sqrt(1+n1) - sqrt(1+n2))
+    # is (n1 - n2) over the sum of the roots, 2s(1 - cross) is the sum of their squares, and
+    # n1 + n2 - 2 sqrt(n1 n2) cross^k is (sqrt(n1) - sqrt(n2))^2 + 2 sqrt(n1 n2)(1 - cross^k)
+    gap_root = (n1 - n2) / (math.sqrt(n1) + math.sqrt(n2)) if n1 + n2 > 0.0 else 0.0
+    gap_root1 = (n1 - n2) / (math.sqrt(1.0 + n1) + math.sqrt(1.0 + n2))
+    one_minus_cross = (gap_root1 * gap_root1 + gap_root * gap_root) / (2.0 * s)
+    bu = SQRT2 * math.sqrt(one_minus_cross)
     dn = (
         abs(n1 - n2)
         * math.sqrt(s * s + 2.0 * n1 * n2 * (1.0 + 2.0 * n1) * (1.0 + 2.0 * n2))
         / ((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2) * s)
     )
     g = math.sqrt(n1 * n2)
-    dn_sqrt_sq = n1 + n2 - 2.0 * g * cross**2
-    dn_min_sq = n1 + n2 - 2.0 * g * cross**3
+    dn_sqrt_sq = gap_root * gap_root + 2.0 * g * one_minus_cross * (1.0 + cross)
+    dn_min_sq = gap_root * gap_root + 2.0 * g * one_minus_cross * (1.0 + cross + cross * cross)
     return {
         "hs": hs,
         "bu": bu,
         "dN": dn,
-        "dN_sqrt": math.sqrt(max(dn_sqrt_sq, 0.0)),
-        "dN_min_pseudo": math.sqrt(max(dn_min_sq, 0.0)),
+        "dN_sqrt": math.sqrt(dn_sqrt_sq),
+        "dN_min_pseudo": math.sqrt(dn_min_sq),
     }
 
 

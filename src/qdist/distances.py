@@ -37,7 +37,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import FockVector, _clamped_sqrt, _product_diagonal, trace_norm
+from .fock_core import FockVector, _check_dims, _clamped_sqrt, _product_diagonal, trace_norm
 from .states import MomentTable, _moments, inv_sqrt_factorials
 
 
@@ -46,11 +46,6 @@ class DistanceReport:
     """A metric value, as the CLI prints it."""
 
     value: float
-
-
-def _check_dims(r1, r2):
-    if r1.dim != r2.dim:
-        raise DimensionMismatchError(f"dims {r1.dim} != {r2.dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_dims(a, b) -> None:
+    """The one check that two states share a dim."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
+
+
 def _check_dense_dim(dim: int) -> None:
     if dim > MAX_DENSE_DIM:
         raise TruncationInfeasibleError(f"a dense dim x dim matrix stops at dim {MAX_DENSE_DIM}, got {dim}")
@@ -110,8 +116,7 @@ class FockVector:
 
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dims {self.dim} != {other.dim}")
+        _check_dims(self, other)
         return complex(np.vdot(self.amp, other.amp))
 
 
@@ -229,8 +234,7 @@ def trace_product(a, b) -> float:
     For Hermitian inputs the trace is real up to roundoff; an imaginary
     part above 1e-12 indicates corrupted inputs and raises.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
+    _check_dims(a, b)
     t = complex(_product_diagonal(a.factor(1.0), b.factor(1.0)).sum())
     if abs(t.imag) > 1e-12:
         raise NumericalToleranceError(f"Tr(AB) has imaginary part {t.imag:.3e}")

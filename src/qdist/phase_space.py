@@ -33,13 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    GridError,
-    StateValidationError,
-    UnsupportedCombinationError,
-)
-from .fock_core import DensityOperator, DiagonalState, FockVector, _clamped_sqrt
+from .errors import GridError, StateValidationError, UnsupportedCombinationError
+from .fock_core import DensityOperator, DiagonalState, FockVector, _check_dims, _clamped_sqrt
 from .states import (
     StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, poisson_weights,
     quadrature_sigma_min,
@@ -251,8 +246,7 @@ def _state_pair(a, b) -> tuple:
             raise StateValidationError(f"cannot interpret {type(obj).__name__} as a state")
     dim = max(adaptive_dim(s) if isinstance(s, StateSpec) else s.dim for s in (a, b))
     ra, rb = (build_state(s, dim) if isinstance(s, StateSpec) else s for s in (a, b))
-    if ra.dim != rb.dim:
-        raise DimensionMismatchError(f"dims {ra.dim} != {rb.dim}")
+    _check_dims(ra, rb)
     return ra, rb
 
 

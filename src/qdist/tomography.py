@@ -1,13 +1,13 @@
 """Quadrature tomograms and classical-like distances built on them.
 
 A tomogram w_{mu nu}(X) is the probability density of the quadrature
-mu*q + nu*p.  Closed forms are available for number and coherent
-states.  For any other state the unit-radius marginal has a closed form
-in the Fock basis, w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>
-(Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), evaluated
-from the oscillator eigenfunctions and the state's amplitudes (or a
-thermal state's populations).  ``marginal_from_wigner``, a numerical
-line integral of a Wigner grid, stays as an independent reference.
+mu*q + nu*p.  ``_marginals`` picks each state's route: the closed
+forms of ``marginal_analytic`` for number and coherent states, and for
+any other state the Fock-basis form of the unit-radius marginal,
+w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X> (Mancini, Man'ko
+& Tombesi, Phys. Lett. A 213, 1 (1996)), from the oscillator
+eigenfunctions and the state's factor.  ``marginal_from_wigner``, a
+numerical line integral of a Wigner grid, stays as an independent reference.
 
 The distance between two states averages a classical divergence between
 their tomogram families over the (mu, nu) plane with the normalized
@@ -204,37 +204,32 @@ def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
 # the (mu, nu)-plane distance
 # ---------------------------------------------------------------------------
 
-class _AnalyticMarginals:
-    def __init__(self, spec: StateSpec):
-        self.spec = spec
-        if spec.family == "coherent":
-            a = spec.params["alpha"]
-            self.moments = (a, a * a, alpha_squared(spec))
-        else:
-            adaptive_dim(spec)  # bounds n, as on every other route, before any eigenfunction table
-            self.moments = (0j, 0j, float(spec.params["n"]))
+def _marginals(spec: StateSpec):
+    """The state's ladder moments (<a>, <a^2>, <adag a>) and its unit-radius tomogram w(theta, x).
 
-    def tomogram(self, theta, x):
-        return marginal_analytic(self.spec, math.cos(theta), math.sin(theta), x)
-
-
-class _FockMarginals:
-    """Unit-radius marginals <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis.
-
-    Read off the state's factor (``fock_core``).  A 2-d W gives
-    w_theta(X) = sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2, one column
-    for a pure state.  A 1-d factor, a diagonal state's populations p_n,
-    gives the same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2,
+    Number and coherent states read ``marginal_analytic``; a number
+    state is bounded by ``adaptive_dim``, as on every other route,
+    before any eigenfunction table.  Any other state reads
+    <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis off its
+    factor (``fock_core``).  A 2-d W gives w_theta(X) =
+    sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2, one column for a pure
+    state.  A 1-d factor, a diagonal state's populations p_n, gives the
+    same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2,
     O(points x dim) per node.
     """
+    def analytic(theta, x):
+        return marginal_analytic(spec, math.cos(theta), math.sin(theta), x)
 
-    def __init__(self, spec: StateSpec):
-        state = build_state(spec, adaptive_dim(spec))
-        self.factor = state.factor(1.0)
-        self.moments = ladder_moments(state)
+    if spec.family == "coherent":
+        a = spec.params["alpha"]
+        return (a, a * a, alpha_squared(spec)), analytic
+    if spec.family == "fock":
+        adaptive_dim(spec)
+        return (0j, 0j, float(spec.params["n"])), analytic
+    state = build_state(spec, adaptive_dim(spec))
+    f = state.factor(1.0)
 
-    def tomogram(self, theta, x):
-        f = self.factor
+    def fock_basis(theta, x):
         psi = oscillator_eigenfunctions(x, f.shape[0])
         if f.ndim == 1:
             w = psi**2 @ f
@@ -243,11 +238,7 @@ class _FockMarginals:
             w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
         return Tomogram(math.cos(theta), math.sin(theta), x, w)
 
-
-def _marginal_provider(spec: StateSpec):
-    if spec.family in ("fock", "coherent"):
-        return _AnalyticMarginals(spec)
-    return _FockMarginals(spec)
+    return ladder_moments(state), fock_basis
 
 
 def _kink_angles(moments_a, moments_b) -> np.ndarray:
@@ -329,13 +320,12 @@ def tomographic_distance(
         raise StateValidationError(f"unknown divergence kind {kind!r}")
     if not 1 <= angular_nodes <= MAX_ANGULAR_NODES:
         raise StateValidationError(f"angular_nodes must lie in [1, {MAX_ANGULAR_NODES}], got {angular_nodes}")
-    prov_a = _marginal_provider(spec_a)
-    prov_b = _marginal_provider(spec_b)
-    thetas, tweights = _angular_rule(_kink_angles(prov_a.moments, prov_b.moments), angular_nodes)
+    (moments_a, tomogram_a), (moments_b, tomogram_b) = _marginals(spec_a), _marginals(spec_b)
+    thetas, tweights = _angular_rule(_kink_angles(moments_a, moments_b), angular_nodes)
     total = 0.0
     for theta, tw in zip(thetas, tweights):
-        (ma, sa), (mb, sb) = (quadrature_moments(prov.moments, theta) for prov in (prov_a, prov_b))
+        (ma, sa), (mb, sb) = (quadrature_moments(m, theta) for m in (moments_a, moments_b))
         x = default_x_grid(min(ma, mb), max(ma, mb), VACUUM_SIGMA, max(sa, sb))
-        total += tw * classical_divergence(prov_a.tomogram(theta, x), prov_b.tomogram(theta, x), kind)
+        total += tw * classical_divergence(tomogram_a(theta, x), tomogram_b(theta, x), kind)
     return total
 

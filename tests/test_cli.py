@@ -1,5 +1,8 @@
+import itertools
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -289,6 +292,36 @@ class TestTomoCommand:
         assert out == f"kind,value,nodes_angular\n{kind},{value},64\n"
 
 
+class TestDistanceCsvPin:
+    @pytest.mark.parametrize(
+        "a,b,row",
+        [
+            ("fock:0", "fock:1", "fs,1.41421356237,8,1.41421356237,0"),
+            ("coherent:1", "coherent:0.5,0.5", "minimal,0.665130388614,16,0.665130388614,1.08801856413e-14"),
+            ("cat:1,0,0", "coherent:1", "wootters,0.717522237805,16,0.717522237805,7.1054273576e-15"),
+            ("squeezed:0.3", "squeezed:0.1,0.2", "hs,0.29423578024,24,0.29423578024,1.48214773787e-13"),
+            ("thermal:0.5", "fock:3", "jmg,0.975308641975,32,,"),
+            ("thermal:1", "coherent:1,0.5", "jmg,0.756962664059,48,,"),
+            ("coherent:0.8", "coherent:0.3", "bu,0.48477437518,16,0.48477437518,0"),
+            ("thermal:1", "thermal:0.3", "bu,0.348694325879,48,0.348694325879,5.10702591328e-15"),
+            ("thermal:0.5", "coherent:0.4", "bu,0.672174137734,32,,"),
+            ("thermal:1", "thermal:0", "hs-p,0.76536686473,48,0.76536686473,1.7763568394e-15"),
+            ("phase:0.3", "phase:0.5", "hs-p:0.25,0.332756132323,24,0.332756132323,1.01030295241e-14"),
+            ("thermal:0.7", "thermal:0.2", "dn,0.167078666621,40,0.167078666621,8.32667268469e-17"),
+            ("thermal:0.5", "squeezed:0.3", "dn-sqrt,0.741608452164,32,,"),
+            ("fock:1", "fock:4", "DZ,0.707106781187,8,0.707106781187,1.11022302463e-16"),
+            ("thermal:0.4", "coherent:0.6,0.2", "Da,0.497003276006,24,,"),
+        ],
+    )
+    def test_default_distance_csv_is_pinned(self, capsys, a, b, row):
+        # every metric; pure, diagonal and pure-vs-diagonal pairs; both jmg routes (populations,
+        # dense trace norm) and all three bu routes (pure, two diagonals, rank one).  hs-p below
+        # 1/2 stays off mixed states.  A change of any digit here is a change of result.
+        code, out = run(capsys, "distance", "--a", a, "--b", b, "--metric", row.split(",")[0])
+        assert code == 0
+        assert out == f"metric,value,dim,closed_form,abs_diff\n{row}\n"
+
+
 class TestPureMetricDimStability:
     def test_auto_dim_agrees_for_pure_metrics(self, capsys):
         for metric in ("fs", "minimal", "wootters"):
@@ -449,3 +482,68 @@ class TestArgumentEdgeCases:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# command lines argparse itself refuses: a bad choice, a missing option, a bad int, an unknown
+# flag, no subcommand, and a negative range start detached from its option
+ARGPARSE_REFUSALS = {
+    "choice": ("figure", "--id", "3"),
+    "missing": ("distance", "--a", "fock:0", "--b", "fock:1"),
+    "int": ("tomo-distance", "--a", "fock:0", "--b", "fock:1", "--nodes-angular", "x"),
+    "unknown-flag": ("distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs", "--bogus"),
+    "no-subcommand": (),
+    "negative-range": ("sweep", "--a", "coherent:?", "--b", "coherent:0", "--metric", "hs", "--range", "-1:0:0.5"),
+}
+
+
+class TestArgparseRefusals:
+    @pytest.mark.parametrize("argv", ARGPARSE_REFUSALS.values(), ids=ARGPARSE_REFUSALS)
+    def test_one_error_line(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: qdist") and captured.err.count("\n") == 1, captured.err
+
+    def test_one_error_line_from_the_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qdist.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdist.cli", *ARGPARSE_REFUSALS["choice"]],
+            capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: qdist figure: argument --id: invalid choice: 3 (choose from 1, 2)\n"
+
+    @pytest.mark.parametrize("argv", [("--help",), ("figure", "--help")], ids=["qdist", "figure"])
+    def test_help_still_exits_zero(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("usage: qdist") and captured.err == ""
+
+
+def _readme_commands():
+    """(argv, expected stdout or None) for each ``qdist`` line of the README's command-line block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    commands = []
+    for i, line in enumerate(block):
+        if line.startswith("qdist "):
+            shown = list(itertools.takewhile(lambda ln: ln.startswith("# "), block[i + 1:]))
+            commands.append((shlex.split(line)[1:], "".join(ln[2:] + "\n" for ln in shown) or None))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv,shown", README_COMMANDS, ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_command_examples_run(capsys, monkeypatch, tmp_path, argv, shown):
+    monkeypatch.chdir(tmp_path)  # the figure examples write --out files
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    if shown is not None:
+        assert captured.out == shown

@@ -218,6 +218,41 @@ class TestThermalPair:
             thermal_pair(-0.1, 1.0)
 
 
+def _neighbour_oracles_mp(mp, alpha: complex, beta: complex, n1: float, n2: float) -> dict:
+    """The printed coherent- and thermal-pair forms, cancellations and all, in the mpmath context ``mp``."""
+    a, b = mp.mpc(alpha), mp.mpc(beta)
+    g2 = abs(a - b) ** 2
+    e = mp.exp(-g2)
+    n1, n2 = mp.mpf(n1), mp.mpf(n2)
+    s = 1 + n1 + n2
+    cross = (mp.sqrt((1 + n1) * (1 + n2)) + mp.sqrt(n1 * n2)) / s
+    g = mp.sqrt(n1 * n2)
+    return {
+        "coherent": {"hs": mp.sqrt(2 * (1 - e)), "dN": mp.sqrt(abs(a) ** 2 + abs(b) ** 2 - 2 * mp.re(mp.conj(b) * a) * e),
+                     "Da": mp.sqrt(g2 * (1 + e) / 2), "overlap": mp.exp(-g2 / 2)},
+        "thermal": {"hs": mp.sqrt(2) * abs(n1 - n2) / mp.sqrt((1 + 2 * n1) * (1 + 2 * n2) * s),
+                    "bu": mp.sqrt(2 * (1 - cross)),
+                    "dN": abs(n1 - n2) * mp.sqrt(s * s + 2 * n1 * n2 * (1 + 2 * n1) * (1 + 2 * n2))
+                    / ((1 + 2 * n1) * (1 + 2 * n2) * s),
+                    "dN_sqrt": mp.sqrt(n1 + n2 - 2 * g * cross**2),
+                    "dN_min_pseudo": mp.sqrt(n1 + n2 - 2 * g * cross**3)},
+    }
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("base", [1.0, 0.3 + 0.4j, 5.0])
+def test_neighbour_oracles_keep_their_digits(base, gap):
+    # the neighbour-state bounds live at small gaps, where 1 - e^{-g^2} and 1 - cross cancel
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    alpha, beta = complex(base), complex(base) + gap * complex(math.cos(0.7), math.sin(0.7))
+    n1, n2 = abs(base), abs(base) + gap
+    exact = _neighbour_oracles_mp(mp, alpha, beta, n1, n2)
+    for family, got in (("coherent", coherent_pair(alpha, beta)), ("thermal", thermal_pair(n1, n2))):
+        for key, value in exact[family].items():
+            assert abs(mp.mpf(got[key]) - value) <= 1e-13 * value, (family, key)
+
+
 class TestCrossValidationAgainstPhaseStates:
     def test_min_pseudo_equals_aligned_phase_pair(self):
         # aligning the phase parameters realizes the minimum, which the

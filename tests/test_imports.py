@@ -113,6 +113,23 @@ def test_only_named_kernels_read_the_dense_matrix(module):
     assert set(readers) <= DENSE_READERS[module], f"{module} reads .mat in {sorted(readers)}"
 
 
+# One dispatch per decision: tomography picks a state's marginal route in ``_marginals``
+# (``marginal_analytic`` checks the family it is handed), and one function checks that two
+# states share a dim; the polarization weights and the moment tables have checks of their own.
+def test_tomography_picks_marginals_in_one_place():
+    readers = _scopes(PACKAGE / "tomography.py", lambda node: isinstance(node, ast.Attribute) and node.attr == "family")
+    assert set(readers) <= {"_marginals", "marginal_analytic"}, sorted(readers)
+
+
+def test_one_dimension_check():
+    def raises_mismatch(node):
+        return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "DimensionMismatchError")
+
+    raisers = {f"{path.stem}.{scope}" for path in MODULES for scope in _scopes(path, raises_mismatch)}
+    assert raisers == {"fock_core._check_dims", "distances._check_polarization", "distances.hs_from_moments"}
+
+
 # A square that rounding can push below 0 is clamped there in one place, which raises
 # below fock_core.NOISE_FLOOR.  The closed forms keep their own: their oracles stay
 # independent of the numerics.

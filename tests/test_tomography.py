@@ -20,7 +20,7 @@ from qdist import (
 )
 from qdist.errors import GridError, StateValidationError, UnsupportedCombinationError
 from qdist.phase_space import PhaseGrid, p_function_thermal, simpson_weights
-from qdist.tomography import _angular_rule, _FockMarginals, _kink_angles, default_x_grid
+from qdist.tomography import _angular_rule, _kink_angles, _marginals, default_x_grid
 
 
 def vacuum_spec():
@@ -152,7 +152,7 @@ class TestMassBand:
             # a vacuum tomogram on a grid whose lower edge sits 1.5 sigma below the mean
             lambda: marginal_analytic(vacuum_spec(), 1.0, 0.0, default_x_grid(0.0, 0.0, math.sqrt(0.5)) + 6.0),
             # mass about 0.79: once renormalized without a word
-            lambda: _FockMarginals(parse_state_spec("thermal:2")).tomogram(0.0, np.linspace(-2.0, 2.0, 101)),
+            lambda: _marginals(parse_state_spec("thermal:2"))[1](0.0, np.linspace(-2.0, 2.0, 101)),
             lambda: marginal_from_wigner(wigner(fock(0, 8)), 1.0, 0.0, _narrow()),
             lambda: wigner(fock(0, 8), PhaseGrid(-1.5, 1.5, -1.5, 1.5, 33, 33)),
             lambda: p_function_thermal(1.0, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 33, 33)),
@@ -273,7 +273,7 @@ class TestTomographicDistance:
         qd = wigner(as_density(a, adaptive_dim(a)))
         x = default_x_grid(0.0, 0.0, math.sqrt(0.5), 2.0)
         for theta in (0.0, 0.7, 2.0):
-            tf = _FockMarginals(a).tomogram(theta, x)
+            tf = _marginals(a)[1](theta, x)
             tw = marginal_from_wigner(qd, math.cos(theta), math.sin(theta), x)
             assert np.abs(tf.w - tw.w).max() < 1e-4
             assert tf.quadrature_defect < 1e-10
