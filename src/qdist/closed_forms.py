@@ -54,7 +54,8 @@ def coherent_fock(alpha: complex, m: int) -> dict:
     lam = abs(alpha) ** 2
     # Poisson weight in log form: lam**m and m! overflow separately at large m
     pm = math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0.0 else float(m == 0)
-    hs = SQRT2 * math.sqrt(max(1.0 - pm, 0.0))
+    # 1 - p_m cancels only at m = 0, where it is 1 - e^{-lam}: expm1 keeps its digits
+    hs = SQRT2 * math.sqrt(max(-math.expm1(-lam) if m == 0 else 1.0 - pm, 0.0))
     dn = math.sqrt(max(m + lam - 2.0 * m * pm, 0.0))
     return {"hs": hs, "dN": dn, "overlap": math.sqrt(pm)}
 
@@ -120,11 +121,16 @@ def cat_distances(alpha: complex, phi1: float, phi2: float) -> dict:
     den2 = 1.0 + math.cos(phi2) * q
     if den1 <= 1e-14 or den2 <= 1e-14:
         raise DegenerateStateError("cat normalization denominator ~ 0")
-    d_coh_sq = (1.0 - q * q) / den1
-    d_vac_sq = 2.0 * (1.0 - x) * (1.0 - math.cos(phi1) * x) / den1
-    d_between_sq = (1.0 - q * q) * (1.0 - math.cos(phi1 - phi2)) / (den1 * den2)
-    dn_vac_sq = a2 * (1.0 - math.cos(phi1) * q) / den1
-    dn_between_sq = a2 * (1.0 + q * q) * (1.0 - math.cos(phi1 - phi2)) / (den1 * den2)
+    # no cancellation at small |alpha| or phase gap: 1 - e^{-t} = -expm1(-t),
+    # 1 - cos t = 2 sin^2(t/2) and 1 - y cos t = (1 - y) + 2 y sin^2(t/2)
+    one_minus_x, one_minus_q, one_minus_q2 = (-math.expm1(-t * a2) for t in (1.0, 2.0, 4.0))
+    half1 = 2.0 * math.sin(0.5 * phi1) ** 2
+    gap = 2.0 * math.sin(0.5 * (phi1 - phi2)) ** 2
+    d_coh_sq = one_minus_q2 / den1
+    d_vac_sq = 2.0 * one_minus_x * (one_minus_x + x * half1) / den1
+    d_between_sq = one_minus_q2 * gap / (den1 * den2)
+    dn_vac_sq = a2 * (one_minus_q + q * half1) / den1
+    dn_between_sq = a2 * (1.0 + q * q) * gap / (den1 * den2)
     return {
         "d_to_coherent": math.sqrt(max(d_coh_sq, 0.0)),
         "d_to_vacuum": math.sqrt(max(d_vac_sq, 0.0)),

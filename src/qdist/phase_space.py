@@ -279,7 +279,7 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
 
     if form in ("qp", "pp"):
         for s in (a, b):
-            if not (isinstance(s, StateSpec) and s.family == "thermal" and s.params["nbar"] > 0):
+            if not (isinstance(s, StateSpec) and not s.is_pure and s.params["nbar"] > 0):
                 raise UnsupportedCombinationError(
                     f"form {form!r} needs two thermal states with nbar > 0 (regular P functions)"
                 )

@@ -1,12 +1,12 @@
 """Constructors for the supported state families, plus moment machinery.
 
-Pure families (Fock, coherent, generalized coherent, cat, squeezed
-vacuum, coherent phase) produce ``FockVector``; the thermal family
-produces a ``DiagonalState``, its population vector.  ``build_state``
-is the one family dispatch, and every named constructor, ``fock``
-included, calls it.  Each pure family has one amplitude
-recurrence, whose squared moduli are also its populations; the
-coherent amplitudes' squared moduli, the Poisson weights, also have a
+What a family is lives in one record, ``FAMILIES[name]``, and no
+function branches on a family name.  Pure families (Fock, coherent,
+generalized coherent, cat, squeezed vacuum, coherent phase) produce
+``FockVector``; the thermal family produces a ``DiagonalState``, its
+population vector.  ``build_state`` builds every family from its record,
+and every named constructor, ``fock`` included, calls it.  The coherent
+amplitudes' squared moduli, the Poisson weights, also have a
 log-space form (``poisson_weights``) for the phase-space kernels.  One tail
 sum, ``_tails``, sizes every truncation: ``adaptive_dim`` picks the dim
 from it and every constructor checks a truncation-tail budget of 1e-12
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,16 +49,6 @@ MAX_DIM = 512
 MAX_HORIZON = 1 << 16
 TAIL_MARGIN = 64  # levels a tail sum runs past the dim, or past a Poisson tail's extent
 
-FAMILIES = (
-    "fock",
-    "coherent",
-    "generalized_coherent",
-    "cat",
-    "squeezed_vacuum",
-    "coherent_phase",
-    "thermal",
-)
-
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -71,6 +63,8 @@ class StateSpec:
     - squeezed_vacuum: zeta
     - coherent_phase: epsilon
     - thermal: nbar
+
+    The family's record in ``FAMILIES`` checks them on construction.
     """
 
     family: str
@@ -79,34 +73,13 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise StateValidationError(f"unknown family {self.family!r}")
-        p = self.params
-        if self.family == "fock":
-            n = p.get("n")
-            if not isinstance(n, int) or n < 0:
-                raise StateValidationError("fock requires an integer n >= 0")
-        elif self.family in ("coherent", "generalized_coherent", "cat"):
-            if "alpha" not in p:
-                raise StateValidationError(f"{self.family} requires alpha")
-            if self.family == "cat" and "phi" not in p:
-                raise StateValidationError("cat requires a phase phi")
-            if self.family == "generalized_coherent":
-                phases = p.get("phases")
-                if phases is None or len(phases) == 0:
-                    raise StateValidationError("generalized_coherent requires a phase table")
-        elif self.family == "squeezed_vacuum":
-            if abs(p.get("zeta", 1.0)) >= 1.0 - MODULUS_MARGIN:
-                raise StateValidationError("squeezed_vacuum requires |zeta| < 1 - 1e-9")
-        elif self.family == "coherent_phase":
-            if abs(p.get("epsilon", 1.0)) >= 1.0 - MODULUS_MARGIN:
-                raise StateValidationError("coherent_phase requires |epsilon| < 1 - 1e-9")
-        elif self.family == "thermal":
-            nbar = p.get("nbar")
-            if nbar is None or nbar < 0:
-                raise StateValidationError("thermal requires nbar >= 0")
+        for ok, requirement in FAMILIES[self.family].checks:
+            if not ok(self.params):
+                raise StateValidationError(f"{self.family} requires {requirement}")
 
     @property
     def is_pure(self) -> bool:
-        return self.family != "thermal"
+        return FAMILIES[self.family].pure
 
 
 # ---------------------------------------------------------------------------
@@ -147,48 +120,6 @@ def poisson_weights(lam, start: int, stop: int) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def _amplitudes(spec: StateSpec, nmax: int) -> np.ndarray:
-    """Amplitudes c_0..c_{nmax-1} of the untruncated pure state a spec describes.
-
-    A generalized coherent state's per-level phases, which leave its
-    populations alone, are attached by ``build_state``.
-    """
-    f, p = spec.family, spec.params
-    if f == "fock":
-        amp = np.zeros(nmax, dtype=complex)
-        if p["n"] < nmax:
-            amp[p["n"]] = 1.0
-        return amp
-    if f == "coherent_phase":
-        eps = complex(p["epsilon"])
-        return math.sqrt(1.0 - abs(eps) ** 2) * np.power(eps, np.arange(nmax))
-    if f == "squeezed_vacuum":
-        # even levels only: c_{2k} = c_{2k-2} zeta sqrt((2k-1)/(2k))
-        zeta = complex(p["zeta"])
-        steps = np.empty((nmax + 1) // 2, dtype=complex)
-        steps[:1] = (1.0 - abs(zeta) ** 2) ** 0.25
-        k = np.arange(1, steps.size)
-        steps[1:] = zeta * np.sqrt((2 * k - 1) / (2 * k))
-        amp = np.zeros(nmax, dtype=complex)
-        amp[::2] = np.cumprod(steps)
-        return amp
-    plus = coherent_amplitudes(p["alpha"], nmax)
-    if plus[0].real < np.finfo(float).tiny:
-        # exp(-|alpha|^2/2) left the normal range: every amplitude would be noise or 0
-        raise TruncationInfeasibleError(
-            f"{f} state with |alpha|^2 = {abs(p['alpha']) ** 2:.6g} underflows double precision"
-        )
-    if f == "cat":
-        denom = 1.0 + math.cos(p["phi"]) * math.exp(-2.0 * abs(p["alpha"]) ** 2)
-        if denom <= 1e-14:
-            raise DegenerateStateError(
-                "cat normalization is 0/0 at alpha -> 0, phi -> pi; use fock(1) directly"
-            )
-        signs = np.where(np.arange(nmax) % 2 == 0, 1.0, -1.0)
-        return (plus + cmath.exp(1j * p["phi"]) * signs * plus) / math.sqrt(2.0 * denom)
-    return plus
-
-
 def truncation_tail(spec: StateSpec, dim: int) -> float:
     """Probability mass on levels >= dim."""
     return float(_tails(spec, dim)[dim])
@@ -211,42 +142,21 @@ def alpha_squared(spec: StateSpec) -> float:
     return abs(alpha) ** 2
 
 
-def _tail_horizon(spec: StateSpec, dim: int) -> int:
-    """Index beyond which level populations are negligible (< 1e-25), at most MAX_HORIZON."""
-    horizon = dim + TAIL_MARGIN
-    if spec.family in ("coherent", "generalized_coherent", "cat"):
-        lam = alpha_squared(spec)
-        # Poisson tail: mean + generous multiple of the standard deviation
-        horizon = max(horizon, int(lam + 30.0 * math.sqrt(lam + 1.0)) + TAIL_MARGIN)
-    elif spec.family == "squeezed_vacuum":
-        az = abs(spec.params["zeta"])
-        if az < 1e-12:
-            horizon = dim + 8
-        else:
-            k = int(-60.0 / math.log(az * az)) + 8  # StateSpec holds |zeta| below 1
-            horizon = max(horizon, 2 * k)
-    if horizon > MAX_HORIZON:
-        raise TruncationInfeasibleError(f"{spec.family} state spreads over more than {MAX_HORIZON} levels")
-    return horizon
-
-
 def _tails(spec: StateSpec, dim_hi: int) -> np.ndarray:
     """Probability mass on levels >= k for k = 0..dim_hi: the one tail computation.
 
-    Number, thermal and phase states have closed forms.  Every other
-    family sums its populations from the far end of its horizon, which
-    is free of the cancellation a 1 - cumsum would have.
+    A family with a closed-form tail reads it.  Every other family sums
+    its populations from the far end of its horizon, which is free of the
+    cancellation a 1 - cumsum would have.
     """
-    horizon = _tail_horizon(spec, dim_hi)  # checked for every family: no tail runs past MAX_HORIZON
-    f, p = spec.family, spec.params
+    family = FAMILIES[spec.family]
+    horizon = family.horizon(spec, dim_hi)  # checked for every family: no tail runs past MAX_HORIZON
+    if horizon > MAX_HORIZON:
+        raise TruncationInfeasibleError(f"{spec.family} state spreads over more than {MAX_HORIZON} levels")
     k = np.arange(dim_hi + 1)
-    if f == "fock":
-        return (k <= p["n"]).astype(float)
-    if f == "thermal":
-        return (p["nbar"] / (1.0 + p["nbar"])) ** k
-    if f == "coherent_phase":
-        return (abs(p["epsilon"]) ** 2) ** k
-    terms = np.abs(_amplitudes(spec, horizon)) ** 2
+    if family.tail is not None:
+        return family.tail(spec, k)
+    terms = np.abs(family.levels(spec, horizon)) ** 2
     return np.cumsum(terms[::-1])[::-1][: dim_hi + 1]
 
 
@@ -280,27 +190,24 @@ def _fix_global_phase(amp: np.ndarray) -> np.ndarray:
 
 
 def build_state(spec: StateSpec, dim: int):
-    """Construct the state a spec describes: a FockVector, or a DiagonalState if thermal.
+    """Construct the state a spec describes from its family's record: a FockVector, or a DiagonalState if mixed.
 
-    This is the one family dispatch: every named constructor below calls
-    it.  The truncation must discard less than ``TAIL_TOL`` of the
-    probability; the retained amplitudes (or populations) are
-    renormalized and the discarded mass is recorded on the state.
+    Every named constructor below calls it.  The truncation must discard
+    less than ``TAIL_TOL`` of the probability (a phase table shorter than
+    the dim is refused first); the retained amplitudes (or populations)
+    are renormalized and the discarded mass is recorded on the state.
     """
-    f, p = spec.family, spec.params
-    if f == "generalized_coherent" and len(p["phases"]) < dim:
-        raise StateValidationError(f"phase table has {len(p['phases'])} entries, need >= {dim}")
+    family = FAMILIES[spec.family]
+    phases = None if family.phases is None else family.phases(spec, dim)
     tail = truncation_tail(spec, dim)
     if tail >= TAIL_TOL:
         raise TailMassError(f"truncation discards {tail:.3e} > {TAIL_TOL} probability")
-    if f == "thermal":
-        nbar = p["nbar"]
-        pops = (nbar / (1.0 + nbar)) ** np.arange(dim) / (1.0 + nbar)
-        return DiagonalState(pops / pops.sum(), tail_mass=tail)
-    amp = _amplitudes(spec, dim)
-    if f == "generalized_coherent":
-        amp = amp * np.exp(1j * np.asarray(p["phases"][:dim], dtype=float))
-    return FockVector(_fix_global_phase(amp / np.linalg.norm(amp)), tail_mass=tail)
+    levels = family.levels(spec, dim)
+    if not family.pure:
+        return DiagonalState(levels / levels.sum(), tail_mass=tail)
+    if phases is not None:
+        levels = levels * phases
+    return FockVector(_fix_global_phase(levels / np.linalg.norm(levels)), tail_mass=tail)
 
 
 def fock(n: int, dim: int) -> FockVector:
@@ -497,6 +404,24 @@ def _parse_complex(fields: list[str], what: str) -> complex:
     raise SpecParseError(f"{what} takes 're' or 're,im', got {fields!r}")
 
 
+def _fields(fields: list[str], count: int, message: str) -> list[str]:
+    if len(fields) != count:
+        raise SpecParseError(message)
+    return fields
+
+
+def _parse_gencoh(fields: list[str]) -> dict:
+    if len(fields) != 3 or not fields[2].startswith("@"):
+        raise SpecParseError("gencoh takes re,im,@phasefile")
+    alpha = _parse_complex(fields[:2], "alpha")
+    try:
+        with open(fields[2][1:], "r", encoding="utf-8") as fh:
+            phases = [_parse_real(line) for line in fh if line.strip()]
+    except OSError as exc:
+        raise SpecParseError(f"cannot read phase file {fields[2][1:]!r}") from exc
+    return {"alpha": alpha, "phases": phases}
+
+
 def parse_state_spec(text: str) -> StateSpec:
     """Parse the grammar shared with the CLI.
 
@@ -507,38 +432,179 @@ def parse_state_spec(text: str) -> StateSpec:
     if not sep:
         raise SpecParseError(f"missing ':' in state spec {text!r}")
     fields = rest.split(",") if rest else []
+    if head not in _HEADS:
+        raise SpecParseError(f"unknown family {head!r}")
     try:
-        if head == "fock":
-            if len(fields) != 1:
-                raise SpecParseError("fock takes exactly one integer")
-            return StateSpec("fock", {"n": int(fields[0])})
-        if head == "coherent":
-            return StateSpec("coherent", {"alpha": _parse_complex(fields, "alpha")})
-        if head == "cat":
-            if len(fields) != 3:
-                raise SpecParseError("cat takes re,im,phi")
-            return StateSpec(
-                "cat",
-                {"alpha": _parse_complex(fields[:2], "alpha"), "phi": _parse_real(fields[2])},
-            )
-        if head == "squeezed":
-            return StateSpec("squeezed_vacuum", {"zeta": _parse_complex(fields, "zeta")})
-        if head == "phase":
-            return StateSpec("coherent_phase", {"epsilon": _parse_complex(fields, "epsilon")})
-        if head == "thermal":
-            if len(fields) != 1:
-                raise SpecParseError("thermal takes exactly one real")
-            return StateSpec("thermal", {"nbar": _parse_real(fields[0])})
-        if head == "gencoh":
-            if len(fields) != 3 or not fields[2].startswith("@"):
-                raise SpecParseError("gencoh takes re,im,@phasefile")
-            alpha = _parse_complex(fields[:2], "alpha")
-            try:
-                with open(fields[2][1:], "r", encoding="utf-8") as fh:
-                    phases = [_parse_real(line) for line in fh if line.strip()]
-            except OSError as exc:
-                raise SpecParseError(f"cannot read phase file {fields[2][1:]!r}") from exc
-            return StateSpec("generalized_coherent", {"alpha": alpha, "phases": phases})
+        return StateSpec(_HEADS[head], FAMILIES[_HEADS[head]].parse(fields))
     except (ValueError, StateValidationError) as exc:
         raise SpecParseError(f"bad state spec {text!r}: {exc}") from exc
-    raise SpecParseError(f"unknown family {head!r}")
+
+
+# ---------------------------------------------------------------------------
+# one record per family
+# ---------------------------------------------------------------------------
+
+def _finite(x, kind) -> bool:
+    """Whether x is a finite number of ``kind``: numbers.Real or numbers.Complex."""
+    return isinstance(x, kind) and cmath.isfinite(x)
+
+
+def _finite_reals(x) -> bool:
+    table = np.asarray(x)
+    return table.ndim == 1 and table.dtype.kind in "iuf" and bool(np.isfinite(table).all())
+
+
+def _unit_disc(key: str) -> tuple:
+    """The checks of a parameter inside the unit disc; a missing one reads 1."""
+    return (
+        (lambda p: isinstance(p.get(key, 1.0), numbers.Complex), f"a complex {key}"),
+        (lambda p: abs(p.get(key, 1.0)) < 1.0 - MODULUS_MARGIN, f"|{key}| < 1 - 1e-9"),
+    )
+
+
+_ALPHA_CHECKS = (
+    (lambda p: "alpha" in p, "alpha"),
+    (lambda p: _finite(p["alpha"], numbers.Complex), "a finite complex alpha"),
+)
+
+
+def _coherent_levels(spec: StateSpec, n: int) -> np.ndarray:
+    plus = coherent_amplitudes(spec.params["alpha"], n)
+    if plus[0].real < np.finfo(float).tiny:
+        # exp(-|alpha|^2/2) left the normal range: every amplitude would be noise or 0
+        raise TruncationInfeasibleError(
+            f"{spec.family} state with |alpha|^2 = {abs(spec.params['alpha']) ** 2:.6g} underflows double precision")
+    return plus
+
+
+def _cat_levels(spec: StateSpec, n: int) -> np.ndarray:
+    plus, alpha, phi = _coherent_levels(spec, n), spec.params["alpha"], spec.params["phi"]
+    denom = 1.0 + math.cos(phi) * math.exp(-2.0 * abs(alpha) ** 2)
+    if denom <= 1e-14:
+        raise DegenerateStateError("cat normalization is 0/0 at alpha -> 0, phi -> pi; use fock(1) directly")
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return (plus + cmath.exp(1j * phi) * signs * plus) / math.sqrt(2.0 * denom)
+
+
+def _squeezed_levels(spec: StateSpec, n: int) -> np.ndarray:
+    # even levels only: c_{2k} = c_{2k-2} zeta sqrt((2k-1)/(2k))
+    zeta = complex(spec.params["zeta"])
+    steps = np.empty((n + 1) // 2, dtype=complex)
+    steps[:1] = (1.0 - abs(zeta) ** 2) ** 0.25
+    k = np.arange(1, steps.size)
+    steps[1:] = zeta * np.sqrt((2 * k - 1) / (2 * k))
+    amp = np.zeros(n, dtype=complex)
+    amp[::2] = np.cumprod(steps)
+    return amp
+
+
+def _gencoh_phases(spec: StateSpec, dim: int) -> np.ndarray:
+    phases = spec.params["phases"]
+    if len(phases) < dim:
+        raise StateValidationError(f"phase table has {len(phases)} entries, need >= {dim}")
+    return np.exp(1j * np.asarray(phases[:dim], dtype=float))
+
+
+def _poisson_horizon(spec: StateSpec, dim: int) -> int:
+    lam = alpha_squared(spec)  # Poisson tail: mean + generous multiple of the standard deviation
+    return max(dim + TAIL_MARGIN, int(lam + 30.0 * math.sqrt(lam + 1.0)) + TAIL_MARGIN)
+
+
+def _squeezed_horizon(spec: StateSpec, dim: int) -> int:
+    az = abs(spec.params["zeta"])  # below 1, as its checks hold
+    return dim + 8 if az < 1e-12 else max(dim + TAIL_MARGIN, 2 * (int(-60.0 / math.log(az * az)) + 8))
+
+
+def _thermal_tail(spec: StateSpec, k: np.ndarray) -> np.ndarray:
+    """(nbar / (1 + nbar))^k: the mass on levels >= k, and the population ratio to the k."""
+    return (spec.params["nbar"] / (1.0 + spec.params["nbar"])) ** k
+
+
+def _fock_ladder(spec: StateSpec) -> tuple:
+    adaptive_dim(spec)  # bounds a number state, as on every other route, before any eigenfunction table
+    return 0j, 0j, float(spec.params["n"])
+
+
+def _fock_density(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
+    from .phase_space import oscillator_eigenfunctions  # phase_space imports this module
+
+    n, r = spec.params["n"], math.sqrt(mu * mu + nu * nu)
+    return oscillator_eigenfunctions(x / r, n + 1)[:, n] ** 2 / r
+
+
+def _coherent_density(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
+    a, r2 = spec.params["alpha"], mu * mu + nu * nu
+    mean = math.sqrt(2.0) * (mu * a.real + nu * a.imag)
+    return np.exp(-((x - mean) ** 2) / r2) / math.sqrt(math.pi * r2)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What a state family is: ``parse`` reads the fields after its grammar ``head``; each of
+    ``checks`` pairs a test of the params with what it requires; ``levels(spec, n)`` gives
+    amplitudes 0..n-1 of the untruncated state (populations where ``pure`` is false), to which
+    ``phases(spec, dim)`` is attached; ``tail(spec, k)`` is the closed-form mass on levels >= k;
+    populations past ``horizon(spec, dim)`` are below 1e-25; ``ladder(spec)`` gives <a>, <a^2>,
+    <adag a> and ``density(spec, mu, nu, x)`` that of the quadrature mu q + nu p, in closed form.
+    """
+
+    head: str
+    parse: Callable[[list[str]], dict]
+    checks: tuple[tuple[Callable[[dict], bool], str], ...]
+    levels: Callable[[StateSpec, int], np.ndarray]
+    horizon: Callable[[StateSpec, int], int] = lambda spec, dim: dim + TAIL_MARGIN
+    tail: Callable[[StateSpec, np.ndarray], np.ndarray] | None = None
+    pure: bool = True
+    phases: Callable[[StateSpec, int], np.ndarray] | None = None
+    ladder: Callable[[StateSpec], tuple] | None = None
+    density: Callable[[StateSpec, float, float, np.ndarray], np.ndarray] | None = None
+
+
+FAMILIES = {
+    "fock": Family(
+        "fock", lambda f: {"n": int(_fields(f, 1, "fock takes exactly one integer")[0])},
+        ((lambda p: isinstance(p.get("n"), int) and p["n"] >= 0, "an integer n >= 0"),),
+        lambda spec, n: np.eye(1, n, spec.params["n"], dtype=complex)[0],
+        tail=lambda spec, k: (k <= spec.params["n"]).astype(float), ladder=_fock_ladder, density=_fock_density,
+    ),
+    "coherent": Family(
+        "coherent", lambda f: {"alpha": _parse_complex(f, "alpha")}, _ALPHA_CHECKS, _coherent_levels,
+        horizon=_poisson_horizon, density=_coherent_density,
+        # alpha * alpha: alpha ** 2 raises OverflowError before alpha_squared can refuse
+        ladder=lambda spec: (spec.params["alpha"], spec.params["alpha"] * spec.params["alpha"],
+                             alpha_squared(spec)),
+    ),
+    "generalized_coherent": Family(
+        "gencoh", _parse_gencoh,
+        _ALPHA_CHECKS + ((lambda p: p.get("phases") is not None and len(p["phases"]) > 0, "a phase table"),
+                         (lambda p: _finite_reals(p["phases"]), "a phase table of finite reals")),
+        _coherent_levels, horizon=_poisson_horizon, phases=_gencoh_phases,
+    ),
+    "cat": Family(
+        "cat", lambda f: {"alpha": _parse_complex(_fields(f, 3, "cat takes re,im,phi")[:2], "alpha"),
+                          "phi": _parse_real(f[2])},
+        _ALPHA_CHECKS + ((lambda p: "phi" in p, "a phase phi"),
+                         (lambda p: _finite(p["phi"], numbers.Real), "a finite real phi")),
+        _cat_levels, horizon=_poisson_horizon,
+    ),
+    "squeezed_vacuum": Family(
+        "squeezed", lambda f: {"zeta": _parse_complex(f, "zeta")}, _unit_disc("zeta"), _squeezed_levels,
+        horizon=_squeezed_horizon,
+    ),
+    "coherent_phase": Family(
+        "phase", lambda f: {"epsilon": _parse_complex(f, "epsilon")}, _unit_disc("epsilon"),
+        lambda spec, n: math.sqrt(1.0 - abs(complex(spec.params["epsilon"])) ** 2)
+        * np.power(complex(spec.params["epsilon"]), np.arange(n)),
+        tail=lambda spec, k: (abs(spec.params["epsilon"]) ** 2) ** k,
+    ),
+    "thermal": Family(
+        "thermal", lambda f: {"nbar": _parse_real(_fields(f, 1, "thermal takes exactly one real")[0])},
+        ((lambda p: p.get("nbar") is not None, "nbar >= 0"),
+         (lambda p: isinstance(p["nbar"], numbers.Real), "a finite real nbar"),
+         (lambda p: not p["nbar"] < 0, "nbar >= 0"),
+         (lambda p: math.isfinite(p["nbar"]), "a finite real nbar")),
+        lambda spec, n: _thermal_tail(spec, np.arange(n)) / (1.0 + spec.params["nbar"]),
+        tail=_thermal_tail, pure=False,
+    ),
+}
+_HEADS = {family.head: name for name, family in FAMILIES.items()}

@@ -1,9 +1,9 @@
 """Quadrature tomograms and classical-like distances built on them.
 
 A tomogram w_{mu nu}(X) is the probability density of the quadrature
-mu*q + nu*p.  ``_marginals`` picks each state's route: the closed
-forms of ``marginal_analytic`` for number and coherent states, and for
-any other state the Fock-basis form of the unit-radius marginal,
+mu*q + nu*p.  ``_marginals`` picks each state's route from its family's
+record: the closed forms of ``marginal_analytic`` for number and coherent
+states, and for any other state the Fock-basis form of the unit-radius marginal,
 w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X> (Mancini, Man'ko
 & Tombesi, Phys. Lett. A 213, 1 (1996)), from the oscillator
 eigenfunctions and the state's factor.  ``marginal_from_wigner``, a
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .phase_space import MASS_TOL, QuasiDistribution, oscillator_eigenfunctions, simpson_weights
 from .states import (
-    StateSpec, adaptive_dim, alpha_squared, build_state, ladder_moments, quadrature_moments,
+    FAMILIES, StateSpec, adaptive_dim, build_state, ladder_moments, quadrature_moments,
 )
 
 X_POINTS = 1025
@@ -109,7 +109,7 @@ def default_x_grid(mean_lo: float, mean_hi: float, sigma: float, sigma_max: floa
 
 
 def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> Tomogram:
-    """Closed-form tomogram for number and coherent states.
+    """Closed-form tomogram of a number or coherent state: its family record's ``density``.
 
     Vacuum and coherent states give Gaussians of variance
     (mu^2 + nu^2)/2; the number state |n> gives psi_n(X/r)^2 / r with
@@ -119,17 +119,10 @@ def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> T
     if r2 <= 1e-12:
         raise StateValidationError("(mu, nu) must not vanish")
     x = np.asarray(x, dtype=float)
-    if spec.family == "coherent":
-        a = spec.params["alpha"]
-        mean = math.sqrt(2.0) * (mu * a.real + nu * a.imag)
-        w = np.exp(-((x - mean) ** 2) / r2) / math.sqrt(math.pi * r2)
-    elif spec.family == "fock":
-        n = spec.params["n"]
-        r = math.sqrt(r2)
-        w = oscillator_eigenfunctions(x / r, n + 1)[:, n] ** 2 / r
-    else:
+    density = FAMILIES[spec.family].density
+    if density is None:
         raise UnsupportedCombinationError(f"no closed-form tomogram for {spec.family!r}")
-    return Tomogram(mu, nu, x, w)
+    return Tomogram(mu, nu, x, density(spec, mu, nu, x))
 
 
 def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndarray) -> Tomogram:
@@ -207,9 +200,9 @@ def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
 def _marginals(spec: StateSpec):
     """The state's ladder moments (<a>, <a^2>, <adag a>) and its unit-radius tomogram w(theta, x).
 
-    Number and coherent states read ``marginal_analytic``; a number
-    state is bounded by ``adaptive_dim``, as on every other route,
-    before any eigenfunction table.  Any other state reads
+    Number and coherent states read their record's closed-form ladder
+    moments and ``marginal_analytic``; a number state is bounded by
+    ``adaptive_dim``, as on every other route, before any eigenfunction table.  Any other state reads
     <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis off its
     factor (``fock_core``).  A 2-d W gives w_theta(X) =
     sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2, one column for a pure
@@ -217,15 +210,9 @@ def _marginals(spec: StateSpec):
     same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2,
     O(points x dim) per node.
     """
-    def analytic(theta, x):
-        return marginal_analytic(spec, math.cos(theta), math.sin(theta), x)
-
-    if spec.family == "coherent":
-        a = spec.params["alpha"]
-        return (a, a * a, alpha_squared(spec)), analytic
-    if spec.family == "fock":
-        adaptive_dim(spec)
-        return (0j, 0j, float(spec.params["n"])), analytic
+    ladder = FAMILIES[spec.family].ladder
+    if ladder is not None:
+        return ladder(spec), lambda theta, x: marginal_analytic(spec, math.cos(theta), math.sin(theta), x)
     state = build_state(spec, adaptive_dim(spec))
     f = state.factor(1.0)
 

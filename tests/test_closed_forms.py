@@ -253,6 +253,33 @@ def test_neighbour_oracles_keep_their_digits(base, gap):
             assert abs(mp.mpf(got[key]) - value) <= 1e-13 * value, (family, key)
 
 
+def _cat_oracles_mp(mp, alpha: float, phi1: float, phi2: float) -> dict:
+    """``cat_distances``' distance keys, as printed, in the mpmath context ``mp``."""
+    a2 = mp.mpf(alpha) ** 2
+    x = mp.exp(-a2)
+    q = x * x
+    den1, den2 = 1 + mp.cos(phi1) * q, 1 + mp.cos(phi2) * q
+    gap = 1 - mp.cos(mp.mpf(phi1) - mp.mpf(phi2))
+    return {"d_to_coherent": mp.sqrt((1 - q * q) / den1),
+            "d_to_vacuum": mp.sqrt(2 * (1 - x) * (1 - mp.cos(phi1) * x) / den1),
+            "d_between": mp.sqrt((1 - q * q) * gap / (den1 * den2)),
+            "dN_to_vacuum": mp.sqrt(a2 * (1 - mp.cos(phi1) * q) / den1),
+            "dN_between": mp.sqrt(a2 * (1 + q * q) * gap / (den1 * den2))}
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-8])
+def test_cat_and_coherent_fock_oracles_keep_their_digits(gap):
+    # a small phase gap, or |alpha| near 0, cancels 1 - e^{-t}, 1 - cos t and 1 - y cos t
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    for alpha, phi1, phi2 in ((1.2, 0.7, 0.7 + gap), (0.8, 2.0, 2.0 - gap), (gap, 0.7, 1.9), (gap, 0.0, 0.0)):
+        got = cat_distances(alpha, phi1, phi2)
+        for key, value in _cat_oracles_mp(mp, alpha, phi1, phi2).items():
+            assert abs(mp.mpf(got[key]) - value) <= 1e-13 * value, (alpha, phi1, phi2, key)
+    value = mp.sqrt(2 * (1 - mp.exp(-mp.mpf(gap) ** 2)))
+    assert abs(mp.mpf(coherent_fock(gap, 0)["hs"]) - value) <= 1e-13 * value
+
+
 class TestCrossValidationAgainstPhaseStates:
     def test_min_pseudo_equals_aligned_phase_pair(self):
         # aligning the phase parameters realizes the minimum, which the

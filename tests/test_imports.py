@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import qdist
+from qdist.states import FAMILIES
 
 PACKAGE = pathlib.Path(qdist.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -119,6 +120,28 @@ def test_only_named_kernels_read_the_dense_matrix(module):
 def test_tomography_picks_marginals_in_one_place():
     readers = _scopes(PACKAGE / "tomography.py", lambda node: isinstance(node, ast.Attribute) and node.attr == "family")
     assert set(readers) <= {"_marginals", "marginal_analytic"}, sorted(readers)
+
+
+# What a family is lives in its record in ``states.FAMILIES``: no code in src/ compares
+# anything with a family name or a grammar head.
+GRAMMAR_HEADS = {"fock", "coherent", "gencoh", "cat", "squeezed", "phase", "thermal"}
+
+
+def _family_literals(node):
+    """The family names and grammar heads among a Compare operand's string literals."""
+    elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    names = set(FAMILIES) | GRAMMAR_HEADS
+    return {e.value for e in elts if isinstance(e, ast.Constant) and e.value in names}
+
+
+def test_no_function_branches_on_a_family_name():
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare) and any(map(_family_literals, [node.left, *node.comparators]))
+    ]
+    assert not found, f"{len(found)} family comparisons: {found}"
 
 
 def test_one_dimension_check():

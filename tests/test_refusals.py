@@ -6,6 +6,7 @@ earlier, unrelated refusal of the same class.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qdist import (
     QuasiDistribution,
     StateSpec,
     Tomogram,
+    build_state,
     classical_divergence,
     coherent,
     coherent_fock,
@@ -108,6 +110,35 @@ REFUSALS = {
     "StateSpec-unknown-family": (lambda: StateSpec("nope"), StateValidationError, "unknown family"),
     "StateSpec-no-alpha": (lambda: StateSpec("coherent", {}), StateValidationError, "requires alpha"),
     "StateSpec-no-phi": (lambda: StateSpec("cat", {"alpha": 1.0}), StateValidationError, "phase phi"),
+    "StateSpec-fock-negative-n": (lambda: StateSpec("fock", {"n": -1}), StateValidationError, "integer n >= 0"),
+    "StateSpec-gencoh-empty-phase-table": (
+        lambda: StateSpec("generalized_coherent", {"alpha": 1.0, "phases": []}), StateValidationError, "phase table"),
+    "StateSpec-squeezed-unit-modulus": (
+        lambda: StateSpec("squeezed_vacuum", {"zeta": 1.0}), StateValidationError, "|zeta| < 1 - 1e-9"),
+    "StateSpec-phase-unit-modulus": (
+        lambda: StateSpec("coherent_phase", {"epsilon": -1.0}), StateValidationError, "|epsilon| < 1 - 1e-9"),
+    "StateSpec-thermal-negative-nbar": (lambda: StateSpec("thermal", {"nbar": -0.5}), StateValidationError, "nbar >= 0"),
+    # the phase table is checked against the dim before the tail, which alpha = 3 at dim 8 would fail
+    "build_state-short-phase-table": (
+        lambda: build_state(StateSpec("generalized_coherent", {"alpha": 3.0, "phases": [0.0] * 4}), 8),
+        StateValidationError, "phase table has 4 entries, need >= 8"),
+    # parameters that are not finite numbers of their kind
+    "StateSpec-nan-zeta": (lambda: StateSpec("squeezed_vacuum", {"zeta": math.nan}), StateValidationError, "|zeta| < 1"),
+    "StateSpec-string-zeta": (lambda: StateSpec("squeezed_vacuum", {"zeta": "0.1"}), StateValidationError, "complex zeta"),
+    "StateSpec-inf-phi": (
+        lambda: StateSpec("cat", {"alpha": 1.0, "phi": math.inf}), StateValidationError, "finite real phi"),
+    "StateSpec-nan-phi": (
+        lambda: StateSpec("cat", {"alpha": 1.0, "phi": math.nan}), StateValidationError, "finite real phi"),
+    "StateSpec-nan-phase": (
+        lambda: StateSpec("generalized_coherent", {"alpha": 1.0, "phases": [0.0, math.nan]}),
+        StateValidationError, "phase table of finite reals"),
+    "StateSpec-string-alpha": (lambda: StateSpec("coherent", {"alpha": "1"}), StateValidationError, "finite complex alpha"),
+    "StateSpec-nan-alpha": (
+        lambda: StateSpec("coherent", {"alpha": math.nan}), StateValidationError, "finite complex alpha"),
+    "StateSpec-nan-epsilon": (
+        lambda: StateSpec("coherent_phase", {"epsilon": math.nan}), StateValidationError, "|epsilon| < 1"),
+    "StateSpec-string-nbar": (lambda: StateSpec("thermal", {"nbar": "1"}), StateValidationError, "finite real nbar"),
+    "StateSpec-nan-nbar": (lambda: StateSpec("thermal", {"nbar": math.nan}), StateValidationError, "finite real nbar"),
     "moment-negative-order": (lambda: moment(fock(0, 4), -1, 0), StateValidationError, "nonnegative"),
     "moment-order-overflows": (lambda: moment(fock(0, 4), 0, 4), StateValidationError, "overflow"),
     "MomentTable-shape": (lambda: MomentTable(np.zeros((2, 3))), StateValidationError, "shape"),
@@ -115,6 +146,10 @@ REFUSALS = {
     # grammar
     "spec-coherent-three-fields": (lambda: parse_state_spec("coherent:1,2,3"), SpecParseError, "'re' or 're,im'"),
     "spec-thermal-two-fields": (lambda: parse_state_spec("thermal:1,2"), SpecParseError, "exactly one real"),
+    "spec-fock-two-fields": (lambda: parse_state_spec("fock:1,2"), SpecParseError, "exactly one integer"),
+    "spec-cat-two-fields": (lambda: parse_state_spec("cat:1,0"), SpecParseError, "cat takes re,im,phi"),
+    "spec-gencoh-two-fields": (lambda: parse_state_spec("gencoh:1,0"), SpecParseError, "gencoh takes re,im,@phasefile"),
+    "spec-unknown-head": (lambda: parse_state_spec("nope:1"), SpecParseError, "unknown family 'nope'"),
     "spec-gencoh-missing-file": (
         lambda: parse_state_spec("gencoh:1,0,@/nonexistent"), SpecParseError, "cannot read phase file"),
     # tomography
