@@ -8,16 +8,22 @@ grid node and the u-quadrature becomes a single matrix product.  The
 u-step equals the q-spacing dq, and uniform weights are used: for the
 band-limited integrands at hand the resulting error is pure aliasing,
 exponentially small as long as 2*pi/dq exceeds the combined momentum
-bandwidth (checked at call time).  The Wigner form of the HS distance
-steps its grid by the states' smallest quadrature spread
-(``states.quadrature_sigma_min``) and fringe scale.  The Wigner grid
-reads a state's ``mat``, ``populations`` and ``dim``, so it takes a
-state of any kind.  The Husimi grid reads the state's factor
-(``fock_core``) instead: a 1-d factor, a diagonal state's populations,
-against the Poisson weights |<n|alpha>|^2 (``states.poisson_weights``);
-the columns of a 2-d one against ``states.coherent_amplitudes``.  The
-``pp`` form's Bessel pairing kernel is a sum of products of the same
-Poisson weights, so no special function beyond them is evaluated here.
+bandwidth (checked at call time, for each state).  The pair q -+ u/2
+lies on the even fine nodes for even u/dq and on the odd ones otherwise,
+so the fine-grid position matrix is formed as its two parity halves,
+half the work and memory of the whole, and every product runs in real
+arithmetic, cos and sin of p u in place of complex exponentials.  The
+Wigner form of the HS distance steps its grid by the states' smallest
+quadrature spread (``states.quadrature_sigma_min``) and fringe scale.
+The Wigner grid reads a state's ``mat``, ``populations`` and ``dim``,
+so it takes a state of any kind.  The Husimi grid reads the state's
+factor (``fock_core``) instead: a 1-d factor, a diagonal state's
+populations, against the Poisson weights |<n|alpha>|^2
+(``states.poisson_weights``); the columns of a 2-d one against
+``states.coherent_amplitudes``.  The Wigner and ``qp`` forms build each
+of these tables once for both states.  The ``pp`` form's Bessel pairing
+kernel is a sum of products of the same Poisson weights, so no special
+function beyond them is evaluated here.
 
 A ``PhaseGrid`` is geometry only; each ``QuasiDistribution`` owns its
 values on one, a read-only copy it checks when it is built.  Their
@@ -138,7 +144,8 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
     Upward recurrence on the *normalized* eigenfunctions keeps every
     intermediate bounded, so no per-level rescaling is needed even at
     n of a few hundred.  Each level is one contiguous row while the
-    recurrence runs; the table is transposed once at the end.
+    recurrence runs, and stays one: the table returned is the transposed
+    view of that (dim, len(x)) array, not a copy.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((dim, x.size))
@@ -147,7 +154,7 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
         out[1] = math.sqrt(2.0) * x * out[0]
     for n in range(2, dim):
         out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
-    return np.ascontiguousarray(out.T)
+    return out.T
 
 
 def _occupied_levels(rho) -> int:
@@ -162,32 +169,54 @@ def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     the q-spacing is too coarse for the combined momentum bandwidth
     (aliasing) or the integrated mass misses 1 by more than ``MASS_TOL``.
     """
-    if grid is None:
-        grid = default_grid(rho.dim)
-    p = grid.p_axis
+    return _wigner_functions([rho], grid or default_grid(rho.dim))[0]
+
+
+def _wigner_functions(states, grid: PhaseGrid) -> list[QuasiDistribution]:
+    """The Wigner functions of states of one dim on one grid, each table built once for all of them.
+
+    W(q_j, p) = dq sum_b c_b Re(e^{i p u_b} g_b(q_j)) over u_b = b dq, with
+    g_b(q) = <q - u_b/2| rho |q + u_b/2>, c_0 = 1 and c_b = 2 (the pair -+u_b).
+    The samples q_j -+ u_b/2 lie on the even fine nodes (the q-grid) for
+    even b and on the odd ones (the midpoints) for odd b, so g_b is the
+    b-th superdiagonal of one parity half's position matrix psi_h rho psi_h^T.
+    The eigenfunction halves, the gather indices and cos, sin of p u_b
+    serve every state; each state's products run in real arithmetic.
+    """
     dq = grid.dq
-    n_eff = _occupied_levels(rho)
-    band = max(abs(grid.p_min), abs(grid.p_max)) + math.sqrt(2.0 * n_eff) + 1.0
-    if 2.0 * math.pi / dq < band:
-        raise GridError(
-            f"q-spacing {dq:.4f} aliases momenta: 2pi/dq = {2*math.pi/dq:.1f} < bandwidth {band:.1f}"
-        )
-    # fine position grid at half the q-spacing; q +- u/2 stays on it
-    nf = 2 * grid.nq - 1
-    xf = np.linspace(grid.q_min, grid.q_max, nf)
-    psi = oscillator_eigenfunctions(xf, rho.dim)
-    r = psi @ rho.mat @ psi.T  # position-space density matrix on the fine grid
-    a = 2 * np.arange(grid.nq)
-    bmax = grid.nq - 1
-    b = np.arange(1, bmax + 1)
-    rows = a[None, :] - b[:, None]
-    cols = a[None, :] + b[:, None]
-    valid = (rows >= 0) & (cols <= nf - 1)
-    g = np.zeros((bmax, grid.nq), dtype=complex)
-    g[valid] = r[rows[valid], cols[valid]]
-    phases = np.exp(1j * np.outer(p, b * dq))  # u_b = b dq
-    w = dq * (r[a, a].real[None, :] + 2.0 * (phases @ g).real)  # shape (n_p, nq)
-    return QuasiDistribution(0, grid, w.T)
+    for rho in states:
+        band = max(abs(grid.p_min), abs(grid.p_max)) + math.sqrt(2.0 * _occupied_levels(rho)) + 1.0
+        if 2.0 * math.pi / dq < band:
+            raise GridError(
+                f"q-spacing {dq:.4f} aliases momenta: 2pi/dq = {2*math.pi/dq:.1f} < bandwidth {band:.1f}"
+            )
+    nq = grid.nq
+    # fine position grid at half the q-spacing: its even nodes are the q-grid, its odd ones the midpoints
+    psi = oscillator_eigenfunctions(np.linspace(grid.q_min, grid.q_max, 2 * nq - 1), states[0].dim)
+    halves = np.ascontiguousarray(psi[0::2]), np.ascontiguousarray(psi[1::2])
+    b = np.arange(nq)
+    gathers = []  # (psi_h, flat indices of g_b(q_j) in g, of the same entries in psi_h rho psi_h^T)
+    for half, bh in zip(halves, (b[0::2], b[1::2])):
+        length = nq - (bh + 1) // 2 * 2  # of the superdiagonal, which starts at q_j, j = ceil(b/2)
+        bb = np.repeat(bh, length)
+        k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)  # along it
+        gathers.append((half, bb * nq + (bb + 1) // 2 + k, k * (len(half) + 1) + bb))
+    # Re(e^{i p u} g) = cos(pu) Re g - sin(pu) Im g
+    pu = np.outer(grid.p_axis, b * dq)
+    phases = np.hstack([np.cos(pu), np.sin(pu)])
+    c = np.where(b == 0, 1.0, 2.0)
+    phases *= np.concatenate([c, -c])
+    out = []
+    for rho in states:
+        mat = rho.mat
+        g = np.zeros((2, nq * nq))  # Re g_b(q_j) and Im g_b(q_j), each flat [b, j]
+        for part, m in zip(g, (mat.real, mat.imag)):
+            m = np.ascontiguousarray(m)
+            for half, at, src in gathers:
+                part[at] = np.take(half @ m @ half.T, src)
+        w = dq * (phases @ g.reshape(2 * nq, nq))  # shape (n_p, nq)
+        out.append(QuasiDistribution(0, grid, w.T))
+    return out
 
 
 def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
@@ -199,24 +228,29 @@ def husimi_q(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     chunks of ``HUSIMI_BLOCK`` / dim (at most 16,384), so memory stays at
     a few chunk x dim blocks whatever the dim.
     """
-    if grid is None:
-        grid = default_grid(rho.dim)
+    return _husimi_functions([rho], grid or default_grid(rho.dim))[0]
+
+
+def _husimi_functions(states, grid: PhaseGrid) -> list[QuasiDistribution]:
+    """The Husimi functions of states of one dim on one grid; each chunk's tables serve every state."""
     qq, pp = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
     alpha = ((qq + 1j * pp) / math.sqrt(2.0)).ravel()
-    vals = np.empty(alpha.size)
-    w = rho.factor(1.0)
-    chunk = max(min(16384, HUSIMI_BLOCK // rho.dim), 1)
+    factors = [rho.factor(1.0) for rho in states]
+    ndims = {w.ndim for w in factors}
+    dim = states[0].dim
+    vals = np.empty((len(states), alpha.size))
+    chunk = max(min(16384, HUSIMI_BLOCK // dim), 1)
     for lo in range(0, alpha.size, chunk):
-        vals[lo : lo + chunk] = _coherent_expectations(w, alpha[lo : lo + chunk])
-    return QuasiDistribution(-1, grid, vals.reshape(grid.nq, grid.n_p))
-
-
-def _coherent_expectations(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """<alpha|rho|alpha> at each point of ``alpha`` from a factor ``w`` of rho."""
-    if w.ndim == 1:
-        return poisson_weights(alpha.real**2 + alpha.imag**2, 0, w.size) @ w
-    z = coherent_amplitudes(alpha, w.shape[0]).conj() @ w
-    return (z.real**2 + z.imag**2).sum(axis=1)
+        part = alpha[lo : lo + chunk]
+        weights = poisson_weights(part.real**2 + part.imag**2, 0, dim) if 1 in ndims else None
+        amps = coherent_amplitudes(part, dim).conj() if 2 in ndims else None
+        for v, w in zip(vals, factors):
+            if w.ndim == 1:
+                v[lo : lo + chunk] = weights @ w
+            else:
+                z = amps @ w
+                v[lo : lo + chunk] = (z.real**2 + z.imag**2).sum(axis=1)
+    return [QuasiDistribution(-1, grid, v.reshape(grid.nq, grid.n_p)) for v in vals]
 
 
 def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistribution:
@@ -274,7 +308,8 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
         sig = max(min(quadrature_sigma_min(ladder_moments(r)) for r in (ra, rb)), 1e-3)
         h = min(0.15, min(sig, fringe) / 3.0)
         grid = default_grid(ra.dim, int(min(max(2 * round(span / h) + 1, 257), 1537)))
-        diff = wigner(ra, grid).values - wigner(rb, grid).values
+        wa, wb = _wigner_functions([ra, rb], grid)
+        diff = wa.values - wb.values
         return math.sqrt(grid_integral(grid, diff**2) / (2.0 * math.pi))  # a sum of squares
 
     if form in ("qp", "pp"):
@@ -287,7 +322,8 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
         if form == "qp":
             ra, rb = _state_pair(a, b)
             grid = default_grid(ra.dim)
-            dq_vals = husimi_q(ra, grid).values - husimi_q(rb, grid).values
+            qa, qb = _husimi_functions([ra, rb], grid)
+            dq_vals = qa.values - qb.values
             dp_vals = p_function_thermal(n1, grid).values - p_function_thermal(n2, grid).values
             return _clamped_sqrt(grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi))
         # pp: angular integrals done exactly, radial double integral by Simpson

@@ -445,8 +445,11 @@ def parse_state_spec(text: str) -> StateSpec:
 # ---------------------------------------------------------------------------
 
 def _finite(x, kind) -> bool:
-    """Whether x is a finite number of ``kind``: numbers.Real or numbers.Complex."""
-    return isinstance(x, kind) and cmath.isfinite(x)
+    """Whether x is a finite number of ``kind``: numbers.Real or numbers.Complex; an int past the doubles is not."""
+    try:
+        return isinstance(x, kind) and cmath.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _finite_reals(x) -> bool:
@@ -602,7 +605,7 @@ FAMILIES = {
         ((lambda p: p.get("nbar") is not None, "nbar >= 0"),
          (lambda p: isinstance(p["nbar"], numbers.Real), "a finite real nbar"),
          (lambda p: not p["nbar"] < 0, "nbar >= 0"),
-         (lambda p: math.isfinite(p["nbar"]), "a finite real nbar")),
+         (lambda p: _finite(p["nbar"], numbers.Real), "a finite real nbar")),
         lambda spec, n: _thermal_tail(spec, np.arange(n)) / (1.0 + spec.params["nbar"]),
         tail=_thermal_tail, pure=False,
     ),

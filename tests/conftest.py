@@ -5,7 +5,7 @@ import pytest
 
 from qdist import DensityOperator
 from qdist.closed_forms import parse_metric
-from qdist.phase_space import simpson_weights
+from qdist.phase_space import oscillator_eigenfunctions, simpson_weights
 from qdist.states import coherent_amplitudes
 
 
@@ -110,6 +110,27 @@ def dense_husimi(mat: np.ndarray, grid) -> np.ndarray:
     c = coherent_amplitudes(((qq + 1j * pp) / math.sqrt(2.0)).ravel(), mat.shape[0])
     q = np.einsum("am,mn,an->a", c.conj(), mat, c, optimize=True).real
     return q.reshape(grid.nq, grid.n_p)
+
+
+def dense_wigner(mat: np.ndarray, grid) -> np.ndarray:
+    """W(q, p) on the grid from the whole fine-grid position matrix psi rho psi^T and complex phases.
+
+    The reference for the Wigner kernel in ``qdist.phase_space``, which
+    forms only the two parity halves of that matrix, in real arithmetic:
+    W(q_j, p) = dq [r_jj + 2 Re sum_b e^{i p b dq} r_{2j-b, 2j+b}] on the
+    fine grid at half the q-spacing, with no mass or bandwidth check.
+    """
+    nq, nf, dq = grid.nq, 2 * grid.nq - 1, grid.dq
+    psi = oscillator_eigenfunctions(np.linspace(grid.q_min, grid.q_max, nf), mat.shape[0])
+    r = psi @ mat @ psi.T
+    a = 2 * np.arange(nq)
+    b = np.arange(1, nq)
+    rows, cols = a[None, :] - b[:, None], a[None, :] + b[:, None]
+    valid = (rows >= 0) & (cols <= nf - 1)
+    g = np.zeros((nq - 1, nq), dtype=complex)
+    g[valid] = r[rows[valid], cols[valid]]
+    phases = np.exp(1j * np.outer(grid.p_axis, b * dq))
+    return (dq * (r[a, a].real[None, :] + 2.0 * (phases @ g).real)).T
 
 
 def bessel_pp_distance(n1: float, n2: float, n: int = 1025) -> float:

@@ -105,13 +105,24 @@ def test_only_the_density_types_integrate_their_mass(module, name):
 
 # The kernels read state factors; only these functions read a state's dense ``mat``:
 # the trace norm of a general pair, and the Wigner grid's position-space density matrix.
-DENSE_READERS = {"distances.py": {"jmg_distance"}, "phase_space.py": {"wigner"}}
+DENSE_READERS = {"distances.py": {"jmg_distance"}, "phase_space.py": {"_wigner_functions"}}
 
 
 @pytest.mark.parametrize("module", DENSE_READERS)
 def test_only_named_kernels_read_the_dense_matrix(module):
     readers = _scopes(PACKAGE / module, lambda node: isinstance(node, ast.Attribute) and node.attr == "mat")
     assert set(readers) <= DENSE_READERS[module], f"{module} reads .mat in {sorted(readers)}"
+
+
+# One table per call: the Wigner helper builds the eigenfunction table and the Husimi helper the
+# coherent amplitudes once for every state it is handed; ``wigner``, ``husimi_q`` and the phase-space
+# forms call the helpers.
+ONCE_PER_CALL = {"oscillator_eigenfunctions": {"_wigner_functions": 1}, "coherent_amplitudes": {"_husimi_functions": 1}}
+
+
+@pytest.mark.parametrize("name", ONCE_PER_CALL)
+def test_phase_space_builds_each_table_in_one_place(name):
+    assert _callers(PACKAGE / "phase_space.py", name) == ONCE_PER_CALL[name]
 
 
 # One dispatch per decision: tomography picks a state's marginal route in ``_marginals``

@@ -32,7 +32,7 @@ from qdist import (
 )
 from qdist.closed_forms import thermal_pair
 from qdist.errors import GridError, UnsupportedCombinationError
-from qdist.phase_space import grid_integral, simpson_weights
+from qdist.phase_space import _wigner_functions, grid_integral, simpson_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,6 +84,31 @@ class TestWigner:
         coarse = PhaseGrid(-12.0, 12.0, -12.0, 12.0, n, n)
         with pytest.raises(GridError):
             wigner(thermal(2.5, 96), coarse)
+
+
+class TestPairChecks:
+    """A pair's shared tables skip no state's check: the state that fails raises, first or second."""
+
+    @staticmethod
+    def raises_as_alone(bad, good, grid, fragment):
+        with pytest.raises(GridError) as alone:
+            wigner(bad, grid)
+        assert fragment in str(alone.value)
+        wigner(good, grid)
+        for pair in ([bad, good], [good, bad]):
+            with pytest.raises(GridError) as info:
+                _wigner_functions(pair, grid)
+            assert str(info.value) == str(alone.value)
+
+    def test_one_state_aliases(self):
+        # 2pi/dq = 15.7 resolves the vacuum's bandwidth (10.4), not the thermal state's (22.6)
+        grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 41, 41)
+        self.raises_as_alone(thermal(2.5, 96), outer(fock(0, 96)), grid, "aliases momenta")
+
+    def test_one_state_misses_its_mass(self):
+        # the window holds the vacuum, not the coherent peak at q = 3 sqrt(2)
+        grid = PhaseGrid(-6.0, 6.0, -6.0, 6.0, 65, 65)
+        self.raises_as_alone(outer(coherent(3.0, 48)), fock(0, 48), grid, "s = 0 mass on grid")
 
 
 class TestHusimi:

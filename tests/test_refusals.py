@@ -139,6 +139,15 @@ REFUSALS = {
         lambda: StateSpec("coherent_phase", {"epsilon": math.nan}), StateValidationError, "|epsilon| < 1"),
     "StateSpec-string-nbar": (lambda: StateSpec("thermal", {"nbar": "1"}), StateValidationError, "finite real nbar"),
     "StateSpec-nan-nbar": (lambda: StateSpec("thermal", {"nbar": math.nan}), StateValidationError, "finite real nbar"),
+    # ints too large for a double: their finite checks once raised a bare OverflowError
+    "StateSpec-huge-int-alpha": (
+        lambda: StateSpec("coherent", {"alpha": 10**400}), StateValidationError, "finite complex alpha"),
+    "StateSpec-huge-int-gencoh-alpha": (
+        lambda: StateSpec("generalized_coherent", {"alpha": 10**400, "phases": [0.0]}),
+        StateValidationError, "finite complex alpha"),
+    "StateSpec-huge-int-nbar": (lambda: StateSpec("thermal", {"nbar": 10**400}), StateValidationError, "finite real nbar"),
+    "StateSpec-huge-int-phi": (
+        lambda: StateSpec("cat", {"alpha": 1.0, "phi": 10**400}), StateValidationError, "finite real phi"),
     "moment-negative-order": (lambda: moment(fock(0, 4), -1, 0), StateValidationError, "nonnegative"),
     "moment-order-overflows": (lambda: moment(fock(0, 4), 0, 4), StateValidationError, "overflow"),
     "MomentTable-shape": (lambda: MomentTable(np.zeros((2, 3))), StateValidationError, "shape"),

@@ -5,7 +5,8 @@ Every kernel reads a state's factor: a ``FockVector``'s amplitudes, a
 eigenvectors.  The reference (``conftest.dense_metric`` and
 ``conftest.dense_husimi``) works on the dense ``mat`` instead.  The two
 agree to 1e-12, and on identical pure pairs the factored route reads
-exactly 0.
+exactly 0.  The Wigner grid reads ``mat`` in two parity halves; its
+reference, ``conftest.dense_wigner``, forms the whole fine-grid matrix.
 """
 
 import math
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_husimi, dense_metric, random_density
+from conftest import dense_husimi, dense_metric, dense_wigner, random_density
 from qdist import (
     DensityOperator,
     DiagonalState,
     FockVector,
+    PhaseGrid,
     StateSpec,
     adaptive_dim,
     as_density,
@@ -40,6 +42,7 @@ from qdist import (
 from qdist.closed_forms import METRIC_NAMES, closed_form_lookup, thermal_pair
 from qdist.distances import METRICS, evaluate_metric
 from qdist.errors import DimensionMismatchError, StateValidationError, UnsupportedCombinationError
+from qdist.phase_space import _husimi_functions, _wigner_functions
 from qdist.states import FAMILIES
 
 # one member of every pure family, each at adaptive dim <= 64
@@ -206,6 +209,36 @@ def test_factored_husimi_matches_the_dense_route(dim, kind, seed):
     state = _random_state(kind, dim, np.random.default_rng(seed))
     grid = default_grid(dim, 33)
     assert np.abs(husimi_q(state, grid).values - dense_husimi(state.mat, grid)).max() <= HUSIMI_TOL
+
+
+def _off_center_grid(dim):
+    # a window wider than the default one, shifted off the origin, with fewer p- than q-points
+    span = default_grid(dim).q_max
+    return PhaseGrid(-span - 0.5, span + 2.0, -span - 1.5, span + 1.0, 257, 241)
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=32),
+    kind=st.sampled_from(("pure", "number", "diagonal", "general")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_parity_split_wigner_matches_the_dense_route(dim, kind, seed):
+    state = _random_state(kind, dim, np.random.default_rng(seed))
+    for grid in (default_grid(dim), _off_center_grid(dim)):
+        assert np.abs(wigner(state, grid).values - dense_wigner(state.mat, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kinds", [("pure", "general"), ("number", "diagonal"), ("diagonal", "pure")])
+def test_pair_helpers_equal_single_state_calls(kinds):
+    # the tables a pair shares change no value: each state reads them as it would alone
+    rng = np.random.default_rng(7)
+    a, b = (_random_state(kind, 12, rng) for kind in kinds)
+    grid = _off_center_grid(12)
+    for pair, single in ((_wigner_functions, wigner), (_husimi_functions, husimi_q)):
+        values = [qd.values for qd in pair([a, b], grid)]
+        assert np.array_equal(values[0], single(a, grid).values)
+        assert np.array_equal(values[1], single(b, grid).values)
 
 
 @pytest.mark.parametrize("family", PURE_SPECS)
