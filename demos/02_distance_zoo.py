@@ -12,7 +12,7 @@ first three weight by Z = N, passed to the kernels as the weight
 vector 0, 1, ..., dim - 1.
 """
 
-from qdist import StateSpec, adaptive_dim, build_state, evaluate_metric
+from qdist import StateSpec, build_pair, evaluate_metric
 from qdist.cli import closed_form_lookup
 
 pairs = [
@@ -34,9 +34,8 @@ PURE_ONLY = ("fs", "minimal", "wootters")
 metrics = [*PURE_ONLY, "hs", "jmg", "bu", "hs-p:0.5", "dn", "dn-sqrt", "DZ", "Da"]
 
 for label, sa, sb in pairs:
-    dim = max(adaptive_dim(sa), adaptive_dim(sb))
-    a, b = build_state(sa, dim), build_state(sb, dim)
-    print(f"\n{label}  (dim {dim})")
+    a, b = build_pair(sa, sb)
+    print(f"\n{label}  (dim {a.dim})")
     for m in metrics:
         if m in PURE_ONLY and not (sa.is_pure and sb.is_pure):
             continue

@@ -14,6 +14,7 @@ from qdist import (
     StateSpec,
     adaptive_dim,
     as_density,
+    build_pair,
     grid_to_csv,
     hilbert_schmidt,
     hs_from_phase_space,
@@ -47,8 +48,7 @@ pairs = [
     (StateSpec("thermal", {"nbar": 1.0}), StateSpec("thermal", {"nbar": 2.0})),
 ]
 for sa, sb in pairs:
-    d = max(adaptive_dim(sa), adaptive_dim(sb))
-    matrix = hilbert_schmidt(as_density(sa, d), as_density(sb, d))
+    matrix = hilbert_schmidt(*build_pair(sa, sb))
     via_w = hs_from_phase_space(sa, sb, "wigner")
     line = f"  {sa.family:9s}/{sb.family:9s} matrix {matrix:.8f}  wigner {via_w:.8f}"
     if sa.family == sb.family == "thermal":

@@ -42,7 +42,7 @@ _EXPORTS = {
         "oscillator_eigenfunctions", "p_function_thermal", "wigner",
     ),
     "states": (
-        "MomentTable", "StateSpec", "adaptive_dim", "as_density", "build_state", "cat", "coherent",
+        "MomentTable", "StateSpec", "adaptive_dim", "as_density", "build_pair", "build_state", "cat", "coherent",
         "coherent_phase", "fock", "generalized_coherent", "mandel_q", "moment", "moment_table",
         "parse_state_spec", "squeezed_vacuum", "thermal", "truncation_tail", "yurke_stoler_phases",
     ),

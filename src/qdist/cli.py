@@ -28,7 +28,6 @@ from .errors import (
     QdistError,
     SpecParseError,
     StateValidationError,
-    TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
 
@@ -55,44 +54,35 @@ def _max_dim() -> int:
     return int(text)
 
 
-def _resolve_dim(spec_a, spec_b, dim_arg: str) -> int:
-    from .states import adaptive_dim
-
-    cap = _max_dim()
-    if dim_arg == "auto":
-        return max(adaptive_dim(spec_a, max_dim=cap), adaptive_dim(spec_b, max_dim=cap))
-    try:
-        dim = int(dim_arg)
-    except ValueError as exc:
-        raise SpecParseError(f"--dim takes 'auto' or an integer, got {dim_arg!r}") from exc
-    if dim < 1 or dim > cap:
-        raise TruncationInfeasibleError(f"dim {dim} outside [1, {cap}]")
-    return dim
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _emit(lines: list[str], out: str | None) -> None:
+    """Write the --out file, then stdout: an --out that cannot be written prints nothing."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
-def _distance_row(spec_a, spec_b, metric: str, dim: int) -> str:
+def _distance_row(spec_a, spec_b, metric: str, dim_arg: str) -> str:
+    """One row at --dim ('auto' or an integer) under QDIST_MAX_DIM; ``build_pair`` sizes and builds the pair."""
     from .distances import evaluate_metric
-    from .states import build_state
+    from .states import build_pair
 
-    sa = build_state(spec_a, dim)
-    sb = build_state(spec_b, dim)
+    cap = _max_dim()
+    try:
+        dim = None if dim_arg == "auto" else int(dim_arg)
+    except ValueError as exc:
+        raise SpecParseError(f"--dim takes 'auto' or an integer, got {dim_arg!r}") from exc
+    sa, sb = build_pair(spec_a, spec_b, dim, max_dim=cap)
     report = evaluate_metric(metric, sa, sb)
     oracle = closed_form_lookup(spec_a, spec_b, metric)
     if oracle is None:
-        return f"{metric},{_fmt(report.value)},{dim},,"
-    return f"{metric},{_fmt(report.value)},{dim},{_fmt(oracle)},{_fmt(abs(report.value - oracle))}"
+        return f"{metric},{_fmt(report.value)},{sa.dim},,"
+    return f"{metric},{_fmt(report.value)},{sa.dim},{_fmt(oracle)},{_fmt(abs(report.value - oracle))}"
 
 
 def cmd_distance(args) -> int:
@@ -101,8 +91,7 @@ def cmd_distance(args) -> int:
     spec_a = parse_state_spec(args.a)
     spec_b = parse_state_spec(args.b)
     parse_metric(args.metric)
-    dim = _resolve_dim(spec_a, spec_b, args.dim)
-    _emit(["metric,value,dim,closed_form,abs_diff", _distance_row(spec_a, spec_b, args.metric, dim)], args.out)
+    _emit(["metric,value,dim,closed_form,abs_diff", _distance_row(spec_a, spec_b, args.metric, args.dim)], args.out)
     return EXIT_OK
 
 
@@ -134,8 +123,7 @@ def cmd_sweep(args) -> int:
         text_b = args.b.replace("?", _fmt(v))
         spec_a = parse_state_spec(text_a)
         spec_b = parse_state_spec(text_b)
-        dim = _resolve_dim(spec_a, spec_b, args.dim)
-        lines.append(f"{_fmt(v)},{_distance_row(spec_a, spec_b, args.metric, dim)}")
+        lines.append(f"{_fmt(v)},{_distance_row(spec_a, spec_b, args.metric, args.dim)}")
     _emit(lines, args.out)
     return EXIT_OK
 

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, StateValidationError, UnsupportedCombinationError
-from .fock_core import DensityOperator, DiagonalState, FockVector, _check_dims, _clamped_sqrt
+from .fock_core import _clamped_sqrt
 from .states import (
-    StateSpec, adaptive_dim, build_state, coherent_amplitudes, ladder_moments, poisson_weights,
-    quadrature_sigma_min,
+    StateSpec, build_pair, coherent_amplitudes, ladder_moments, poisson_weights, quadrature_sigma_min,
 )
 
 MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wigner and P functions
@@ -273,17 +272,6 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
 # phase-space integral forms of the Hilbert-Schmidt distance
 # ---------------------------------------------------------------------------
 
-def _state_pair(a, b) -> tuple:
-    """Both states at one dim: specs are built at the larger dim involved, built states pass."""
-    for obj in (a, b):
-        if not isinstance(obj, (StateSpec, FockVector, DiagonalState, DensityOperator)):
-            raise StateValidationError(f"cannot interpret {type(obj).__name__} as a state")
-    dim = max(adaptive_dim(s) if isinstance(s, StateSpec) else s.dim for s in (a, b))
-    ra, rb = (build_state(s, dim) if isinstance(s, StateSpec) else s for s in (a, b))
-    _check_dims(ra, rb)
-    return ra, rb
-
-
 def hs_from_phase_space(a, b, form: str = "wigner") -> float:
     """Hilbert-Schmidt distance evaluated as a phase-space integral.
 
@@ -296,12 +284,12 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
                      nodes with its kernel summed over Poisson weights
                      (``_poisson_form``).
 
-    ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states;
-    specs are built at the larger dim the pair needs.
+    ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states,
+    put at one dim by ``states.build_pair``, the one pair rule.
     """
     if form == "wigner":
-        ra, rb = _state_pair(a, b)
-        span = math.sqrt(2.0 * ra.dim) + 4.0
+        ra, rb = build_pair(a, b)
+        span = default_grid(ra.dim).q_max
         n_eff = max(_occupied_levels(ra), _occupied_levels(rb))
         fringe = math.pi / (2.0 * math.sqrt(2.0 * n_eff + 1.0))
         # the floor keeps the step finite for a state squeezed to sigma ~ 0
@@ -320,7 +308,7 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
                 )
         n1, n2 = a.params["nbar"], b.params["nbar"]
         if form == "qp":
-            ra, rb = _state_pair(a, b)
+            ra, rb = build_pair(a, b)
             grid = default_grid(ra.dim)
             qa, qb = _husimi_functions([ra, rb], grid)
             dq_vals = qa.values - qb.values

@@ -5,7 +5,8 @@ function branches on a family name.  Pure families (Fock, coherent,
 generalized coherent, cat, squeezed vacuum, coherent phase) produce
 ``FockVector``; the thermal family produces a ``DiagonalState``, its
 population vector.  ``build_state`` builds every family from its record,
-and every named constructor, ``fock`` included, calls it.  The coherent
+and every named constructor, ``fock`` included, calls it; ``build_pair``
+puts two states at one dim, the one pair rule.  The coherent
 amplitudes' squared moduli, the Poisson weights, also have a
 log-space form (``poisson_weights``) for the phase-space kernels.  One tail
 sum, ``_tails``, sizes every truncation: ``adaptive_dim`` picks the dim
@@ -39,7 +40,7 @@ from .errors import (
     TruncationInfeasibleError,
     UndefinedQuantityError,
 )
-from .fock_core import DensityOperator, DiagonalState, FockVector, _clamped_sqrt
+from .fock_core import DensityOperator, DiagonalState, FockVector, _check_dims, _clamped_sqrt
 
 TAIL_TOL = 1e-12
 MODULUS_MARGIN = 1e-9  # squeezed/phase parameters must satisfy |z| < 1 - this
@@ -208,6 +209,26 @@ def build_state(spec: StateSpec, dim: int):
     if phases is not None:
         levels = levels * phases
     return FockVector(_fix_global_phase(levels / np.linalg.norm(levels)), tail_mass=tail)
+
+
+def build_pair(a, b, dim: int | None = None, max_dim: int = MAX_DIM) -> tuple:
+    """Two states at one dim: the one rule every distance's pair goes through.
+
+    ``a`` and ``b`` are each a StateSpec or a built state.  The dim is
+    ``dim`` when given, within [1, max_dim]; else the larger of each
+    spec's ``adaptive_dim`` and each built state's dim.  Specs are built
+    at it, built states pass as they are, and the two must share a dim.
+    """
+    for obj in (a, b):
+        if not isinstance(obj, (StateSpec, FockVector, DiagonalState, DensityOperator)):
+            raise StateValidationError(f"cannot interpret {type(obj).__name__} as a state")
+    if dim is None:
+        dim = max(adaptive_dim(s, max_dim) if isinstance(s, StateSpec) else s.dim for s in (a, b))
+    elif not 1 <= dim <= max_dim:
+        raise TruncationInfeasibleError(f"dim {dim} outside [1, {max_dim}]")
+    ra, rb = (build_state(s, dim) if isinstance(s, StateSpec) else s for s in (a, b))
+    _check_dims(ra, rb)
+    return ra, rb
 
 
 def fock(n: int, dim: int) -> FockVector:

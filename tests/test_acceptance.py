@@ -20,9 +20,11 @@ import pytest
 
 from conftest import random_density
 from qdist import (
+    DensityOperator,
     StateSpec,
     adaptive_dim,
     as_density,
+    build_pair,
     bures_uhlmann,
     cat_distances,
     coherent_fock,
@@ -64,8 +66,8 @@ def spec_of(family, **params):
 
 
 def pair_states(spec_a, spec_b):
-    dim = max(adaptive_dim(spec_a), adaptive_dim(spec_b))
-    return as_density(spec_a, dim), as_density(spec_b, dim), dim
+    ra, rb = build_pair(spec_a, spec_b)
+    return DensityOperator(ra.mat, ra.tail_mass), DensityOperator(rb.mat, rb.tail_mass), ra.dim
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,32 @@ def last_row(out):
     return out.strip().splitlines()[-1].split(",")
 
 
+# one light call of each subcommand
+COMMANDS = {
+    "distance": ["distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs"],
+    "sweep": ["sweep", "--a", "coherent:?", "--b", "fock:1", "--metric", "hs", "--range", "0:1:0.5"],
+    "figure": ["figure", "--id", "2"],
+    "tomo-distance": ["tomo-distance", "--a", "fock:0", "--b", "fock:1"],
+}
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+    def test_file_matches_stdout(self, capsys, tmp_path, argv):
+        path = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+    def test_unwritable_file_prints_nothing(self, capsys, tmp_path, argv):
+        # the file is written first: a failed --out once printed the whole CSV before its error line
+        code = main([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestDistanceCommand:
     def test_orthogonal_fock_pair(self, capsys):
         code, out = run(capsys, "distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs")
@@ -76,6 +102,14 @@ class TestDistanceCommand:
             err = capsys.readouterr().err
             assert code == 2, text
             assert err.startswith("error: QDIST_MAX_DIM") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [COMMANDS["distance"], COMMANDS["sweep"]], ids=["distance", "sweep"])
+    def test_malformed_dim_cap_env_is_reported_before_a_bad_dim(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QDIST_MAX_DIM", "abc")
+        code = main([*argv, "--dim", "big"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: QDIST_MAX_DIM") and err.count("\n") == 1
 
     def test_coherent_fock_oracle_at_large_occupation(self, capsys):
         # lam**m overflows a float at m = 230; the oracle works in logs

@@ -5,6 +5,7 @@ import pytest
 
 from qdist import (
     adaptive_dim,
+    build_pair,
     build_state,
     cat_distances,
     coherent_fock,
@@ -339,9 +340,8 @@ def test_oracle_table_matches_matrix_route(a, b, filled):
     metrics = METRIC_NAMES + ("hs-p:0.3",)
     oracles = {m: closed_form_lookup(spec_a, spec_b, m) for m in metrics}
     assert {m for m, v in oracles.items() if v is not None} == filled
-    dim = max(adaptive_dim(spec_a), adaptive_dim(spec_b))
-    assert dim <= 96
-    sa, sb = build_state(spec_a, dim), build_state(spec_b, dim)
+    sa, sb = build_pair(spec_a, spec_b)
+    assert sa.dim <= 96
     both_pure = spec_a.is_pure and spec_b.is_pure
     for m in sorted(filled):
         if m in ("fs", "minimal", "wootters") and not both_pure:

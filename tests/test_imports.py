@@ -133,6 +133,21 @@ def test_tomography_picks_marginals_in_one_place():
     assert set(readers) <= {"_marginals", "marginal_analytic"}, sorted(readers)
 
 
+# One pair rule: ``states.build_pair`` sizes and builds every pair, and ``tomography._marginals`` its one
+# state; ``_fock_ladder`` bounds a number state.  A bare module name admits every function in it.
+SIZERS = {
+    "adaptive_dim": {"states.build_pair", "states._fock_ladder", "tomography._marginals"},
+    "build_state": {"states", "tomography._marginals"},
+}
+
+
+@pytest.mark.parametrize("name", SIZERS)
+def test_one_pair_builder(name):
+    callers = {f"{path.stem}.{scope}" for path in MODULES for scope in _callers(path, name)}
+    stray = sorted(c for c in callers if not {c, c.split(".")[0]} & SIZERS[name])
+    assert not stray, f"{name} is called in {stray}"
+
+
 # What a family is lives in its record in ``states.FAMILIES``: no code in src/ compares
 # anything with a family name or a grammar head.
 GRAMMAR_HEADS = {"fock", "coherent", "gencoh", "cat", "squeezed", "phase", "thermal"}
@@ -248,18 +263,19 @@ def test_no_subcommand_loads_scipy(argv):
     assert "scipy" not in _loaded_after(f"from qdist.cli import main; assert main({argv!r}) == 0")
 
 
-# the names qdist exported before its exports went lazy; none may be lost
+# every name qdist exports; none may be lost
 EXPORTS = [
     "DensityOperator", "DiagonalState", "DistanceReport", "FockVector", "HSBounds", "MomentTable", "PhaseGrid",
-    "QuasiDistribution", "StateSpec", "Tomogram", "adaptive_dim", "as_density", "build_state", "bures_uhlmann",
-    "cat", "cat_distances", "classical_divergence", "coherent", "coherent_fock", "coherent_pair", "coherent_phase",
-    "default_grid", "evaluate_metric", "fock", "fock_pair", "generalized_coherent", "grid_to_csv", "hermitian_sqrt",
-    "hilbert_schmidt", "hs_bounds", "hs_from_moments", "hs_from_phase_space", "husimi_q", "jmg_distance",
-    "mandel_q", "marginal_analytic", "marginal_from_wigner", "modified_hs", "moment", "moment_table",
-    "oscillator_eigenfunctions", "outer", "p_function_thermal", "parse_state_spec", "phase_pair", "polarized",
-    "polarized_sqrt", "pure_state_distance", "purity", "quasidistance_DZ", "quasidistance_Da", "squeezed_pair",
-    "squeezed_vacuum", "thermal", "thermal_approximations", "thermal_pair", "tomographic_distance", "trace_norm",
-    "trace_product", "truncation_tail", "wigner", "yurke_stoler_phases",
+    "QuasiDistribution", "StateSpec", "Tomogram", "adaptive_dim", "as_density", "build_pair", "build_state",
+    "bures_uhlmann", "cat", "cat_distances", "classical_divergence", "coherent", "coherent_fock",
+    "coherent_pair", "coherent_phase", "default_grid", "evaluate_metric", "fock", "fock_pair",
+    "generalized_coherent", "grid_to_csv", "hermitian_sqrt", "hilbert_schmidt", "hs_bounds", "hs_from_moments",
+    "hs_from_phase_space", "husimi_q", "jmg_distance", "mandel_q", "marginal_analytic", "marginal_from_wigner",
+    "modified_hs", "moment", "moment_table", "oscillator_eigenfunctions", "outer", "p_function_thermal",
+    "parse_state_spec", "phase_pair", "polarized", "polarized_sqrt", "pure_state_distance", "purity",
+    "quasidistance_DZ", "quasidistance_Da", "squeezed_pair", "squeezed_vacuum", "thermal",
+    "thermal_approximations", "thermal_pair", "tomographic_distance", "trace_norm", "trace_product",
+    "truncation_tail", "wigner", "yurke_stoler_phases",
 ]
 
 

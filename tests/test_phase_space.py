@@ -15,7 +15,7 @@ from qdist import (
     QuasiDistribution,
     StateSpec,
     adaptive_dim,
-    build_state,
+    build_pair,
     cat,
     coherent,
     default_grid,
@@ -223,8 +223,7 @@ class TestPhaseSpaceDistance:
     def test_qp_form_thermal(self):
         a = StateSpec("thermal", {"nbar": 0.5})
         b = StateSpec("thermal", {"nbar": 1.5})
-        dim = max(adaptive_dim(a), adaptive_dim(b))
-        expect = hilbert_schmidt(thermal(0.5, dim), thermal(1.5, dim))
+        expect = hilbert_schmidt(*build_pair(a, b))
         assert hs_from_phase_space(a, b, "qp") == pytest.approx(expect, abs=1e-4)
 
     def test_qp_form_wide_thermal_pair(self):
@@ -246,11 +245,10 @@ class TestPhaseSpaceDistance:
         # than the quoted tolerance
         a = StateSpec("squeezed_vacuum", {"zeta": math.tanh(0.8) + 0j})
         b = StateSpec("fock", {"n": 2})
-        dim = max(adaptive_dim(a), adaptive_dim(b))
-        ra, rb = build_state(a, dim), build_state(b, dim)
+        ra, rb = build_pair(a, b)
 
         def hs_on(n):
-            grid = default_grid(dim, n)
+            grid = default_grid(ra.dim, n)
             diff = wigner(ra, grid).values - wigner(rb, grid).values
             return math.sqrt(grid_integral(grid, diff**2) / TWO_PI)
 

@@ -19,6 +19,7 @@ from qdist import (
     QuasiDistribution,
     StateSpec,
     Tomogram,
+    build_pair,
     build_state,
     classical_divergence,
     coherent,
@@ -36,6 +37,7 @@ from qdist import (
     parse_state_spec,
     phase_pair,
     pure_state_distance,
+    thermal,
 )
 from qdist import cli
 from qdist.errors import (
@@ -44,6 +46,7 @@ from qdist.errors import (
     NumericalToleranceError,
     SpecParseError,
     StateValidationError,
+    TruncationInfeasibleError,
     UnsupportedCombinationError,
 )
 from qdist.fock_core import _clamped_sqrt
@@ -122,6 +125,17 @@ REFUSALS = {
     "build_state-short-phase-table": (
         lambda: build_state(StateSpec("generalized_coherent", {"alpha": 3.0, "phases": [0.0] * 4}), 8),
         StateValidationError, "phase table has 4 entries, need >= 8"),
+    # the one pair rule, which the CLI and the phase-space forms share
+    "build_pair-foreign-object": (
+        lambda: build_pair(fock(0, 4), "fock:0"), StateValidationError, "cannot interpret str as a state"),
+    "build_pair-dim-0": (
+        lambda: build_pair(StateSpec("fock", {"n": 0}), fock(0, 4), 0), TruncationInfeasibleError,
+        "dim 0 outside [1, 512]"),
+    "build_pair-dim-above-cap": (
+        lambda: build_pair(StateSpec("fock", {"n": 0}), StateSpec("fock", {"n": 1}), 33, max_dim=32),
+        TruncationInfeasibleError, "dim 33 outside [1, 32]"),
+    "build_pair-unequal-built-dims": (
+        lambda: build_pair(fock(0, 4), thermal(0.2, 24)), DimensionMismatchError, "dims 4 != 24"),
     # parameters that are not finite numbers of their kind
     "StateSpec-nan-zeta": (lambda: StateSpec("squeezed_vacuum", {"zeta": math.nan}), StateValidationError, "|zeta| < 1"),
     "StateSpec-string-zeta": (lambda: StateSpec("squeezed_vacuum", {"zeta": "0.1"}), StateValidationError, "complex zeta"),
@@ -172,6 +186,10 @@ REFUSALS = {
         lambda: classical_divergence(_flat_tomogram(), _flat_tomogram(), "nope"), StateValidationError, "unknown"),
     # CLI exit codes
     "cli-distance-dim-0": (["distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs", "--dim", "0"], 3, None),
+    "cli-distance-dim-above-cap": (
+        ["distance", "--a", "fock:0", "--b", "fock:1", "--metric", "hs", "--dim", "513"], 3, None),
+    "cli-sweep-dim-0": (
+        ["sweep", "--a", "fock:?", "--b", "fock:1", "--metric", "hs", "--range", "0:1:1", "--dim", "0"], 3, None),
     "cli-sweep-two-field-range": (
         ["sweep", "--a", "coherent:?", "--b", "fock:0", "--metric", "hs", "--range", "1:2"], 2, None),
 }

@@ -25,6 +25,7 @@ from qdist import (
     StateSpec,
     adaptive_dim,
     as_density,
+    build_pair,
     build_state,
     default_grid,
     fock,
@@ -125,8 +126,7 @@ def test_structured_kernels_match_the_dense_route(dim, kinds, metric, seed):
 def test_thermal_pairs_match_their_closed_form(pair):
     # the dense route's null threshold once dropped the tail populations: 4.0e-8 and 3.4e-8 off
     sa, sb = map(parse_state_spec, pair)
-    dim = max(adaptive_dim(sa), adaptive_dim(sb))
-    a, b = build_state(sa, dim), build_state(sb, dim)
+    a, b = build_pair(sa, sb)
     expect = thermal_pair(sa.params["nbar"], sb.params["nbar"])["bu"]
     for metric in ("bu", "hs-p:0.5"):
         assert abs(evaluate_metric(metric, a, b).value - expect) <= 1e-10, metric
@@ -180,9 +180,7 @@ class TestNoDenseSolver:
         "pair,metric", [(p, m) for p in PAIRS for m in METRICS if (p, m) != ("thermal-coherent", "jmg")]
     )
     def test_metrics(self, pair, metric):
-        sa, sb = map(parse_state_spec, self.PAIRS[pair])
-        dim = max(adaptive_dim(sa), adaptive_dim(sb))
-        a, b = build_state(sa, dim), build_state(sb, dim)
+        a, b = build_pair(*map(parse_state_spec, self.PAIRS[pair]))
         if metric in PURE_ONLY and not pair.startswith("pure"):
             with pytest.raises(UnsupportedCombinationError):
                 evaluate_metric(metric, a, b)

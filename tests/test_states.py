@@ -10,6 +10,7 @@ from qdist import (
     StateSpec,
     adaptive_dim,
     as_density,
+    build_pair,
     build_state,
     cat,
     coherent,
@@ -38,6 +39,7 @@ from qdist.errors import (
 )
 from qdist.fock_core import DensityOperator, FockVector
 from qdist.states import (
+    FAMILIES,
     MomentTable,
     _moments,
     inv_sqrt_factorials,
@@ -585,3 +587,44 @@ class TestSpecGrammar:
     def test_build_state_dispatch(self):
         v = build_state(parse_state_spec("cat:1,0,0"), 32)
         assert np.abs(v.amp[1::2]).max() < 1e-15
+
+
+def _polar(r_lo, r_hi):
+    return st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
+                     st.floats(r_lo, r_hi), st.floats(0.0, 2.0 * math.pi))
+
+
+PHASES = list(yurke_stoler_phases(128))
+# a spec of each family, each at an adaptive dim of at most 104, so that a pair padded by 16 fits PHASES
+SPEC_DRAWS = {
+    "fock": st.builds(lambda n: StateSpec("fock", {"n": n}), st.integers(0, 40)),
+    "coherent": st.builds(lambda a: StateSpec("coherent", {"alpha": a}), _polar(0.0, 3.0)),
+    "generalized_coherent": st.builds(
+        lambda a: StateSpec("generalized_coherent", {"alpha": a, "phases": PHASES}), _polar(0.0, 2.5)),
+    "cat": st.builds(lambda a, phi: StateSpec("cat", {"alpha": a, "phi": phi}),
+                     _polar(0.5, 3.0), st.floats(0.0, 2.0 * math.pi)),
+    "squeezed_vacuum": st.builds(lambda z: StateSpec("squeezed_vacuum", {"zeta": z}), _polar(0.0, 0.7)),
+    "coherent_phase": st.builds(lambda e: StateSpec("coherent_phase", {"epsilon": e}), _polar(0.0, 0.7)),
+    "thermal": st.builds(lambda n: StateSpec("thermal", {"nbar": n}), st.floats(0.0, 3.0)),
+}
+
+
+class TestBuildPair:
+    def test_every_family_is_drawn(self):
+        assert set(SPEC_DRAWS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_rule_it_replaced(self, family, data):
+        a = data.draw(SPEC_DRAWS[family])
+        b = data.draw(st.sampled_from(sorted(SPEC_DRAWS)).flatmap(SPEC_DRAWS.get))
+        pad = data.draw(st.none() | st.integers(0, 16))  # None: auto; else an explicit dim
+        built = data.draw(st.tuples(st.booleans(), st.booleans()))
+        # the rule each caller once wrote out: both specs built at the larger adaptive dim, or the given one
+        dim = max(adaptive_dim(a), adaptive_dim(b)) + (pad or 0)
+        expect = build_state(a, dim), build_state(b, dim)
+        args = [e if is_built else s for s, e, is_built in zip((a, b), expect, built)]
+        for got, want in zip(build_pair(*args, None if pad is None else dim), expect):
+            assert type(got) is type(want) and got.dim == dim and got.tail_mass == want.tail_mass
+            assert np.array_equal(getattr(got, "amp", got.populations), getattr(want, "amp", want.populations))
