@@ -24,17 +24,11 @@ import sys
 
 from . import closed_forms
 from .closed_forms import DIVERGENCE_KINDS, METRIC_NAMES, closed_form_lookup, parse_metric
-from .errors import (
-    QdistError,
-    SpecParseError,
-    StateValidationError,
-    UnsupportedCombinationError,
-)
+from .errors import QdistError, SpecParseError
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_NUMERICAL = 3
-EXIT_UNSUPPORTED = 4
+EXIT_PARSE = SpecParseError.exit_code
+EXIT_NUMERICAL = QdistError.exit_code
 
 # rows one sweep may print; the values are built before the first row
 MAX_SWEEP_ROWS = 100_000
@@ -222,15 +216,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    except (SpecParseError, StateValidationError) as exc:
+    except (QdistError, OSError) as exc:  # each error type carries its code; I/O failures read as numerical
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedCombinationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (QdistError, OSError) as exc:  # numerical failures (truncation, positivity, grids) and I/O
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return getattr(exc, "exit_code", EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -14,13 +14,15 @@ Every kernel reads the states' factors (a 2-d W with rho^p = W W^dag,
 or a 1-d d with rho^p = diag(d)) through one primitive that lives in
 ``fock_core`` next to them, ``_product_diagonal``, the diagonal at
 offset k of the product of two factored operators; the Bures fidelity
-is the trace norm of W1^dag W2.  A pure or diagonal state's factor is
-its amplitudes or populations, so those take O(dim) work.  Pure pairs read the
+is the trace norm of W1^dag W2.  ``fock_core`` alone says whether rho^p
+is diagonal: the factor is 1-d exactly when it is, and a kernel reads
+its ``ndim`` and nothing else to pick a route.  So diagonal states,
+number states and exactly diagonal matrices take O(dim) work, and any
+other pure state O(dim) per column.  Pure pairs read the
 cancellation-free forms of ``pure_state_distance``, so identical rays
 give exactly 0.  Only the trace norm reads the dense ``mat``, when the
-two factors are not both diagonal (a 1-d d, or a number state's one
-nonzero entry).  Every square root of a squared distance, the moment
-series' included, goes through ``fock_core._clamped_sqrt``.
+two factors are not both 1-d.  Every square root of a squared distance,
+the moment series' included, goes through ``fock_core._clamped_sqrt``.
 """
 
 from __future__ import annotations
@@ -104,14 +106,13 @@ def hilbert_schmidt(r1, r2) -> float:
 def jmg_distance(r1, r2) -> float:
     """Half the trace norm of rho1 - rho2, states of any kind; the best projector test.
 
-    A pure pair gives sqrt(1 - |<a|b>|^2) = fs / sqrt(2), and two diagonal
-    states give sum |p1 - p2| / 2.
+    A pure pair gives sqrt(1 - |<a|b>|^2) = fs / sqrt(2), and two states
+    whose factors are 1-d, so diagonal, give sum |p1 - p2| / 2.
     """
     _check_dims(r1, r2)
     if _pure_pair(r1, r2):
         return pure_state_distance(r1, r2, "fs") / math.sqrt(2.0)
-    # a 1-d factor is diagonal, and so is a factor whose one nonzero entry makes a number-state projector
-    if all(f.ndim == 1 or np.count_nonzero(f) == 1 for f in (r1.factor(1.0), r2.factor(1.0))):
+    if r1.factor(1.0).ndim == 1 and r2.factor(1.0).ndim == 1:
         return 0.5 * float(np.abs(r1.populations - r2.populations).sum())
     return 0.5 * trace_norm(r1.mat - r2.mat)
 
@@ -121,8 +122,8 @@ def bures_uhlmann(r1, r2) -> float:
 
     F = ||W1^dag W2||_1 for any factors rho = W W^dag (Uhlmann, Rep.
     Math. Phys. 9, 273 (1976)).  A pure pair gives the minimal distance.
-    When either state has rank one, W1^dag W2 is a vector and F its norm,
-    sqrt(Tr rho1 rho2); two diagonal states give F = sum sqrt(p1 p2).
+    When either factor is one column, W1^dag W2 is a vector and F its norm,
+    sqrt(Tr rho1 rho2); two 1-d factors give F = sum sqrt(p1 p2).
     Otherwise F is the nuclear norm of W1^dag W2: singular values are
     nonnegative by construction, so eigensolver noise in a null space
     cannot get amplified by an outer square root.
@@ -135,9 +136,9 @@ def bures_uhlmann(r1, r2) -> float:
         fid = float(_product_diagonal(r1.factor(0.5), r2.factor(0.5)).sum())
     elif x.shape[1:] == (1,) or y.shape[1:] == (1,):
         fid = _clamped_sqrt(float(_product_diagonal(x, y).real.sum()))
-    else:
-        w1, w2 = (w if w.ndim == 2 else np.diag(np.sqrt(w)) for w in (x, y))
-        fid = float(np.linalg.svd(w1.conj().T @ w2, compute_uv=False).sum())
+    else:  # a 1-d d stands for W = diag(sqrt(d)), which scales the rows or columns of W1^dag W2
+        g = np.sqrt(x)[:, None] * y if x.ndim == 1 else x.conj().T * np.sqrt(y) if y.ndim == 1 else x.conj().T @ y
+        fid = float(np.linalg.svd(g, compute_uv=False).sum())
     return _clamped_sqrt(2.0 - 2.0 * fid)
 
 
@@ -184,10 +185,10 @@ def polarized(r1, r2, z) -> float:
 def polarized_sqrt(r1, r2, z) -> float:
     """sqrt(Tr(Z [sqrt(rho1) - sqrt(rho2)]^2)); matches `polarized` on pure pairs.
 
-    A pure state is its own root and a diagonal state's root is the root
-    of its populations, every one of them counted in full.  A general
-    DensityOperator's root drops the eigenvalues below its null
-    threshold (see ``fock_core.DensityOperator``).  ``z`` is the
+    A pure state is its own root and a diagonal state's root, an exactly
+    diagonal matrix's included, is the root of its populations, every one
+    of them counted in full.  Any other DensityOperator's root drops the
+    eigenvalues below its null threshold (see ``fock_core.DensityOperator``).  ``z`` is the
     diagonal of Z, as in ``polarized``.
     """
     z = _check_polarization(r1, r2, z)

@@ -1,21 +1,25 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes, so the split is by failure mode:
-state/parameter validation, numerical trouble (truncation, positivity),
-and unsupported state/operation combinations.
+Each type carries the exit code the CLI returns for it, so the split is
+by failure mode: state/parameter validation (2), numerical trouble such
+as truncation or positivity (3), and unsupported state/operation
+combinations (4).
 """
 
 
 class QdistError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 3
 
 
 class StateValidationError(QdistError):
     """A state object violates one of its defining invariants."""
+    exit_code = 2
 
 
 class SpecParseError(QdistError):
     """A textual state description does not match the grammar."""
+    exit_code = 2
 
 
 class DimensionMismatchError(QdistError):
@@ -60,3 +64,4 @@ class GridError(QdistError):
 
 class UnsupportedCombinationError(QdistError):
     """The operation is not defined for this combination of inputs."""
+    exit_code = 4

@@ -10,10 +10,11 @@ workers.  Each exposes ``dim``, ``populations``, ``mat`` and
 ``factor(p)``.  The first two kinds store only a vector and build
 ``mat``, a dim x dim matrix, on each access, up to ``MAX_DENSE_DIM``.
 
-``factor(p)`` is what the kernels read: a 2-d W with rho^p = W W^dag
-(a pure state's amplitudes as one column, since a projector is its own
-power; a general state's eigenvectors scaled by eigenvalue^(p/2)), or a
-1-d d with rho^p = diag(d) (a diagonal state's populations to the p).
+``factor(p)`` is what the kernels read, and the one place that says
+whether rho^p is diagonal: a 1-d d with rho^p = diag(d) exactly when it
+is (a diagonal state, a number state or an exactly diagonal matrix),
+else a 2-d W with rho^p = W W^dag (a pure state's amplitudes as one
+column, a matrix's eigenvectors scaled by eigenvalue^(p/2)).
 ``_product_diagonal`` reads the diagonals of a product of two factors;
 ``trace_product``, ``purity`` and every kernel in ``distances`` read it.
 
@@ -111,8 +112,8 @@ class FockVector:
         return _readonly(np.outer(self.amp, self.amp.conj()))
 
     def factor(self, p: float) -> np.ndarray:
-        """The amplitudes as one column W, with rho^p = rho = W W^dag for every p."""
-        return self.amp[:, None]
+        """A projector is its own power: the populations (1-d) for a number state, else the amplitudes as one column."""
+        return self.populations if np.count_nonzero(self.amp) == 1 else self.amp[:, None]
 
     def overlap(self, other: "FockVector") -> complex:
         """<self|other>."""
@@ -156,17 +157,18 @@ class DiagonalState:
 class DensityOperator:
     """Mixed state: Hermitian, trace-one, positive-semidefinite matrix.
 
-    The constructor's eigendecomposition is kept for ``factor``.  Eigenvalues
-    below ``NOISE_FLOOR`` raise; those up to dim * eps * max(eigenvalue),
-    clamped noise included, count as exact zeros, since a power of eigensolver
-    noise in a null space would inject errors of order eps^p per rank-deficient
-    direction.  An exactly diagonal matrix has no such noise (eigh returns its
-    diagonal as it is), so only its zero and clamped entries drop.
+    The constructor's eigendecomposition validates every matrix: an
+    eigenvalue below ``NOISE_FLOOR`` raises.  An exactly diagonal matrix's
+    ``factor`` is its populations to the p, noise below 0 clamped, and keeps
+    no eigenvectors.  Any other matrix keeps the eigenpairs above one null
+    threshold, dim * eps * max(eigenvalue), since a power of eigensolver
+    noise in a null space would inject errors of order eps^p per
+    rank-deficient direction.
     """
 
     mat: np.ndarray
     tail_mass: float = 0.0
-    _eig: tuple = field(init=False, repr=False, compare=False)
+    _eig: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
@@ -183,17 +185,19 @@ class DensityOperator:
         vals, vecs = np.linalg.eigh(mat)
         if vals[0] < NOISE_FLOOR:
             raise NotPositiveSemidefiniteError(f"eigenvalue {vals[0]:.3e} below {NOISE_FLOOR}")
+        keep = vals > mat.shape[0] * np.finfo(float).eps * vals[-1]
         diagonal = np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
-        keep = vals > (0.0 if diagonal else mat.shape[0] * np.finfo(float).eps * vals[-1])
         object.__setattr__(self, "mat", _readonly(mat))
-        object.__setattr__(self, "_eig", (vals[keep], vecs[:, keep]))
+        object.__setattr__(self, "_eig", None if diagonal else (vals[keep], vecs[:, keep]))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
     def factor(self, p: float) -> np.ndarray:
-        """W = eigenvectors x eigenvalue^(p/2), one column per eigenvalue above the null threshold: rho^p = W W^dag."""
+        """rho^p: populations^p if ``mat`` is diagonal, else W W^dag, W the kept eigenvectors x eigenvalue^(p/2)."""
+        if self._eig is None:
+            return np.maximum(self.populations, 0.0) ** p
         vals, vecs = self._eig
         return vecs * vals ** (0.5 * p)
 

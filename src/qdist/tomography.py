@@ -206,7 +206,7 @@ def _marginals(spec: StateSpec):
     <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis off its
     factor (``fock_core``).  A 2-d W gives w_theta(X) =
     sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2, one column for a pure
-    state.  A 1-d factor, a diagonal state's populations p_n, gives the
+    state.  A 1-d factor, the populations p_n of a diagonal rho, gives the
     same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2,
     O(points x dim) per node.
     """

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_density, random_pure_density
 from qdist import (
     DensityOperator,
+    build_pair,
     bures_uhlmann,
     cat,
     coherent,
@@ -20,6 +21,7 @@ from qdist import (
     modified_hs,
     moment_table,
     outer,
+    parse_state_spec,
     polarized,
     polarized_sqrt,
     pure_state_distance,
@@ -27,7 +29,7 @@ from qdist import (
     quasidistance_DZ,
     thermal,
 )
-from qdist.closed_forms import METRIC_NAMES, thermal_pair
+from qdist.closed_forms import METRIC_NAMES, parse_metric, thermal_pair
 from qdist.distances import METRICS
 from qdist.errors import DimensionMismatchError, StateValidationError, UnsupportedCombinationError
 
@@ -335,6 +337,23 @@ class TestBounds:
         b = hs_bounds(rho, 1)
         assert b.bvar == pytest.approx(SQRT2, abs=1e-9)  # sigma = 1, nbar = 1
         assert b.bvar >= hilbert_schmidt(rho, outer(fock(1, dim)))
+
+
+@pytest.mark.parametrize("metric", ["hs", "hs-p:0.3", "dn", "dn-sqrt"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("nbar", [1e-2, 1e-5, 1e-8])
+def test_thermal_neighbour_of_a_number_state_keeps_its_digits(metric, n, nbar):
+    # both factors are 1-d, so p1^p - p2^p is formed level by level before it is squared; a 2-d
+    # factor on either side would square Tr rho1^2p + Tr rho2^2p - 2 Tr rho1^p rho2^p and cancel
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    a, b = build_pair(parse_state_spec(f"thermal:{nbar}"), parse_state_spec(f"fock:{n}"))
+    base, p = parse_metric(metric)
+    power = mp.mpf(p if base == "hs-p" else 0.5 if base == "dn-sqrt" else 1.0)
+    weights = range(a.dim) if base.startswith("dn") else [1] * a.dim
+    exact = mp.sqrt(mp.fsum(w * (mp.mpf(float(x)) ** power - mp.mpf(float(y)) ** power) ** 2
+                            for w, x, y in zip(weights, a.populations, b.populations)))
+    assert abs(evaluate_metric(metric, a, b).value - float(exact)) <= 1e-12 * float(exact)
 
 
 class TestMetricAxiomsSample:

@@ -133,6 +133,106 @@ def test_tomography_picks_marginals_in_one_place():
     assert set(readers) <= {"_marginals", "marginal_analytic"}, sorted(readers)
 
 
+# One diagonal rule: ``fock_core`` alone says whether rho^p is diagonal, by making ``factor(p)`` 1-d; a
+# kernel reads a factor's ``ndim`` or ``shape`` and otherwise only computes with it, never inspects its entries.
+def test_only_fock_core_tests_for_number_states():
+    found = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "fock_core.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node, "id", getattr(node, "attr", None)) == "count_nonzero"]
+    assert not found, f"count_nonzero in {found}"
+
+
+FACTOR_READERS = ("distances.py", "phase_space.py", "tomography.py")
+# calls a factor may be handed to: an elementwise root, a pairing of sequences, ``fock_core``'s product
+# primitive, and the module's own functions, whose parameters are then read by the same rule
+FACTOR_CALLS = {"sqrt", "zip", "_product_diagonal"}
+
+
+def _factor_uses(tree):
+    """'line: code' for every read of a factor that is not metadata, arithmetic or a permitted call.
+
+    A factor is a ``.factor(p)`` call, a name bound to one or to a sequence of them (by assignment,
+    loop or comprehension, through tuples and ``zip`` too), or a parameter of a module function
+    that a factor is passed to.
+    """
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    params = {name: set() for name in functions}
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def is_factor_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "factor"
+
+    def held(node, names):
+        """Whether ``node`` holds factors: a bool, or a list of them over a tuple's elements."""
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return [held(e, names) is True for e in node.elts]
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            return held(node.elt, names) is True
+        return is_factor_call(node)
+
+    def item(node, names):
+        """Whether an item of the sequence ``node`` holds factors, per position for a ``zip``."""
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "zip":
+            return [held(a, names) is True for a in node.args]
+        h = held(node, names)
+        return any(h) if isinstance(h, list) else h
+
+    def bind(target, h, names):
+        if h is True and isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(h, list) and isinstance(target, ast.Tuple):
+            for t, sub in zip(target.elts, h):
+                bind(t, sub, names)
+
+    def names_of(func):
+        names = set(params[func.name])
+        for _ in range(3):  # a binding may read one that the walk meets later
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        bind(target, held(node.value, names), names)
+                elif isinstance(node, (ast.comprehension, ast.For)):
+                    bind(node.target, item(node.iter, names), names)
+        return names
+
+    for _ in range(3):  # factors reach a helper's parameters through its call sites
+        for func in functions.values():
+            names = names_of(func)
+            for node in ast.walk(func):
+                callee = functions.get(getattr(getattr(node, "func", None), "id", None))
+                if isinstance(node, ast.Call) and callee is not None:
+                    for arg, param in zip(node.args, callee.args.args):
+                        if held(arg, names) is True:
+                            params[callee.name].add(param.arg)
+
+    def permitted(node):
+        parent = parents[node]
+        if isinstance(parent, ast.Attribute):
+            return parent.attr in ("ndim", "shape", "conj")
+        if isinstance(parent, ast.Call) and node in parent.args:
+            name = getattr(parent.func, "id", getattr(parent.func, "attr", None))
+            return name in FACTOR_CALLS or name in functions
+        return isinstance(parent, (ast.BinOp, ast.UnaryOp, ast.Assign, ast.Tuple, ast.List, ast.comprehension,
+                                   ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.For))
+
+    found = []
+    for func in functions.values():
+        names = names_of(func)
+        for node in ast.walk(func):
+            if (is_factor_call(node) or isinstance(node, ast.Name) and node.id in names
+                    and isinstance(node.ctx, ast.Load)) and not permitted(node):
+                found.append(f"{node.lineno}: {ast.unparse(parents[node])}")
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("module", FACTOR_READERS)
+def test_no_kernel_inspects_a_factors_entries(module):
+    found = _factor_uses(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+    assert not found, f"{module} reads factor entries at {found}"
+
+
 # One pair rule: ``states.build_pair`` sizes and builds every pair, and ``tomography._marginals`` its one
 # state; ``_fock_ladder`` bounds a number state.  A bare module name admits every function in it.
 SIZERS = {

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_husimi, dense_metric, dense_wigner, random_density
+from conftest import dense_husimi, dense_metric, dense_power, dense_wigner, random_density
 from qdist import (
     DensityOperator,
     DiagonalState,
@@ -120,6 +120,43 @@ def test_structured_kernels_match_the_dense_route(dim, kinds, metric, seed):
     got = evaluate_metric(metric, a, b).value
     assert abs(got - dense_metric(metric, a, b)) <= 1e-12
     assert abs(got - evaluate_metric(metric, b, a).value) <= 1e-12
+
+
+def _factor_state(kind, dim, rng):
+    """A state of any kind, including those ``factor`` tells apart by their entries alone.
+
+    ``phased-number`` is a number state with a global phase, ``projector`` a
+    rank-one ``DensityOperator`` and ``diagonal-density`` an exactly diagonal
+    one, some of its populations exactly 0 and the rest far above eps.
+    """
+    if kind == "phased-number":
+        amp = np.zeros(dim, dtype=complex)
+        amp[rng.integers(dim)] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        return FockVector(amp)
+    if kind == "projector":
+        v = _random_vector(dim, rng)
+        return DensityOperator(np.outer(v, v.conj()))
+    if kind == "diagonal-density":
+        p = np.where(rng.random(dim) < 0.3, 0.0, rng.random(dim) + 0.05)
+        p[rng.integers(dim)] = 1.0
+        return DensityOperator(np.diag(p / p.sum()))
+    return _random_state(kind, dim, rng)
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=32),
+    kind=st.sampled_from(("pure", "number", "phased-number", "diagonal", "general", "projector", "diagonal-density")),
+    p=st.floats(min_value=0.1, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_factor_is_one_d_exactly_when_the_power_is_diagonal(dim, kind, p, seed):
+    # the one diagonal rule every kernel reads: no kernel looks at a factor's entries
+    state = _factor_state(kind, dim, np.random.default_rng(seed))
+    power = dense_power(state.mat, p)
+    f = state.factor(p)
+    assert (f.ndim == 1) == (np.count_nonzero(power - np.diag(power.diagonal())) == 0)
+    assert np.abs((np.diag(f) if f.ndim == 1 else f @ f.conj().T) - power).max() <= 1e-12
 
 
 @pytest.mark.parametrize("pair", [("thermal:0.3", "thermal:17"), ("thermal:0.1", "thermal:10")])
@@ -251,10 +288,18 @@ def test_kernels_equal_the_projector_route(states, family):
 
 
 def test_diagonal_state_kernels_equal_the_matrix_route():
-    rho = thermal(0.8, 48)
+    # an exactly diagonal DensityOperator's factor is its populations too, so both meet the dense reference;
+    # at dim 24 every population stays above the reference's null threshold, which would drop it
+    rho = thermal(0.4, 24)
     dense = DensityOperator(rho.mat)
+    grid = default_grid(24)
+    others = (random_density(np.random.default_rng(5), 24), fock(2, 24), build_state(PURE_SPECS["coherent"], 24))
+    for state in (rho, dense):
+        assert np.abs(husimi_q(state, grid).values - dense_husimi(rho.mat, grid)).max() <= HUSIMI_TOL
+        for metric in [m for m in METRIC_NAMES if m not in PURE_ONLY]:
+            for other in others:
+                assert abs(evaluate_metric(metric, state, other).value - dense_metric(metric, rho, other)) <= 1e-12
     assert np.array_equal(wigner(rho).values, wigner(dense).values)
-    assert np.abs(husimi_q(rho).values - husimi_q(dense).values).max() <= HUSIMI_TOL
     assert np.array_equal(moment_table(rho, 6).m, moment_table(dense, 6).m)
     assert hs_bounds(rho, 2) == hs_bounds(dense, 2)
     assert mandel_q(rho) == mandel_q(dense)
