@@ -10,19 +10,17 @@ diagonal, a weight vector.  ``METRICS`` maps each CLI metric name to
 its kernel.  All functions are pure and take states of any kind and
 equal dimension.
 
-Every kernel reads the states' factors (a 2-d W with rho^p = W W^dag,
-or a 1-d d with rho^p = diag(d)) through one primitive that lives in
-``fock_core`` next to them, ``_product_diagonal``, the diagonal at
-offset k of the product of two factored operators; the Bures fidelity
-is the trace norm of W1^dag W2.  ``fock_core`` alone says whether rho^p
-is diagonal: the factor is 1-d exactly when it is, and a kernel reads
-its ``ndim`` and nothing else to pick a route.  So diagonal states,
-number states and exactly diagonal matrices take O(dim) work, and any
-other pure state O(dim) per column.  Pure pairs read the
-cancellation-free forms of ``pure_state_distance``, so identical rays
-give exactly 0.  Only the trace norm reads the dense ``mat``, when the
-two factors are not both 1-d.  Every square root of a squared distance,
-the moment series' included, goes through ``fock_core._clamped_sqrt``.
+Every squared-difference metric (Hilbert-Schmidt and its f(rho) forms, the polarized
+forms, both quasidistances) reads one kernel, ``_delta_sq``, the diagonals of
+(rho1^p - rho2^p)^2 with the difference formed before it is squared, so neighbouring
+states keep their digits and identical inputs give exactly 0.  Kernels read the
+states' factors (a 2-d W with rho^p = W W^dag, or a 1-d d with rho^p = diag(d)) through
+``fock_core._product_diagonal``, the diagonal at offset k of the product of two
+factored operators; the Bures fidelity is the trace norm of W1^dag W2.  ``fock_core``
+alone says whether rho^p is diagonal: the factor is 1-d exactly when it is, and a
+kernel picks its route by ``ndim`` alone, so pure and diagonal states take O(dim)
+work.  Only the trace norm reads the dense ``mat``, when the two factors are not both
+1-d.  Every square root of a squared distance goes through ``fock_core._clamped_sqrt``.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .fock_core import FockVector, _check_dims, _clamped_sqrt, _product_diagonal, trace_norm
+from .fock_core import FockVector, _check_dims, _clamped_sqrt, _product_diagonal, _row_products, trace_norm
 from .states import MomentTable, _moments, inv_sqrt_factorials
 
 
@@ -61,10 +59,8 @@ def pure_state_distance(a: FockVector, b: FockVector, kind: str = "fs") -> float
     unlike 1 - o does not cancel; fs = minimal sqrt(1 + o) and
     wootters = 2 asin(minimal / 2) follow from it.
     """
-    ov = a.overlap(b)  # checks the dims
-    o = min(abs(ov), 1.0)
-    phase = ov.conjugate() / abs(ov) if ov != 0 else 1.0
-    minimal = float(np.linalg.norm(a.amp - phase * b.amp))
+    o, d = _aligned(a, b)
+    minimal = float(np.linalg.norm(d))
     if kind == "fs":
         return minimal * math.sqrt(1.0 + o)
     if kind == "minimal":
@@ -82,10 +78,28 @@ def _pure_pair(r1, r2) -> bool:
     return isinstance(r1, FockVector) and isinstance(r2, FockVector)
 
 
-def _delta_sq_diagonal(x, y, k: int = 0) -> np.ndarray:
-    """Offset-k diagonal of (X - Y)^2 for two factored operators."""
+def _aligned(a: FockVector, b: FockVector):
+    """|<a|b>| and d = a - c b for c <a|b> >= 0, with c = +-(1 - it)/(1 + it), |c| = 1 exactly, so d keeps its digits."""
+    ov = a.overlap(b)  # checks the dims
+    sign = 1.0 if ov.real >= 0 else -1.0
+    t = sign * ov.imag / (abs(ov) + abs(ov.real)) if ov != 0 else 0.0  # tan of half the phase of sign <a|b>
+    return min(abs(ov), 1.0), a.amp - sign * b.amp + (2j * t / (1 + 1j * t) * sign) * b.amp
+
+
+def _delta_sq(r1, r2, p: float = 1.0, k: int = 0) -> np.ndarray:
+    """Offset-k diagonal of (rho1^p - rho2^p)^2, the difference formed before it is squared.
+
+    A pure pair is its own power: with d = a - c b from ``_aligned`` and B = [2a - d, d] = [a + c b, d],
+    rho1 - rho2 = B J B^dag / 2 (J the 2 x 2 swap), whose square is B (J B^dag B J / 4) B^dag.  Two 1-d
+    factors square p1^p - p2^p; any other pair expands X X + Y Y - X Y - Y X, exactly 0 when X = Y bit for bit.
+    """
+    _check_dims(r1, r2)
+    if _pure_pair(r1, r2):
+        _, d = _aligned(r1, r2)
+        basis = np.stack([2.0 * r1.amp - d, d], axis=1)
+        return _row_products(basis @ (basis.conj().T @ basis)[::-1, ::-1] / 4.0, basis, k)
+    x, y = r1.factor(p), r2.factor(p)
     if x.ndim == 1 and y.ndim == 1:
-        # X - Y is diagonal itself: squaring it leaves no cancellation
         return _product_diagonal(x - y, x - y, k)
     return (_product_diagonal(x, x, k) + _product_diagonal(y, y, k)
             - _product_diagonal(x, y, k) - _product_diagonal(y, x, k))
@@ -122,9 +136,9 @@ def bures_uhlmann(r1, r2) -> float:
 
     F = ||W1^dag W2||_1 for any factors rho = W W^dag (Uhlmann, Rep.
     Math. Phys. 9, 273 (1976)).  A pure pair gives the minimal distance.
-    When either factor is one column, W1^dag W2 is a vector and F its norm,
-    sqrt(Tr rho1 rho2); two 1-d factors give F = sum sqrt(p1 p2).
-    Otherwise F is the nuclear norm of W1^dag W2: singular values are
+    Two 1-d factors commute: the distance is ``modified_hs`` at p = 1/2, which does not cancel as
+    2 - 2F does.  When either factor is one column, W1^dag W2 is a vector and F its norm,
+    sqrt(Tr rho1 rho2).  Otherwise F is the nuclear norm of W1^dag W2: singular values are
     nonnegative by construction, so eigensolver noise in a null space
     cannot get amplified by an outer square root.
     """
@@ -133,8 +147,8 @@ def bures_uhlmann(r1, r2) -> float:
         return pure_state_distance(r1, r2, "minimal")
     x, y = r1.factor(1.0), r2.factor(1.0)
     if x.ndim == 1 and y.ndim == 1:
-        fid = float(_product_diagonal(r1.factor(0.5), r2.factor(0.5)).sum())
-    elif x.shape[1:] == (1,) or y.shape[1:] == (1,):
+        return modified_hs(r1, r2, 0.5)
+    if x.shape[1:] == (1,) or y.shape[1:] == (1,):
         fid = _clamped_sqrt(float(_product_diagonal(x, y).real.sum()))
     else:  # a 1-d d stands for W = diag(sqrt(d)), which scales the rows or columns of W1^dag W2
         g = np.sqrt(x)[:, None] * y if x.ndim == 1 else x.conj().T * np.sqrt(y) if y.ndim == 1 else x.conj().T @ y
@@ -145,30 +159,26 @@ def bures_uhlmann(r1, r2) -> float:
 def modified_hs(r1, r2, p: float) -> float:
     """Hilbert-Schmidt distance between rho1^p and rho2^p, p in (0, 1]; states of any kind.
 
-    p = 1 is the plain Hilbert-Schmidt distance; p = 1/2 agrees with
-    the Bures-Uhlmann distance whenever the operators commute.  A pure
-    state is its own power, so a pure pair reads the Fubini-Study form.
+    p = 1 is the plain Hilbert-Schmidt distance; p = 1/2 is the Bures-Uhlmann
+    distance whenever the operators commute.  A pure state is its own power,
+    so a pure pair gives the Fubini-Study distance at every p.
     """
     if not 0.0 < p <= 1.0:
         raise StateValidationError(f"power p must lie in (0, 1], got {p!r}")
-    _check_dims(r1, r2)
-    if _pure_pair(r1, r2):
-        return pure_state_distance(r1, r2, "fs")
-    return _clamped_sqrt(float(_delta_sq_diagonal(r1.factor(p), r2.factor(p)).real.sum()))
+    return _clamped_sqrt(float(_delta_sq(r1, r2, p).real.sum()))
 
 
 # ---------------------------------------------------------------------------
 # polarized distances and quasidistances
 # ---------------------------------------------------------------------------
 
-def _check_polarization(r1, r2, z) -> np.ndarray:
-    """The weights ``z``, the diagonal of Z, as a float array once they fit both states."""
-    _check_dims(r1, r2)
+def _check_polarization(z, dim: int) -> np.ndarray:
+    """The weights ``z``, the diagonal of Z, as a float array once they fit states of dim ``dim``."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or not (z >= 0).all():
         raise StateValidationError("polarization weights must be 1-d, nonnegative and not NaN")
-    if z.size != r1.dim:
-        raise DimensionMismatchError(f"polarization dim {z.size} != state dim {r1.dim}")
+    if z.size != dim:
+        raise DimensionMismatchError(f"polarization dim {z.size} != state dim {dim}")
     return z
 
 
@@ -178,8 +188,8 @@ def polarized(r1, r2, z) -> float:
     ``z`` is the diagonal of the reference operator Z, one nonnegative
     weight per level: ``np.arange(dim, dtype=float)`` for Z = N.
     """
-    z = _check_polarization(r1, r2, z)
-    return _clamped_sqrt(float((z * _delta_sq_diagonal(r1.factor(1.0), r2.factor(1.0)).real).sum()))
+    dd = _delta_sq(r1, r2).real
+    return _clamped_sqrt(float((_check_polarization(z, dd.size) * dd).sum()))
 
 
 def polarized_sqrt(r1, r2, z) -> float:
@@ -191,34 +201,30 @@ def polarized_sqrt(r1, r2, z) -> float:
     eigenvalues below its null threshold (see ``fock_core.DensityOperator``).  ``z`` is the
     diagonal of Z, as in ``polarized``.
     """
-    z = _check_polarization(r1, r2, z)
-    return _clamped_sqrt(float((z * _delta_sq_diagonal(r1.factor(0.5), r2.factor(0.5)).real).sum()))
+    dd = _delta_sq(r1, r2, 0.5).real
+    return _clamped_sqrt(float((_check_polarization(z, dd.size) * dd).sum()))
 
 
 def quasidistance_DZ(r1, r2, z) -> float:
     """Variance-like functional Tr(dZd) - Tr(d Z^{1/2} d)^2 / Tr(d^2), d = rho1-rho2.
 
     States of any kind; ``z`` is the diagonal of Z, as in ``polarized``.
-    Identical states (ratio 0/0) give 0 by convention.
+    Identical states give 0: Tr(d^2) is exactly 0 (ratio 0/0), and only rounding takes it below.
     """
-    z = _check_polarization(r1, r2, z)
-    dd = _delta_sq_diagonal(r1.factor(1.0), r2.factor(1.0)).real
-    t_norm = float(dd.sum())
-    if t_norm < 1e-14:
+    dd = _delta_sq(r1, r2).real
+    z = _check_polarization(z, dd.size)
+    t_norm, t_z, t_zroot = (float((w * dd).sum()) for w in (1.0, z, np.sqrt(z)))
+    if t_norm <= 0.0:
         return 0.0
-    t_z = float((z * dd).sum())
-    t_zroot = float((np.sqrt(z) * dd).sum())
     return _clamped_sqrt(t_z - t_zroot * t_zroot / t_norm)
 
 
 def quasidistance_Da(r1, r2) -> float:
-    """Lowering-operator quasidistance of d = rho1 - rho2; states of any kind."""
-    _check_dims(r1, r2)
-    x, y = r1.factor(1.0), r2.factor(1.0)
-    m = _moments(lambda k: _delta_sq_diagonal(x, y, k), r1.dim, 1)
+    """Lowering-operator quasidistance of d = rho1 - rho2, states of any kind; 0 for identical ones."""
+    m = _moments(lambda k: _delta_sq(r1, r2, 1.0, k), r1.dim, 1)
     # m[k, l] = Tr(adag^k a^l d^2)
     t_norm = float(m[0, 0].real)
-    if t_norm < 1e-14:
+    if t_norm <= 0.0:
         return 0.0
     return _clamped_sqrt(m[1, 1].real - abs(m[0, 1]) ** 2 / t_norm)
 

@@ -15,8 +15,8 @@ whether rho^p is diagonal: a 1-d d with rho^p = diag(d) exactly when it
 is (a diagonal state, a number state or an exactly diagonal matrix),
 else a 2-d W with rho^p = W W^dag (a pure state's amplitudes as one
 column, a matrix's eigenvectors scaled by eigenvalue^(p/2)).
-``_product_diagonal`` reads the diagonals of a product of two factors;
-``trace_product``, ``purity`` and every kernel in ``distances`` read it.
+``_product_diagonal`` reads the diagonals of a product of two factors, by ``_row_products``;
+``trace_product``, ``purity`` and every kernel in ``distances`` read them.
 
 One floor, ``NOISE_FLOOR``, bounds the eigenvalues a ``DensityOperator``
 accepts and ``_clamped_sqrt``, the one clamp for every square root in the
@@ -228,8 +228,12 @@ def _product_diagonal(x, y, k: int = 0) -> np.ndarray:
     else:
         g = x.conj().T @ y  # W_x W_x^dag W_y W_y^dag = (W_x g) W_y^dag
         u, v = (x * g if x.shape[1] == 1 else x @ g), y  # one column scales elementwise, bit for bit
-    n = u.shape[0]
-    return (u[max(-k, 0) : n - max(k, 0)] * v[max(k, 0) : n - max(-k, 0)].conj()).sum(axis=1)
+    return _row_products(u, v, k)
+
+
+def _row_products(u, v, k: int = 0) -> np.ndarray:
+    """Diagonal at offset k of U V^dag, sum_j U_ij conj(V_{i+k,j}), for two dim x rank arrays."""
+    return (u[max(-k, 0) : len(u) - max(k, 0)] * v[max(k, 0) : len(u) - max(-k, 0)].conj()).sum(axis=1)
 
 
 def trace_product(a, b) -> float:

@@ -337,10 +337,10 @@ class TestDistanceCsvPin:
             ("thermal:0.5", "fock:3", "jmg,0.975308641975,32,,"),
             ("thermal:1", "coherent:1,0.5", "jmg,0.756962664059,48,,"),
             ("coherent:0.8", "coherent:0.3", "bu,0.48477437518,16,0.48477437518,0"),
-            ("thermal:1", "thermal:0.3", "bu,0.348694325879,48,0.348694325879,5.10702591328e-15"),
+            ("thermal:1", "thermal:0.3", "bu,0.348694325879,48,0.348694325879,4.82947015712e-15"),
             ("thermal:0.5", "coherent:0.4", "bu,0.672174137734,32,,"),
             ("thermal:1", "thermal:0", "hs-p,0.76536686473,48,0.76536686473,1.7763568394e-15"),
-            ("phase:0.3", "phase:0.5", "hs-p:0.25,0.332756132323,24,0.332756132323,1.01030295241e-14"),
+            ("phase:0.3", "phase:0.5", "hs-p:0.25,0.332756132323,24,0.332756132323,1.00475183729e-14"),
             ("thermal:0.7", "thermal:0.2", "dn,0.167078666621,40,0.167078666621,8.32667268469e-17"),
             ("thermal:0.5", "squeezed:0.3", "dn-sqrt,0.741608452164,32,,"),
             ("fock:1", "fock:4", "DZ,0.707106781187,8,0.707106781187,1.11022302463e-16"),

@@ -17,6 +17,7 @@ from qdist import (
     squeezed_pair,
     thermal_pair,
 )
+from qdist import cli
 from qdist.closed_forms import METRIC_NAMES, closed_form_lookup, parse_metric, thermal_approximations
 from qdist.errors import StateValidationError
 
@@ -328,8 +329,12 @@ TABLE_CASES = [
     ("phase:0", "squeezed:0", PURE | POLARIZED),
     ("thermal:0", "coherent:0", PURE | POLARIZED | {"Da"} | THERMAL),
     ("coherent:0.5", "coherent:0.5,1e-3", PURE | POLARIZED | {"Da"}),
-    # no row: cats of different displacement; a thermal state and |2>
+    # no row: cats of different displacement (the same |alpha| included), a cat and a coherent state of
+    # another displacement, a cat and a number state other than the vacuum; a thermal state and |2>
     ("cat:1.0,0,0", "cat:1.1,0,0", set()),
+    ("cat:0.6,0.8,1.0", "cat:1.0,0,1.0", set()),
+    ("cat:1.0,0,0.5", "coherent:1.1", set()),
+    ("cat:1.0,0,0.5", "fock:2", set()),
     ("thermal:1.0", "fock:2", set()),
 ]
 
@@ -347,6 +352,25 @@ def test_oracle_table_matches_matrix_route(a, b, filled):
         if m in ("fs", "minimal", "wootters") and not both_pure:
             continue  # the matrix route rejects pure-only metrics on a density operator
         assert evaluate_metric(m, sa, sb).value == pytest.approx(oracles[m], abs=1e-9), m
+
+
+def _figure_pairs(fid, row):
+    """(spec a, spec b, metric, column) for every printed value of one figure row."""
+    if fid == 1:
+        a, b = f"coherent:{math.sqrt(row[0])!r}", f"fock:{row[1]}"
+        return [(a, b, "hs", 2), (a, b, "dn", 3)]
+    thermal, phase = f"thermal:{row[0]!r}", f"phase:{math.sqrt(row[0] / (1.0 + row[0]))!r}"
+    return ([(thermal, "thermal:0", m, i) for m, i in (("dn", 1), ("hs", 2), ("bu", 3), ("dn-sqrt", 6))]
+            + [(phase, "phase:0", "hs", 4), (phase, "phase:0", "dn", 5)])
+
+
+@pytest.mark.parametrize("fid", [1, 2])
+def test_figure_rows_match_the_matrix_route(fid):
+    # every printed figure value is a closed form; the matrix route reproduces each one
+    for row in cli.figure1_rows() if fid == 1 else cli.figure2_rows():
+        for a, b, metric, column in _figure_pairs(fid, row):
+            value = evaluate_metric(metric, *build_pair(parse_state_spec(a), parse_state_spec(b))).value
+            assert abs(value - row[column]) <= max(1e-10 * row[column], 1e-15), (a, b, metric)
 
 
 BAD_METRIC_NAMES = [

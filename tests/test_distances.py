@@ -339,21 +339,119 @@ class TestBounds:
         assert b.bvar >= hilbert_schmidt(rho, outer(fock(1, dim)))
 
 
-@pytest.mark.parametrize("metric", ["hs", "hs-p:0.3", "dn", "dn-sqrt"])
+def _diagonal_pair_mp(mp, metric, a, b):
+    """A squared-difference metric or bu of two diagonal states, in the mpmath context ``mp``.
+
+    Read off the states' double populations.  Bures of a commuting pair is the Hilbert-Schmidt
+    distance of the roots; d = rho1 - rho2 is diagonal, so Tr(a d^2) = 0 and D_a^2 = Tr(N d^2).
+    """
+    base, p = parse_metric(metric)
+    power = mp.mpf(p if base == "hs-p" else 0.5 if base in ("dn-sqrt", "bu") else 1.0)
+    dd = [(mp.mpf(float(x)) ** power - mp.mpf(float(y)) ** power) ** 2 for x, y in zip(a.populations, b.populations)]
+    t, t_n = mp.fsum(dd), mp.fsum(n * e for n, e in enumerate(dd))
+    if base == "DZ":
+        return mp.sqrt(t_n - mp.fsum(mp.sqrt(n) * e for n, e in enumerate(dd)) ** 2 / t)
+    return mp.sqrt(t_n if base in ("dn", "dn-sqrt", "Da") else t)
+
+
+@pytest.mark.parametrize("metric", ["hs", "hs-p:0.3", "dn", "dn-sqrt", "DZ", "Da", "bu"])
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("nbar", [1e-2, 1e-5, 1e-8])
 def test_thermal_neighbour_of_a_number_state_keeps_its_digits(metric, n, nbar):
     # both factors are 1-d, so p1^p - p2^p is formed level by level before it is squared; a 2-d
-    # factor on either side would square Tr rho1^2p + Tr rho2^2p - 2 Tr rho1^p rho2^p and cancel
+    # factor on either side would square Tr rho1^2p + Tr rho2^2p - 2 Tr rho1^p rho2^p and cancel,
+    # and DZ and Da once read 0 below Tr d^2 = 1e-14
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 50
     a, b = build_pair(parse_state_spec(f"thermal:{nbar}"), parse_state_spec(f"fock:{n}"))
-    base, p = parse_metric(metric)
-    power = mp.mpf(p if base == "hs-p" else 0.5 if base == "dn-sqrt" else 1.0)
-    weights = range(a.dim) if base.startswith("dn") else [1] * a.dim
-    exact = mp.sqrt(mp.fsum(w * (mp.mpf(float(x)) ** power - mp.mpf(float(y)) ** power) ** 2
-                            for w, x, y in zip(weights, a.populations, b.populations)))
-    assert abs(evaluate_metric(metric, a, b).value - float(exact)) <= 1e-12 * float(exact)
+    exact = float(_diagonal_pair_mp(mp, metric, a, b))
+    assert abs(evaluate_metric(metric, a, b).value - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("nbar", [1e-2, 1e-5, 1e-8])
+def test_thermal_neighbour_of_the_thermal_vacuum_keeps_its_bures_digits(nbar):
+    # bu once formed 2 - 2 sum sqrt(p1 p2), which cancels as the pair closes
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    a, b = build_pair(parse_state_spec(f"thermal:{nbar}"), parse_state_spec("thermal:0"))
+    exact = float(_diagonal_pair_mp(mp, "bu", a, b))
+    assert abs(evaluate_metric("bu", a, b).value - exact) <= 1e-12 * exact
+
+
+def _pure_pair_mp(mp, a, b):
+    """hs, dn, DZ, Da and minimal of two pure states, in the mpmath context ``mp``.
+
+    Read off the states' double amplitudes, with rho = a a^dag as stored (a projector is its own
+    power, so hs-p and dn-sqrt equal hs and dn).  d = a a^dag - b b^dag has rank two, so
+    (d^2)_il = a_i conj(a_l) |a|^2 - a_i <a|b> conj(b_l) - b_i <b|a> conj(a_l) + b_i conj(b_l) |b|^2.
+    """
+    x, y = ([mp.mpc(complex(c)) for c in state.amp] for state in (a, b))
+    na, nb = (mp.fsum(abs(c) ** 2 for c in v) for v in (x, y))
+    ab = mp.fsum(mp.conj(u) * v for u, v in zip(x, y))
+
+    def d2(i, l):
+        return (x[i] * mp.conj(x[l]) * na - x[i] * ab * mp.conj(y[l])
+                - y[i] * mp.conj(ab) * mp.conj(x[l]) + y[i] * mp.conj(y[l]) * nb)
+
+    dd = [mp.re(d2(i, i)) for i in range(a.dim)]
+    t, t_n = mp.fsum(dd), mp.fsum(n * e for n, e in enumerate(dd))
+    t_root = mp.fsum(mp.sqrt(n) * e for n, e in enumerate(dd))
+    lower = mp.fsum(mp.sqrt(m + 1) * d2(m + 1, m) for m in range(a.dim - 1))  # Tr(a d^2)
+    exact = {"hs": mp.sqrt(t), "dn": mp.sqrt(t_n), "DZ": mp.sqrt(t_n - t_root**2 / t),
+             "Da": mp.sqrt(t_n - abs(lower) ** 2 / t), "minimal": mp.sqrt(na + nb - 2 * abs(ab))}
+    return {**exact, "hs-p:0.3": exact["hs"], "dn-sqrt": exact["dn"]}
+
+
+# (a, b) at a gap g; the complex parameters give complex overlaps, whose phase is aligned away
+PURE_NEIGHBOURS = {
+    "coherent": lambda g: ("coherent:1", f"coherent:{1 + g!r}"),
+    "coherent-complex": lambda g: ("coherent:0.6,0.8", f"coherent:0.6,{0.8 + g!r}"),
+    "squeezed": lambda g: ("squeezed:0.3", f"squeezed:{0.3 + g!r}"),
+    "squeezed-complex": lambda g: ("squeezed:0.2,0.2", f"squeezed:0.2,{0.2 + g!r}"),
+    "phase": lambda g: ("phase:0.3", f"phase:{0.3 + g!r}"),
+    "phase-complex": lambda g: ("phase:0.3,0.2", f"phase:0.3,{0.2 + g!r}"),
+    "cat-phi": lambda g: ("cat:1.2,0,0.7", f"cat:1.2,0,{0.7 + g!r}"),
+    "cat-alpha": lambda g: ("cat:0.9,0.5,2", f"cat:0.9,{0.5 + g!r},2"),
+    "coherent-fock": lambda g: (f"coherent:{g!r},{g!r}", "fock:0"),
+}
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-8])
+@pytest.mark.parametrize("pair", PURE_NEIGHBOURS)
+def test_pure_neighbours_keep_their_digits(pair, gap):
+    # rho1 - rho2 is formed from d = a - c b before it is squared; squaring
+    # Tr rho1^2 + Tr rho2^2 - 2 Tr rho1 rho2 lost 2.1e-5 of dn at coherent:1 vs coherent:1.000001,
+    # and rotating b by a rounded phase e^{i phi} lost 1e-9 at gap 1e-8 on complex overlaps
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    a, b = build_pair(*map(parse_state_spec, PURE_NEIGHBOURS[pair](gap)))
+    for metric, value in _pure_pair_mp(mp, a, b).items():
+        exact = float(value)
+        assert abs(evaluate_metric(metric, a, b).value - exact) <= 1e-12 * exact, metric
+
+
+_GENERAL_MATRIX = random_density(np.random.default_rng(5), 24).mat
+# route -> a builder; each call builds the state anew, so a pair of calls gives equal, separate inputs
+IDENTICAL_ROUTES = {
+    "pure": lambda: coherent(0.9 + 0.4j, 24),
+    "number": lambda: fock(3, 24),
+    "diagonal": lambda: thermal(0.3, 24),
+    "number-projector": lambda: outer(fock(3, 24)),
+    "diagonal-matrix": lambda: DensityOperator(np.diag(np.linspace(1.0, 2.0, 24) / 36.0)),
+    "projector": lambda: outer(cat(1.1, 0.6, 24)),
+    "general": lambda: DensityOperator(_GENERAL_MATRIX),
+}
+SQUARED_DIFFERENCE = ("hs", "hs-p", "hs-p:0.3", "dn", "dn-sqrt", "DZ", "Da")
+
+
+@pytest.mark.parametrize("route", IDENTICAL_ROUTES)
+def test_identical_inputs_read_exactly_zero(route):
+    # X X + Y Y - X Y - Y X is 0 when X = Y bit for bit, and the pure and diagonal routes difference
+    # the states first.  bu takes 2 - 2F on a one-column or general factor, which leaves rounding
+    # of order sqrt(eps) there, so it is held to 0 only on the routes that form a difference.
+    a, b = IDENTICAL_ROUTES[route](), IDENTICAL_ROUTES[route]()
+    metrics = SQUARED_DIFFERENCE + (() if route in ("projector", "general") else ("bu",))
+    assert {m: evaluate_metric(m, a, b).value for m in metrics} == dict.fromkeys(metrics, 0.0)
 
 
 class TestMetricAxiomsSample:

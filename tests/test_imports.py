@@ -279,6 +279,46 @@ def test_one_dimension_check():
     assert raisers == {"fock_core._check_dims", "distances._check_polarization", "distances.hs_from_moments"}
 
 
+# One difference: every squared-difference metric reads ``distances._delta_sq``, which forms rho1^p - rho2^p
+# before it squares it, directly or through ``modified_hs``; none reads a factor or the pure-state forms itself,
+# and only ``_delta_sq`` expands a square into products (``bures_uhlmann`` reads one, its rank-one fidelity).
+SQUARED_DIFFERENCE_METRICS = ("hilbert_schmidt", "modified_hs", "polarized", "polarized_sqrt",
+                              "quasidistance_DZ", "quasidistance_Da")
+
+
+def _reached_calls(tree, name, stop):
+    """Names that the module function ``name`` calls, through the module functions it calls, but not past ``stop``."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [name]
+    while todo:
+        calls = [n for n in ast.walk(functions[todo.pop()]) if isinstance(n, ast.Call)]
+        for callee in {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in calls} - seen:
+            seen.add(callee)
+            if callee in functions and callee != stop:
+                todo.append(callee)
+    return seen
+
+
+@pytest.mark.parametrize("name", SQUARED_DIFFERENCE_METRICS)
+def test_every_squared_difference_metric_reads_one_difference(name):
+    calls = _reached_calls(ast.parse((PACKAGE / "distances.py").read_text(encoding="utf-8")), name, "_delta_sq")
+    assert "_delta_sq" in calls, f"{name} does not reach _delta_sq"
+    assert not calls & {"factor", "pure_state_distance", "_product_diagonal"}, sorted(calls)
+
+
+def test_only_the_difference_kernel_expands_a_square():
+    assert _callers(PACKAGE / "distances.py", "_product_diagonal") == {"_delta_sq": 5, "bures_uhlmann": 1}
+
+
+def test_distances_keeps_no_noise_cut_of_its_own():
+    # rounding noise has one rule, in fock_core (NOISE_FLOOR, _clamped_sqrt); a literal below 1e-9 in the
+    # code of distances would be a second one, as the 1e-14 cuts DZ and Da once made were
+    tree = ast.parse((PACKAGE / "distances.py").read_text(encoding="utf-8"))
+    small = [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex) and 0 < abs(node.value) < 1e-9]
+    assert not small, small
+
+
 # A square that rounding can push below 0 is clamped there in one place, which raises
 # below fock_core.NOISE_FLOOR.  The closed forms keep their own: their oracles stay
 # independent of the numerics.

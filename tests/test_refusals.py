@@ -38,6 +38,7 @@ from qdist import (
     phase_pair,
     pure_state_distance,
     thermal,
+    wigner,
 )
 from qdist import cli
 from qdist.errors import (
@@ -179,6 +180,12 @@ REFUSALS = {
     "Tomogram-mismatched-arrays": (lambda: _tomogram(np.full(4, 0.5)), StateValidationError, "matching 1-d"),
     "Tomogram-negative-density": (
         lambda: _tomogram(np.array([0.5, 0.5, -0.1, 0.5, 0.5])), StateValidationError, "negative tomogram"),
+    "Tomogram-zero-direction": (
+        lambda: Tomogram(0.0, 0.0, np.linspace(-1.0, 1.0, 5), np.full(5, 0.5)), StateValidationError,
+        "(mu, nu) must not vanish"),
+    "marginal_from_wigner-zero-direction": (
+        lambda: marginal_from_wigner(wigner(fock(0, 4), default_grid(4, 33)), 0.0, 0.0, np.linspace(-1, 1, 5)),
+        StateValidationError, "(mu, nu) must not vanish"),
     "marginal_from_wigner-husimi-grid": (
         lambda: marginal_from_wigner(husimi_q(fock(0, 4), default_grid(4, 17)), 1.0, 0.0, np.linspace(-1, 1, 5)),
         UnsupportedCombinationError, "s = 0"),
