@@ -52,11 +52,14 @@ NOISE_FLOOR = -1e-10
 MAX_DENSE_DIM = 4096
 
 
-def _clamped_sqrt(sq: float) -> float:
-    """sqrt of a quantity nonnegative in exact arithmetic: noise down to ``NOISE_FLOOR`` reads as 0, below it raises."""
-    if sq < NOISE_FLOOR:
-        raise NumericalToleranceError(f"square {sq:.3e} below {NOISE_FLOOR}")
-    return math.sqrt(max(sq, 0.0))
+def _clamped_sqrt(sq):
+    """sqrt of a quantity nonnegative in exact arithmetic, entrywise for an array of them: noise down to
+    ``NOISE_FLOOR`` reads as 0, below it raises."""
+    array = isinstance(sq, np.ndarray)
+    low = sq.min() if array else sq
+    if low < NOISE_FLOOR:
+        raise NumericalToleranceError(f"square {low:.3e} below {NOISE_FLOOR}")
+    return np.sqrt(np.maximum(sq, 0.0)) if array else math.sqrt(max(sq, 0.0))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

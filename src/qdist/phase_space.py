@@ -34,6 +34,7 @@ P function is P(alpha) = exp(-|alpha|^2/nbar)/nbar with int P d^2alpha/pi = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,22 +138,30 @@ def grid_integral(grid: PhaseGrid, values: np.ndarray) -> float:
     return float(wq @ values @ wp)
 
 
-def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
-    """psi_n(x) for n < dim, shape (len(x), dim).
+def _oscillator_levels(x):
+    """psi_0(x), psi_1(x), ...: the oscillator eigenfunctions at x, of any shape, one level at a time.
 
     Upward recurrence on the *normalized* eigenfunctions keeps every
     intermediate bounded, so no per-level rescaling is needed even at
-    n of a few hundred.  Each level is one contiguous row while the
-    recurrence runs, and stays one: the table returned is the transposed
-    view of that (dim, len(x)) array, not a copy.
+    n of a few hundred; only two levels are held at once.
+    """
+    x = np.asarray(x, dtype=float)
+    lower, level = 0.0, math.pi**-0.25 * np.exp(-0.5 * x * x)  # level -1 is 0
+    for n in itertools.count(1):
+        yield level
+        lower, level = level, math.sqrt(2.0 / n) * x * level - math.sqrt((n - 1.0) / n) * lower
+
+
+def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
+    """psi_n(x) for n < dim, shape (len(x), dim), from ``_oscillator_levels``.
+
+    Each level is one contiguous row of a (dim, len(x)) array, and the
+    table returned is the transposed view of that array, not a copy.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((dim, x.size))
-    out[0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    if dim > 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for n in range(2, dim):
-        out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    for row, level in zip(out, _oscillator_levels(x)):
+        row[:] = level
     return out.T
 
 

@@ -25,6 +25,7 @@ nature of pure states.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from collections.abc import Callable
@@ -348,15 +349,15 @@ def ladder_moments(state) -> tuple[complex, complex, float]:
     return complex(m[0, 1]), complex(m[0, 2]), float(m[1, 1].real)
 
 
-def quadrature_moments(moments, theta: float) -> tuple[float, float]:
-    """Mean and standard deviation of the quadrature cos(theta) q + sin(theta) p.
+def quadrature_moments(moments, theta):
+    """Mean and standard deviation of the quadrature cos(theta) q + sin(theta) p, entrywise for an array of angles.
 
     ``moments`` is (<a>, <a^2>, <adag a>), as ``ladder_moments`` returns.
     The mean is sqrt(2) Re(<a> e^{-i theta}), the variance
     <adag a> - |<a>|^2 + 1/2 + Re((<a^2> - <a>^2) e^{-2 i theta}).
     """
     m, a2, n = moments
-    rot = cmath.exp(-1j * theta)
+    rot = np.exp(-1j * np.asarray(theta))
     var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
     return math.sqrt(2.0) * (m * rot).real, _clamped_sqrt(var)
 
@@ -549,17 +550,22 @@ def _fock_ladder(spec: StateSpec) -> tuple:
     return 0j, 0j, float(spec.params["n"])
 
 
-def _fock_density(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
-    from .phase_space import oscillator_eigenfunctions  # phase_space imports this module
+def _fock_density(spec, mu, nu, x) -> np.ndarray:
+    from .phase_space import _oscillator_levels  # phase_space imports this module
 
-    n, r = spec.params["n"], math.sqrt(mu * mu + nu * nu)
-    return oscillator_eigenfunctions(x / r, n + 1)[:, n] ** 2 / r
+    r = np.sqrt(mu * mu + nu * nu)
+    level = next(itertools.islice(_oscillator_levels(x / r), spec.params["n"], None))
+    return level**2 / r
 
 
-def _coherent_density(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
+def _coherent_density(spec, mu, nu, x) -> np.ndarray:
     a, r2 = spec.params["alpha"], mu * mu + nu * nu
-    mean = math.sqrt(2.0) * (mu * a.real + nu * a.imag)
-    return np.exp(-((x - mean) ** 2) / r2) / math.sqrt(math.pi * r2)
+    w = x - math.sqrt(2.0) * (mu * a.real + nu * a.imag)
+    w *= w  # in place: over a block of tomography's angular nodes these are large arrays
+    w /= -r2
+    np.exp(w, out=w)
+    w /= np.sqrt(math.pi * r2)
+    return w
 
 
 @dataclass(frozen=True)
@@ -569,7 +575,10 @@ class Family:
     amplitudes 0..n-1 of the untruncated state (populations where ``pure`` is false), to which
     ``phases(spec, dim)`` is attached; ``tail(spec, k)`` is the closed-form mass on levels >= k;
     populations past ``horizon(spec, dim)`` are below 1e-25; ``ladder(spec)`` gives <a>, <a^2>,
-    <adag a> and ``density(spec, mu, nu, x)`` that of the quadrature mu q + nu p, in closed form.
+    <adag a> and ``density(spec, mu, nu, x)`` that of the quadrature mu q + nu p, in closed form,
+    entrywise for arrays that broadcast.  Where ``ladder`` gives <a> = <a^2> = 0 exactly, the
+    state must be diagonal in the Fock basis (a number state or the vacuum), so that ``density``
+    depends on (mu, nu) through mu^2 + nu^2 alone: ``tomography`` then evaluates it at one angle.
     """
 
     head: str

@@ -2,12 +2,12 @@
 
 A tomogram w_{mu nu}(X) is the probability density of the quadrature
 mu*q + nu*p.  ``_marginals`` picks each state's route from its family's
-record: the closed forms of ``marginal_analytic`` for number and coherent
-states, and for any other state the Fock-basis form of the unit-radius marginal,
-w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X> (Mancini, Man'ko
-& Tombesi, Phys. Lett. A 213, 1 (1996)), from the oscillator
-eigenfunctions and the state's factor.  ``marginal_from_wigner``, a
-numerical line integral of a Wigner grid, stays as an independent reference.
+record: the closed forms of the record's ``density`` for number and
+coherent states, and for any other state the Fock-basis form of the
+unit-radius marginal, w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>
+(Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), from the
+oscillator eigenfunctions and the state's factor.  ``marginal_from_wigner``,
+a numerical line integral of a Wigner grid, stays as an independent reference.
 
 The distance between two states averages a classical divergence between
 their tomogram families over the (mu, nu) plane with the normalized
@@ -22,13 +22,28 @@ angles where the tomograms can coincide, read off the states' first and
 second moments <a>, <a^2> and <adag a> (``states.ladder_moments``, or
 closed forms for number and coherent states); a pair with no such angle
 keeps the uniform (trapezoidal, spectrally accurate on the periodic
-angle) rule.  The same moments place each node's X grid.  Because the nodes depend on the pair, the computed distances obey
-the triangle inequality up to quadrature error.
+angle) rule.  The same moments place each node's X grid.  Because the
+nodes depend on the pair, the computed distances obey the triangle
+inequality up to quadrature error.
+
+The nodes are evaluated as blocks of 2-d arrays, one row per node: one
+padded array of X grids (``_x_rows``, whose one-row case is
+``default_x_grid``) with zero Simpson weights on the padding, each
+state's marginals over the whole block (the Fock-basis route builds one
+points x dim eigenfunction table per row), one normalization that checks
+every row's mass (``_normalized``, which ``Tomogram`` also calls) and one
+row-wise divergence (``_divergences``, which ``classical_divergence``
+also calls).  A block holds at most ``NODE_BLOCK`` grid points.  A state
+diagonal in the Fock basis has the same tomogram at every angle, since
+e^{-i theta N} commutes with it; for two such states every node has the
+same grid and the same integrand, so one node at theta = 0 with weight
+2 pi is the angular integral, exactly.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +66,31 @@ VACUUM_SIGMA = math.sqrt(0.5)  # quadrature standard deviation of the vacuum at 
 MOMENT_TOL = 1e-9  # |difference| of <a> or <a^2> below which the two are taken as equal
 # most angular nodes a distance takes; leggauss builds an m x m matrix per panel
 MAX_ANGULAR_NODES = 4096
+# X grid points a block of angular nodes holds: 128 kB per array, so the arrays a block works on stay
+# in a core's cache (blocks of 8x this ran the benchmark's analytic tomography ops 1.4x slower)
+NODE_BLOCK = 16384
+
+
+def _integrals(weights: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Each row of ``f`` integrated with the weights of its row."""
+    return np.einsum("ij,ij->i", weights, f)
+
+
+def _normalized(weights: np.ndarray, w: np.ndarray):
+    """The rows of ``w`` divided in place by their Simpson masses, and |mass - 1| per row: the one mass check.
+
+    A negative density is refused, and so is a row whose mass misses 1 by
+    more than ``MASS_TOL``: its X grid misses the state.
+    """
+    if w.min() < 0.0:
+        raise StateValidationError(f"negative tomogram density {w.min():.3e}")
+    mass = _integrals(weights, w)
+    miss = np.abs(mass - 1.0)
+    if not (miss <= MASS_TOL).all():
+        worst = float(mass[np.argmax(~(miss <= MASS_TOL))])
+        raise GridError(f"tomogram mass {worst!r} misses 1 by more than {MASS_TOL}; the X grid misses the state")
+    w /= mass[:, None]
+    return w, miss
 
 
 @dataclass(frozen=True)
@@ -73,21 +113,46 @@ class Tomogram:
         w = np.array(self.w, dtype=float)
         if x.ndim != 1 or x.shape != w.shape or x.size < 3:
             raise StateValidationError("x and w must be matching 1-d arrays")
-        if w.min() < 0.0:
-            raise StateValidationError(f"negative tomogram density {w.min():.3e}")
-        mass = float(simpson_weights(x.size, x[1] - x[0]) @ w)
-        if not abs(mass - 1.0) <= MASS_TOL:
-            raise GridError(f"tomogram mass {mass!r} misses 1 by more than {MASS_TOL}; the X grid misses the state")
-        w /= mass
+        (w,), (defect,) = _normalized(simpson_weights(x.size, x[1] - x[0])[None], w[None])
         x.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "quadrature_defect", abs(mass - 1.0))
+        object.__setattr__(self, "quadrature_defect", float(defect))
+
+
+def _grid_rule(mean_lo: np.ndarray, mean_hi: np.ndarray, sigma, sigma_max: np.ndarray):
+    """First and last points and point counts of the X grids of ``default_x_grid``, entrywise."""
+    lo = mean_lo - X_SIGMAS * sigma
+    hi = mean_hi + X_SIGMAS * sigma
+    step = 2.0 * X_SIGMAS * sigma / (X_POINTS - 1)
+    n = np.maximum(X_POINTS, np.ceil((hi - lo) / step).astype(int) + 1)
+    n += 1 - n % 2
+    h = (hi - lo) / (n - 1)
+    extra = 2 * np.ceil(X_SIGMAS * np.maximum(sigma_max - sigma, 0.0) / (2.0 * h)).astype(int)
+    return lo - extra * h, hi + extra * h, n + 2 * extra
+
+
+def _x_rows(start: np.ndarray, stop: np.ndarray, num: np.ndarray):
+    """The grids np.linspace(start, stop, num) as the rows of one array, and their Simpson weights.
+
+    Each row runs on at its own step past its last point to the longest
+    row's length, with weights 0 there; up to its last point each row and
+    its weights equal that linspace and ``simpson_weights`` on it, bit for bit.
+    """
+    k, rows, last = np.arange(num.max()), np.arange(num.size), num - 1
+    x = k * ((stop - start) / last)[:, None]
+    x += start[:, None]
+    x[rows, last] = stop  # as linspace sets it
+    h3 = (x[:, 1] - x[:, 0]) / 3.0
+    weights = simpson_weights(k.size, 3.0) * h3[:, None]  # 1, 4, 2, ..., 2, 4, 1 times h/3
+    np.copyto(weights, 0.0, where=k > last[:, None])
+    weights[rows, last] = h3
+    return x, weights
 
 
 def default_x_grid(mean_lo: float, mean_hi: float, sigma: float, sigma_max: float = 0.0) -> np.ndarray:
-    """Uniform grid covering [mean_lo - 10 sigma, mean_hi + 10 sigma].
+    """Uniform grid covering [mean_lo - 10 sigma, mean_hi + 10 sigma]: the one-row case of ``_x_rows``.
 
     The spacing is kept at (20 sigma)/1024 regardless of how far apart
     the two means sit, so well-separated peaks stay resolved.  When
@@ -97,15 +162,8 @@ def default_x_grid(mean_lo: float, mean_hi: float, sigma: float, sigma_max: floa
     the means; the spacing, and the nodes and Simpson weights inside the
     unwidened span, stay as they are.
     """
-    lo = mean_lo - X_SIGMAS * sigma
-    hi = mean_hi + X_SIGMAS * sigma
-    step = 2.0 * X_SIGMAS * sigma / (X_POINTS - 1)
-    n = max(X_POINTS, int(math.ceil((hi - lo) / step)) + 1)
-    if n % 2 == 0:
-        n += 1
-    h = (hi - lo) / (n - 1)
-    extra = 2 * math.ceil(X_SIGMAS * max(sigma_max - sigma, 0.0) / (2.0 * h))
-    return np.linspace(lo - extra * h, hi + extra * h, n + 2 * extra)
+    x, _ = _x_rows(*_grid_rule(np.array([mean_lo]), np.array([mean_hi]), sigma, np.array([sigma_max])))
+    return x[0]
 
 
 def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> Tomogram:
@@ -173,24 +231,27 @@ KULLBACK_FLOOR = 1e-300
 KULLBACK_CUT = 1e-15  # points where both densities sit below this are dropped
 
 
+def _divergences(weights: np.ndarray, p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
+    """Each row's divergence between the normalized densities p and q, on X grids with these Simpson weights."""
+    if kind == "hellinger":
+        return np.sqrt(_integrals(weights, (np.sqrt(p) - np.sqrt(q)) ** 2))  # squares, positive weights
+    if kind == "kolmogorov":
+        return _integrals(weights, np.abs(p - q))
+    if kind == "bhattacharyya":
+        return -np.log(np.clip(_integrals(weights, np.sqrt(p * q)), KULLBACK_FLOOR, 1.0))
+    keep = (p >= KULLBACK_CUT) | (q >= KULLBACK_CUT)
+    ratio = np.log(np.maximum(p, KULLBACK_FLOOR) / np.maximum(q, KULLBACK_FLOOR))
+    return _integrals(weights * keep, (p - q) * ratio)
+
+
 def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
-    """Divergence between two tomograms on the same X grid."""
+    """Divergence between two tomograms on the same X grid: the one-row case of ``_divergences``."""
     if not np.array_equal(wa.x, wb.x):
         raise GridError("tomograms live on different X grids")
     if kind not in DIVERGENCE_KINDS:
         raise StateValidationError(f"unknown divergence kind {kind!r}")
     weights = simpson_weights(wa.x.size, wa.x[1] - wa.x[0])
-    p, q = wa.w, wb.w
-    if kind == "hellinger":
-        return math.sqrt(float(weights @ (np.sqrt(p) - np.sqrt(q)) ** 2))  # squares, positive weights
-    if kind == "kolmogorov":
-        return float(weights @ np.abs(p - q))
-    if kind == "bhattacharyya":
-        aff = float(weights @ np.sqrt(p * q))
-        return -math.log(min(max(aff, KULLBACK_FLOOR), 1.0))
-    keep = (p >= KULLBACK_CUT) | (q >= KULLBACK_CUT)
-    ratio = np.log(np.maximum(p, KULLBACK_FLOOR) / np.maximum(q, KULLBACK_FLOOR))
-    return float((weights * keep) @ ((p - q) * ratio))
+    return float(_divergences(weights[None], wa.w[None], wb.w[None], kind)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +259,42 @@ def classical_divergence(wa: Tomogram, wb: Tomogram, kind: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _marginals(spec: StateSpec):
-    """The state's ladder moments (<a>, <a^2>, <adag a>) and its unit-radius tomogram w(theta, x).
+    """The state's ladder moments (<a>, <a^2>, <adag a>), whether it is diagonal, and its marginal.
 
-    Number and coherent states read their record's closed-form ladder
-    moments and ``marginal_analytic``; a number state is bounded by
-    ``adaptive_dim``, as on every other route, before any eigenfunction table.  Any other state reads
-    <X| e^{-i theta N} rho e^{i theta N} |X> in the Fock basis off its
-    factor (``fock_core``).  A 2-d W gives w_theta(X) =
-    sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2, one column for a pure
-    state.  A 1-d factor, the populations p_n of a diagonal rho, gives the
-    same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2,
-    O(points x dim) per node.
+    The marginal w(thetas, x) gives the unnormalized unit-radius tomogram
+    at each angle of ``thetas`` on the matching row of ``x``.  Number and
+    coherent states read their record's closed-form ladder moments and
+    ``density``, over the whole block at once; a number state is bounded
+    by ``adaptive_dim``, as on every other route, before any
+    eigenfunction is evaluated, and such a state is diagonal exactly when
+    <a> = <a^2> = 0 (a number state or the vacuum; see ``states.Family``).
+    Any other state reads <X| e^{-i theta N} rho e^{i theta N} |X> in the
+    Fock basis off its factor (``fock_core``), one points x dim
+    eigenfunction table per row, and is diagonal exactly when the factor
+    is 1-d.  A 2-d W gives w_theta(X) = sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2,
+    one column for a pure state; a 1-d factor, the populations p_n, gives
+    the same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2.
     """
-    ladder = FAMILIES[spec.family].ladder
-    if ladder is not None:
-        return ladder(spec), lambda theta, x: marginal_analytic(spec, math.cos(theta), math.sin(theta), x)
+    family = FAMILIES[spec.family]
+    if family.ladder is not None:
+        moments = family.ladder(spec)
+        return moments, moments[0] == 0 and moments[1] == 0, lambda thetas, x: family.density(
+            spec, np.cos(thetas)[:, None], np.sin(thetas)[:, None], x)
     state = build_state(spec, adaptive_dim(spec))
     f = state.factor(1.0)
 
-    def fock_basis(theta, x):
-        psi = oscillator_eigenfunctions(x, f.shape[0])
-        if f.ndim == 1:
-            w = psi**2 @ f
-        else:
-            v = np.exp(-1j * theta * np.arange(f.shape[0]))[:, None] * f
-            w = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
-        return Tomogram(math.cos(theta), math.sin(theta), x, w)
+    def fock_basis(thetas, x):
+        w = np.empty_like(x)
+        for i, (theta, row) in enumerate(zip(thetas, x)):
+            psi = oscillator_eigenfunctions(row, f.shape[0])
+            if f.ndim == 1:
+                w[i] = psi**2 @ f
+            else:
+                v = np.exp(-1j * theta * np.arange(f.shape[0]))[:, None] * f
+                w[i] = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
+        return w
 
-    return ladder_moments(state), fock_basis
+    return ladder_moments(state), f.ndim == 1, fock_basis
 
 
 def _kink_angles(moments_a, moments_b) -> np.ndarray:
@@ -256,6 +325,15 @@ def _kink_angles(moments_a, moments_b) -> np.ndarray:
     return np.unique(np.mod(angles, 2.0 * math.pi))
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(m: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for m nodes, read-only: computed once per m."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _angular_rule(kinks: np.ndarray, nodes: int):
     """Nodes and weights on [0, 2 pi) for an integrand kinked at ``kinks``.
 
@@ -274,7 +352,7 @@ def _angular_rule(kinks: np.ndarray, nodes: int):
     counts[np.argsort(np.floor(share) - share)[: nodes - counts.sum()]] += 1
     thetas, weights = [], []
     for lo, length, m in zip(edges, lengths, counts):
-        t, w = np.polynomial.legendre.leggauss(int(m))
+        t, w = _gauss_legendre(int(m))
         thetas.append(lo + 0.5 * length * (t + 1.0))
         weights.append(0.5 * length * w)
     return np.concatenate(thetas), np.concatenate(weights)
@@ -302,17 +380,30 @@ def tomographic_distance(
     pointwise (Hellinger, Kolmogorov), so does the exact D; the computed
     values obey it up to quadrature error, since the nodes depend on the
     pair.
+
+    The nodes are evaluated in blocks of at most ``NODE_BLOCK`` grid
+    points, all of a block's rows at once, and D = sum of node weight x
+    d_kind.  When both states are diagonal in the Fock basis, both
+    tomograms, and so the grid and the integrand, are the same at every
+    angle: the rule is then the uniform one at a single node, theta = 0
+    with weight 2 pi, which is the angular integral exactly.
     """
     if kind not in DIVERGENCE_KINDS:
         raise StateValidationError(f"unknown divergence kind {kind!r}")
     if not 1 <= angular_nodes <= MAX_ANGULAR_NODES:
         raise StateValidationError(f"angular_nodes must lie in [1, {MAX_ANGULAR_NODES}], got {angular_nodes}")
-    (moments_a, tomogram_a), (moments_b, tomogram_b) = _marginals(spec_a), _marginals(spec_b)
-    thetas, tweights = _angular_rule(_kink_angles(moments_a, moments_b), angular_nodes)
-    total = 0.0
-    for theta, tw in zip(thetas, tweights):
-        (ma, sa), (mb, sb) = (quadrature_moments(m, theta) for m in (moments_a, moments_b))
-        x = default_x_grid(min(ma, mb), max(ma, mb), VACUUM_SIGMA, max(sa, sb))
-        total += tw * classical_divergence(tomogram_a(theta, x), tomogram_b(theta, x), kind)
-    return total
-
+    moments_a, diagonal_a, marginal_a = _marginals(spec_a)
+    moments_b, diagonal_b, marginal_b = _marginals(spec_b)
+    nodes = 1 if diagonal_a and diagonal_b else angular_nodes
+    thetas, tweights = _angular_rule(_kink_angles(moments_a, moments_b), nodes)
+    (ma, sa), (mb, sb) = quadrature_moments(moments_a, thetas), quadrature_moments(moments_b, thetas)
+    start, stop, num = _grid_rule(np.minimum(ma, mb), np.maximum(ma, mb), VACUUM_SIGMA, np.maximum(sa, sb))
+    rows = max(1, NODE_BLOCK // int(num.max()))
+    order = np.argsort(num, kind="stable")  # rows of like length share a block, so little of it is padding
+    d = np.empty(thetas.size)
+    for i in range(0, thetas.size, rows):
+        block = order[i:i + rows]
+        x, weights = _x_rows(start[block], stop[block], num[block])
+        (pa, _), (pb, _) = (_normalized(weights, marginal(thetas[block], x)) for marginal in (marginal_a, marginal_b))
+        d[block] = _divergences(weights, pa, pb, kind)
+    return float(tweights @ d)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qdist import DensityOperator
+from qdist import DensityOperator, Tomogram, classical_divergence
 from qdist.closed_forms import parse_metric
 from qdist.phase_space import oscillator_eigenfunctions, simpson_weights
-from qdist.states import coherent_amplitudes
+from qdist.states import coherent_amplitudes, quadrature_moments
+from qdist.tomography import VACUUM_SIGMA, _angular_rule, _kink_angles, _marginals, default_x_grid
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -150,6 +151,26 @@ def bessel_pp_distance(n1: float, n2: float, n: int = 1025) -> float:
     kernel = i0e(2.0 * rr * ss) * np.exp(-((rr - ss) ** 2))
     g = w * r * f
     return math.sqrt(max(4.0 * float(g @ kernel @ g), 0.0))
+
+
+def per_node_tomographic_distance(spec_a, spec_b, kind: str, angular_nodes: int = 64) -> float:
+    """``qdist.tomography.tomographic_distance`` one angular node at a time, every node of the rule.
+
+    The reference for the blocked evaluation: at each node its own
+    ``default_x_grid``, one ``Tomogram`` per state from a one-row call of
+    its marginal, and ``classical_divergence``, summed node by node; a
+    diagonal pair takes every node here too.
+    """
+    (moments_a, _, marginal_a), (moments_b, _, marginal_b) = _marginals(spec_a), _marginals(spec_b)
+    thetas, tweights = _angular_rule(_kink_angles(moments_a, moments_b), angular_nodes)
+    total = 0.0
+    for theta, tw in zip(thetas, tweights):
+        (ma, sa), (mb, sb) = (quadrature_moments(m, theta) for m in (moments_a, moments_b))
+        x = default_x_grid(min(ma, mb), max(ma, mb), VACUUM_SIGMA, max(sa, sb))
+        ta, tb = (Tomogram(math.cos(theta), math.sin(theta), x, marginal(np.array([theta]), x[None])[0])
+                  for marginal in (marginal_a, marginal_b))
+        total += tw * classical_divergence(ta, tb, kind)
+    return total
 
 
 @pytest.fixture

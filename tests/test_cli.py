@@ -273,12 +273,14 @@ class TestTomoCommand:
     @pytest.mark.parametrize("n", [511, 2000, 100_000])
     def test_number_state_level_is_bounded_before_any_table(self, capsys, monkeypatch, n):
         # fock:100000 once asked for a 341 GiB eigenfunction table
-        from qdist import tomography
+        from qdist import phase_space, tomography
 
         def refuse(*args):
             raise AssertionError("an eigenfunction table was built")
 
+        # the Fock-basis route's tables, and the levels of a number state's closed-form density
         monkeypatch.setattr(tomography, "oscillator_eigenfunctions", refuse)
+        monkeypatch.setattr(phase_space, "_oscillator_levels", refuse)
         code = main(["tomo-distance", "--a", f"fock:{n}", "--b", "fock:0"])
         err = capsys.readouterr().err
         assert code == 3
@@ -419,6 +421,14 @@ class TestBoundedAllocations:
         # the trace norm against a non-number pure state needs the dense mat, which stops at its cap
         argv = ("distance", "--a", "thermal:1", "--b", "coherent:1", "--metric", "jmg", "--dim", "60000")
         assert self.run_capped(*argv, env=env).returncode == 3
+
+    def test_angular_nodes_go_in_bounded_blocks(self):
+        # 4,096 nodes of up to about 11,300 X points each: held all at once, each array of them would
+        # take 370 MB; in blocks of NODE_BLOCK points the run stays inside the cap
+        argv = ("tomo-distance", "--a", "coherent:0", "--b", "coherent:100", "--nodes-angular", "4096")
+        proc = self.run_capped(*argv)
+        assert proc.returncode == 0
+        assert last_row(proc.stdout)[1] == "8.83548048102"
 
     def test_huge_dim_cap_is_a_parse_error(self):
         for spec in ("thermal:1", "phase:0.3", "coherent:1"):

@@ -89,11 +89,14 @@ def _callers(path, name):
 
 # The density types check their own mass; no producer integrates one itself.
 MASS_INTEGRALS = {
-    # Simpson weights on an X grid: the tomogram's own mass, the divergence, and
-    # the one v line integral of the Wigner route
+    # Simpson weights on an X grid: a single tomogram's grid, the divergence's, the rows of a block
+    # of angular nodes, and the one v line integral of the Wigner route
     ("tomography.py", "simpson_weights"): {
-        "Tomogram.__post_init__": 1, "classical_divergence": 1, "marginal_from_wigner": 1,
+        "Tomogram.__post_init__": 1, "classical_divergence": 1, "_x_rows": 1, "marginal_from_wigner": 1,
     },
+    # the one row-wise mass check of a tomogram: a single one's row, and every block of a distance's
+    # nodes; no marginal integrates its own mass
+    ("tomography.py", "_normalized"): {"Tomogram.__post_init__": 1, "tomographic_distance": 1},
     ("phase_space.py", "grid_integral"): {"QuasiDistribution.__post_init__": 1, "hs_from_phase_space": 2},
 }
 

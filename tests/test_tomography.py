@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import annihilation, dense_moments
+from conftest import annihilation, dense_moments, per_node_tomographic_distance
 
 from qdist import (
     StateSpec,
@@ -20,7 +20,8 @@ from qdist import (
 )
 from qdist.errors import GridError, StateValidationError, UnsupportedCombinationError
 from qdist.phase_space import PhaseGrid, p_function_thermal, simpson_weights
-from qdist.tomography import _angular_rule, _kink_angles, _marginals, default_x_grid
+from qdist import tomography
+from qdist.tomography import MAX_ANGULAR_NODES, _angular_rule, _kink_angles, _marginals, default_x_grid
 
 
 def vacuum_spec():
@@ -143,6 +144,15 @@ def _narrow(n=101):
     return np.linspace(-1.0, 1.0, n)
 
 
+def _wide(n=101):
+    return np.linspace(-2.0, 2.0, n)
+
+
+def _fock_basis_row(spec, theta, x):
+    """The state's unnormalized marginal at one angle on one X grid: a one-row block."""
+    return _marginals(spec)[2](np.array([theta]), x[None])[0]
+
+
 class TestMassBand:
     """Every grid density checks its mass against the one band ``MASS_TOL`` when it is built."""
 
@@ -151,8 +161,8 @@ class TestMassBand:
         [
             # a vacuum tomogram on a grid whose lower edge sits 1.5 sigma below the mean
             lambda: marginal_analytic(vacuum_spec(), 1.0, 0.0, default_x_grid(0.0, 0.0, math.sqrt(0.5)) + 6.0),
-            # mass about 0.79: once renormalized without a word
-            lambda: _marginals(parse_state_spec("thermal:2"))[1](0.0, np.linspace(-2.0, 2.0, 101)),
+            # mass about 0.79: once renormalized without a word; one row of the Fock-basis marginal
+            lambda: Tomogram(1.0, 0.0, _wide(), _fock_basis_row(parse_state_spec("thermal:2"), 0.0, _wide())),
             lambda: marginal_from_wigner(wigner(fock(0, 8)), 1.0, 0.0, _narrow()),
             lambda: wigner(fock(0, 8), PhaseGrid(-1.5, 1.5, -1.5, 1.5, 33, 33)),
             lambda: p_function_thermal(1.0, PhaseGrid(-2.0, 2.0, -2.0, 2.0, 33, 33)),
@@ -273,7 +283,7 @@ class TestTomographicDistance:
         qd = wigner(as_density(a, adaptive_dim(a)))
         x = default_x_grid(0.0, 0.0, math.sqrt(0.5), 2.0)
         for theta in (0.0, 0.7, 2.0):
-            tf = _marginals(a)[1](theta, x)
+            tf = Tomogram(math.cos(theta), math.sin(theta), x, _fock_basis_row(a, theta, x))
             tw = marginal_from_wigner(qd, math.cos(theta), math.sin(theta), x)
             assert np.abs(tf.w - tw.w).max() < 1e-4
             assert tf.quadrature_defect < 1e-10
@@ -342,6 +352,102 @@ class TestTomographicDistance:
             StateSpec("fock", {"n": 0}), StateSpec("fock", {"n": 1}), "hellinger", angular_nodes=16
         )
         assert 0.0 < d <= 2.0 * math.pi * math.sqrt(2.0)
+
+
+KINDS = ("hellinger", "kolmogorov", "bhattacharyya", "kullback")
+GENCOH = StateSpec("generalized_coherent", {"alpha": 0.6 + 0.2j, "phases": list(np.linspace(0.0, 3.0, 64) ** 2)})
+
+
+def _spec(text):
+    return GENCOH if text == "gencoh" else parse_state_spec(text)
+
+
+class TestBlockedNodes:
+    """The blocked evaluation of ``tomographic_distance`` against the per-node loop of ``conftest``."""
+
+    PAIRS = {
+        # split at the angles where the means meet
+        "kinked": [("coherent:0.3,0.4", "coherent:1.1,-0.2"), ("cat:1.2,0,0", "coherent:0.8"),
+                   ("phase:0.4", "coherent:0.5"), ("gencoh", "coherent:0.4"), ("coherent:0.7", "fock:2"),
+                   ("thermal:0.7", "coherent:0.5,0.2")],
+        # equal means: split where the variances meet
+        "variance-kinked": [("squeezed:0.4", "squeezed:0.1,0.25")],
+        # equal means, variances that never meet: the uniform rule
+        "unkinked": [("squeezed:0.2", "fock:3"), ("squeezed:0.3", "thermal:2")],
+        # both states diagonal: one node
+        "diagonal": [("fock:0", "fock:2"), ("thermal:0.5", "fock:1"), ("thermal:0.5", "thermal:2"),
+                     ("coherent:0", "fock:1")],
+    }
+    CASES = [(a, b, kind) for pairs in PAIRS.values() for a, b in pairs for kind in KINDS]
+
+    @staticmethod
+    def _rows(monkeypatch):
+        """Marginal rows evaluated, per call, once ``_marginals`` is wrapped to count them."""
+        rows, marginals = [], tomography._marginals
+
+        def counted(spec):
+            moments, diagonal, marginal = marginals(spec)
+
+            def count(thetas, x):
+                rows.append(len(thetas))
+                return marginal(thetas, x)
+
+            return moments, diagonal, count
+
+        monkeypatch.setattr(tomography, "_marginals", counted)
+        return rows
+
+    @pytest.mark.parametrize("a, b, kind", CASES)
+    def test_blocks_match_the_per_node_loop(self, a, b, kind):
+        spec_a, spec_b = _spec(a), _spec(b)
+        ref = per_node_tomographic_distance(spec_a, spec_b, kind)
+        assert tomographic_distance(spec_a, spec_b, kind) == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("nodes", [1, 7, 64, 257])
+    @pytest.mark.parametrize("a, b", [("coherent:0.3,0.4", "coherent:1.1,-0.2"), ("squeezed:0.4", "squeezed:0.1,0.25"),
+                                      ("squeezed:0.3", "thermal:2"), ("cat:1.2,0,0", "coherent:0.8")])
+    def test_every_node_count_matches_the_per_node_loop(self, a, b, nodes):
+        spec_a, spec_b = _spec(a), _spec(b)
+        ref = per_node_tomographic_distance(spec_a, spec_b, "hellinger", nodes)
+        got = tomographic_distance(spec_a, spec_b, "hellinger", nodes)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("a, b, block", [("coherent:0", "coherent:20", None), ("coherent:0", "coherent:20", 3000),
+                                             ("thermal:0.7", "coherent:0.5,0.2", 3000)])
+    def test_nodes_spanning_several_blocks_match_the_per_node_loop(self, monkeypatch, a, b, block):
+        # coherent:0 vs coherent:20 has rows of up to about 3,100 points, so its 64 nodes fill 13 blocks
+        # of NODE_BLOCK points; a block of 3,000 points holds one such row, or two of the other pair's
+        if block is not None:
+            monkeypatch.setattr(tomography, "NODE_BLOCK", block)
+        spec_a, spec_b = _spec(a), _spec(b)
+        ref = per_node_tomographic_distance(spec_a, spec_b, "kullback")
+        rows = self._rows(monkeypatch)
+        got = tomographic_distance(spec_a, spec_b, "kullback")
+        assert len(rows) > 2 and sum(rows) == 128
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("a, b", PAIRS["diagonal"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_diagonal_pair_takes_one_node(self, monkeypatch, a, b, kind):
+        # both tomograms, and so the grid and the integrand, are the same at every angle
+        spec_a, spec_b = _spec(a), _spec(b)
+        ref = per_node_tomographic_distance(spec_a, spec_b, kind, 64)
+        rows = self._rows(monkeypatch)
+        got = tomographic_distance(spec_a, spec_b, kind)
+        assert rows == [1, 1]
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b", [("fock:1", "squeezed:0.3"), ("thermal:0.5", "coherent:0.3")])
+    def test_a_pair_with_one_non_diagonal_state_keeps_every_node(self, monkeypatch, a, b):
+        rows = self._rows(monkeypatch)
+        tomographic_distance(_spec(a), _spec(b), "hellinger")
+        assert sum(rows) == 128
+
+    def test_gauss_legendre_panels_are_read_only_and_bounded(self):
+        t, w = tomography._gauss_legendre(17)
+        assert tomography._gauss_legendre(17)[0] is t
+        assert not t.flags.writeable and not w.flags.writeable
+        assert tomography._gauss_legendre.cache_info().maxsize < MAX_ANGULAR_NODES
 
 
 class TestCsvExports:
