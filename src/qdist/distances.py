@@ -91,7 +91,8 @@ def _delta_sq(r1, r2, p: float = 1.0, k: int = 0) -> np.ndarray:
 
     A pure pair is its own power: with d = a - c b from ``_aligned`` and B = [2a - d, d] = [a + c b, d],
     rho1 - rho2 = B J B^dag / 2 (J the 2 x 2 swap), whose square is B (J B^dag B J / 4) B^dag.  Two 1-d
-    factors square p1^p - p2^p; any other pair expands X X + Y Y - X Y - Y X, exactly 0 when X = Y bit for bit.
+    factors square p1^p - p2^p, at p != 1 as p2^p expm1(p log1p((p1 - p2) / p2)) where the populations lie
+    within a factor of 2, so p1 - p2 is exact; any other pair expands X X + Y Y - X Y - Y X, exactly 0 when X = Y.
     """
     _check_dims(r1, r2)
     if _pure_pair(r1, r2):
@@ -100,7 +101,13 @@ def _delta_sq(r1, r2, p: float = 1.0, k: int = 0) -> np.ndarray:
         return _row_products(basis @ (basis.conj().T @ basis)[::-1, ::-1] / 4.0, basis, k)
     x, y = r1.factor(p), r2.factor(p)
     if x.ndim == 1 and y.ndim == 1:
-        return _product_diagonal(x - y, x - y, k)
+        d = x - y
+        if p != 1.0:
+            pa, pb = (np.maximum(r.populations, 0.0) for r in (r1, r2))  # clamped as DensityOperator.factor
+            near = (pb > 0.0) & (0.5 * pb <= pa) & (pa <= 2.0 * pb)
+            pa, pb = pa[near], pb[near]
+            d[near] = pb**p * np.expm1(p * np.log1p((pa - pb) / pb))
+        return _product_diagonal(d, d, k)
     return (_product_diagonal(x, x, k) + _product_diagonal(y, y, k)
             - _product_diagonal(x, y, k) - _product_diagonal(y, x, k))
 

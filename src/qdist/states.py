@@ -25,7 +25,6 @@ nature of pure states.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 from collections.abc import Callable
@@ -545,19 +544,6 @@ def _thermal_tail(spec: StateSpec, k: np.ndarray) -> np.ndarray:
     return (spec.params["nbar"] / (1.0 + spec.params["nbar"])) ** k
 
 
-def _fock_ladder(spec: StateSpec) -> tuple:
-    adaptive_dim(spec)  # bounds a number state, as on every other route, before any eigenfunction table
-    return 0j, 0j, float(spec.params["n"])
-
-
-def _fock_density(spec, mu, nu, x) -> np.ndarray:
-    from .phase_space import _oscillator_levels  # phase_space imports this module
-
-    r = np.sqrt(mu * mu + nu * nu)
-    level = next(itertools.islice(_oscillator_levels(x / r), spec.params["n"], None))
-    return level**2 / r
-
-
 def _coherent_density(spec, mu, nu, x) -> np.ndarray:
     a, r2 = spec.params["alpha"], mu * mu + nu * nu
     w = x - math.sqrt(2.0) * (mu * a.real + nu * a.imag)
@@ -576,8 +562,10 @@ class Family:
     ``phases(spec, dim)`` is attached; ``tail(spec, k)`` is the closed-form mass on levels >= k;
     populations past ``horizon(spec, dim)`` are below 1e-25; ``ladder(spec)`` gives <a>, <a^2>,
     <adag a> and ``density(spec, mu, nu, x)`` that of the quadrature mu q + nu p, in closed form,
-    entrywise for arrays that broadcast.  Where ``ladder`` gives <a> = <a^2> = 0 exactly, the
-    state must be diagonal in the Fock basis (a number state or the vacuum), so that ``density``
+    entrywise for arrays that broadcast.  A family sets both or neither; ``tomography`` reads them
+    in place of a built state, which only the coherent family needs (its Poisson spread can pass
+    every feasible dim).  Where ``ladder`` gives <a> = <a^2> = 0 exactly, the state must be
+    diagonal in the Fock basis (of the coherent family, the vacuum alone), so that ``density``
     depends on (mu, nu) through mu^2 + nu^2 alone: ``tomography`` then evaluates it at one angle.
     """
 
@@ -598,7 +586,7 @@ FAMILIES = {
         "fock", lambda f: {"n": int(_fields(f, 1, "fock takes exactly one integer")[0])},
         ((lambda p: isinstance(p.get("n"), int) and p["n"] >= 0, "an integer n >= 0"),),
         lambda spec, n: np.eye(1, n, spec.params["n"], dtype=complex)[0],
-        tail=lambda spec, k: (k <= spec.params["n"]).astype(float), ladder=_fock_ladder, density=_fock_density,
+        tail=lambda spec, k: (k <= spec.params["n"]).astype(float),
     ),
     "coherent": Family(
         "coherent", lambda f: {"alpha": _parse_complex(f, "alpha")}, _ALPHA_CHECKS, _coherent_levels,

@@ -1,13 +1,14 @@
 """Quadrature tomograms and classical-like distances built on them.
 
 A tomogram w_{mu nu}(X) is the probability density of the quadrature
-mu*q + nu*p.  ``_marginals`` picks each state's route from its family's
-record: the closed forms of the record's ``density`` for number and
-coherent states, and for any other state the Fock-basis form of the
+mu*q + nu*p.  ``_marginals`` is the one route to it: a coherent state
+reads the closed-form Gaussian of its family record's ``density``, and
+every other state, number states included, the Fock-basis form of the
 unit-radius marginal, w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>
 (Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), from the
-oscillator eigenfunctions and the state's factor.  ``marginal_from_wigner``,
-a numerical line integral of a Wigner grid, stays as an independent reference.
+oscillator eigenfunctions and the state's factor; ``marginal_analytic`` is
+its one-row case at any (mu, nu).  ``marginal_from_wigner``, a numerical
+line integral of a Wigner grid, stays as an independent reference.
 
 The distance between two states averages a classical divergence between
 their tomogram families over the (mu, nu) plane with the normalized
@@ -20,7 +21,7 @@ uniform rule down to O(nodes^-2) (Trefethen & Weideman, SIAM Rev. 56
 (2014)).  So the angular nodes are Gauss-Legendre panels split at the
 angles where the tomograms can coincide, read off the states' first and
 second moments <a>, <a^2> and <adag a> (``states.ladder_moments``, or
-closed forms for number and coherent states); a pair with no such angle
+closed forms for coherent states); a pair with no such angle
 keeps the uniform (trapezoidal, spectrally accurate on the periodic
 angle) rule.  The same moments place each node's X grid.  Because the
 nodes depend on the pair, the computed distances obey the triangle
@@ -29,9 +30,9 @@ inequality up to quadrature error.
 The nodes are evaluated as blocks of 2-d arrays, one row per node: one
 padded array of X grids (``_x_rows``, whose one-row case is
 ``default_x_grid``) with zero Simpson weights on the padding, each
-state's marginals over the whole block (the Fock-basis route builds one
-points x dim eigenfunction table per row), one normalization that checks
-every row's mass (``_normalized``, which ``Tomogram`` also calls) and one
+state's marginals over the whole block (the Fock-basis route walks the
+eigenfunction levels once over it and builds no table), one normalization
+that checks every row's mass (``_normalized``, which ``Tomogram`` also calls) and one
 row-wise divergence (``_divergences``, which ``classical_divergence``
 also calls).  A block holds at most ``NODE_BLOCK`` grid points.  A state
 diagonal in the Fock basis has the same tomogram at every angle, since
@@ -55,7 +56,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .phase_space import MASS_TOL, QuasiDistribution, oscillator_eigenfunctions, simpson_weights
+from .phase_space import MASS_TOL, QuasiDistribution, _oscillator_levels, simpson_weights
 from .states import (
     FAMILIES, StateSpec, adaptive_dim, build_state, ladder_moments, quadrature_moments,
 )
@@ -167,20 +168,19 @@ def default_x_grid(mean_lo: float, mean_hi: float, sigma: float, sigma_max: floa
 
 
 def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> Tomogram:
-    """Closed-form tomogram of a number or coherent state: its family record's ``density``.
+    """Tomogram of any state at (mu, nu): the one-row case of ``_marginals``.
 
-    Vacuum and coherent states give Gaussians of variance
-    (mu^2 + nu^2)/2; the number state |n> gives psi_n(X/r)^2 / r with
-    psi_n the oscillator eigenfunction and r^2 = mu^2 + nu^2.
+    With r^2 = mu^2 + nu^2 and theta = atan2(nu, mu) it is w_theta(X/r)/r,
+    w_theta the unit-radius marginal: a Gaussian of variance
+    (mu^2 + nu^2)/2 for the vacuum and coherent states, psi_n(X/r)^2 / r
+    for the number state |n>, psi_n the oscillator eigenfunction.
     """
-    r2 = mu * mu + nu * nu
-    if r2 <= 1e-12:
+    r = math.hypot(mu, nu)
+    if r * r <= 1e-12:
         raise StateValidationError("(mu, nu) must not vanish")
     x = np.asarray(x, dtype=float)
-    density = FAMILIES[spec.family].density
-    if density is None:
-        raise UnsupportedCombinationError(f"no closed-form tomogram for {spec.family!r}")
-    return Tomogram(mu, nu, x, density(spec, mu, nu, x))
+    w = _marginals(spec)[2](np.array([math.atan2(nu, mu)]), x[None] / r)[0] / r
+    return Tomogram(mu, nu, x, w)
 
 
 def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndarray) -> Tomogram:
@@ -262,21 +262,20 @@ def _marginals(spec: StateSpec):
     """The state's ladder moments (<a>, <a^2>, <adag a>), whether it is diagonal, and its marginal.
 
     The marginal w(thetas, x) gives the unnormalized unit-radius tomogram
-    at each angle of ``thetas`` on the matching row of ``x``.  Number and
-    coherent states read their record's closed-form ladder moments and
-    ``density``, over the whole block at once; a number state is bounded
-    by ``adaptive_dim``, as on every other route, before any
-    eigenfunction is evaluated, and such a state is diagonal exactly when
-    <a> = <a^2> = 0 (a number state or the vacuum; see ``states.Family``).
-    Any other state reads <X| e^{-i theta N} rho e^{i theta N} |X> in the
-    Fock basis off its factor (``fock_core``), one points x dim
-    eigenfunction table per row, and is diagonal exactly when the factor
-    is 1-d.  A 2-d W gives w_theta(X) = sum_j |sum_n psi_n(X) e^{-i n theta} W_nj|^2,
-    one column for a pure state; a 1-d factor, the populations p_n, gives
-    the same marginal at every angle: w(X) = sum_n p_n psi_n(X)^2.
+    at each angle of ``thetas`` on the matching row of ``x``.  A coherent
+    state reads its record's closed-form ladder moments and ``density``
+    (see ``states.Family``); the vacuum alone has <a> = <a^2> = 0 and is
+    diagonal.  Every other state, number states included, is bounded by
+    ``adaptive_dim``, as on every other route, before any eigenfunction
+    is evaluated, is diagonal exactly when its factor (``fock_core``) is
+    1-d, and reads <X| e^{-i theta N} rho e^{i theta N} |X> off that
+    factor in one walk of the eigenfunction levels over the whole block:
+    w(X) = sum_n p_n psi_n(X)^2 at every angle for the populations p_n,
+    w_theta(X) = |sum_n psi_n(X) e^{-i n theta} c_n|^2 for a pure state's
+    one column c, with e^{-i n theta} evaluated afresh at each level.
     """
     family = FAMILIES[spec.family]
-    if family.ladder is not None:
+    if family.density is not None:
         moments = family.ladder(spec)
         return moments, moments[0] == 0 and moments[1] == 0, lambda thetas, x: family.density(
             spec, np.cos(thetas)[:, None], np.sin(thetas)[:, None], x)
@@ -284,15 +283,18 @@ def _marginals(spec: StateSpec):
     f = state.factor(1.0)
 
     def fock_basis(thetas, x):
-        w = np.empty_like(x)
-        for i, (theta, row) in enumerate(zip(thetas, x)):
-            psi = oscillator_eigenfunctions(row, f.shape[0])
-            if f.ndim == 1:
-                w[i] = psi**2 @ f
-            else:
-                v = np.exp(-1j * theta * np.arange(f.shape[0]))[:, None] * f
-                w[i] = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
-        return w
+        levels = zip(f, _oscillator_levels(x))
+        if f.ndim == 1:
+            w = np.zeros_like(x)
+            for pn, level in levels:
+                w += pn * level**2
+            return w
+        re, im = np.zeros_like(x), np.zeros_like(x)
+        for n, ((cn,), level) in enumerate(levels):  # a pure state's factor is one column
+            rotated = np.exp(-1j * thetas * n) * cn
+            re += rotated.real[:, None] * level
+            im += rotated.imag[:, None] * level
+        return re * re + im * im
 
     return ladder_moments(state), f.ndim == 1, fock_basis
 

@@ -6,7 +6,7 @@ import pytest
 from qdist import DensityOperator, Tomogram, classical_divergence
 from qdist.closed_forms import parse_metric
 from qdist.phase_space import oscillator_eigenfunctions, simpson_weights
-from qdist.states import coherent_amplitudes, quadrature_moments
+from qdist.states import adaptive_dim, build_state, coherent_amplitudes, quadrature_moments
 from qdist.tomography import VACUUM_SIGMA, _angular_rule, _kink_angles, _marginals, default_x_grid
 
 
@@ -151,6 +151,33 @@ def bessel_pp_distance(n1: float, n2: float, n: int = 1025) -> float:
     kernel = i0e(2.0 * rr * ss) * np.exp(-((rr - ss) ** 2))
     g = w * r * f
     return math.sqrt(max(4.0 * float(g @ kernel @ g), 0.0))
+
+
+def table_marginals(spec, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The unnormalized unit-radius marginal of a non-coherent spec, one eigenfunction table per row.
+
+    The reference for the Fock-basis route of ``qdist.tomography._marginals``,
+    which walks the eigenfunction levels once over the whole block: per
+    row, the points x dim table ``oscillator_eigenfunctions(row, dim)``
+    against the state's factor, and for the number state |n> the closed
+    form psi_n(X/r)^2 / r at r = |(cos theta, sin theta)|.
+    """
+    w = np.empty_like(x)
+    if spec.family == "fock":
+        n = spec.params["n"]
+        for i, (theta, row) in enumerate(zip(thetas, x)):
+            r = math.sqrt(math.cos(theta) ** 2 + math.sin(theta) ** 2)
+            w[i] = oscillator_eigenfunctions(row / r, n + 1)[:, n] ** 2 / r
+        return w
+    f = build_state(spec, adaptive_dim(spec)).factor(1.0)
+    for i, (theta, row) in enumerate(zip(thetas, x)):
+        psi = oscillator_eigenfunctions(row, f.shape[0])
+        if f.ndim == 1:
+            w[i] = psi**2 @ f
+        else:
+            v = np.exp(-1j * theta * np.arange(f.shape[0]))[:, None] * f
+            w[i] = ((psi @ v.real) ** 2 + (psi @ v.imag) ** 2).sum(axis=1)
+    return w
 
 
 def per_node_tomographic_distance(spec_a, spec_b, kind: str, angular_nodes: int = 64) -> float:

@@ -273,14 +273,13 @@ class TestTomoCommand:
     @pytest.mark.parametrize("n", [511, 2000, 100_000])
     def test_number_state_level_is_bounded_before_any_table(self, capsys, monkeypatch, n):
         # fock:100000 once asked for a 341 GiB eigenfunction table
-        from qdist import phase_space, tomography
+        from qdist import tomography
 
         def refuse(*args):
             raise AssertionError("an eigenfunction table was built")
 
-        # the Fock-basis route's tables, and the levels of a number state's closed-form density
-        monkeypatch.setattr(tomography, "oscillator_eigenfunctions", refuse)
-        monkeypatch.setattr(phase_space, "_oscillator_levels", refuse)
+        # the eigenfunction levels the Fock-basis route walks, a number state's included
+        monkeypatch.setattr(tomography, "_oscillator_levels", refuse)
         code = main(["tomo-distance", "--a", f"fock:{n}", "--b", "fock:0"])
         err = capsys.readouterr().err
         assert code == 3

@@ -378,6 +378,18 @@ def test_thermal_neighbour_of_the_thermal_vacuum_keeps_its_bures_digits(nbar):
     assert abs(evaluate_metric("bu", a, b).value - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("metric", ["bu", "dn-sqrt", "hs-p:0.3"])
+@pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-8])
+def test_close_thermal_populations_keep_their_digits(metric, gap):
+    # p1^p - p2^p of populations within a factor of 2 is p2^p expm1(p log1p((p1 - p2) / p2)); the
+    # difference of the two rounded powers lost 3.8e-9 of bu at thermal:1 vs thermal:1.00000001
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    a, b = build_pair(parse_state_spec("thermal:1"), parse_state_spec(f"thermal:{1 + gap!r}"), dim=160)
+    exact = float(_diagonal_pair_mp(mp, metric, a, b))
+    assert abs(evaluate_metric(metric, a, b).value - exact) <= 1e-12 * exact
+
+
 def _pure_pair_mp(mp, a, b):
     """hs, dn, DZ, Da and minimal of two pure states, in the mpmath context ``mp``.
 

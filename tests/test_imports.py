@@ -128,12 +128,23 @@ def test_phase_space_builds_each_table_in_one_place(name):
     assert _callers(PACKAGE / "phase_space.py", name) == ONCE_PER_CALL[name]
 
 
-# One dispatch per decision: tomography picks a state's marginal route in ``_marginals``
-# (``marginal_analytic`` checks the family it is handed), and one function checks that two
-# states share a dim; the polarization weights and the moment tables have checks of their own.
+# One dispatch per decision: tomography picks a state's marginal route in ``_marginals`` alone
+# (``marginal_analytic`` is its one-row case), and one function checks that two states share a
+# dim; the polarization weights and the moment tables have checks of their own.
 def test_tomography_picks_marginals_in_one_place():
     readers = _scopes(PACKAGE / "tomography.py", lambda node: isinstance(node, ast.Attribute) and node.attr == "family")
-    assert set(readers) <= {"_marginals", "marginal_analytic"}, sorted(readers)
+    assert set(readers) <= {"_marginals"}, sorted(readers)
+
+
+# One tomogram route: the Fock-basis marginal walks the eigenfunction levels once over a block of
+# angular nodes, in ``_marginals``, and builds no eigenfunction table.
+def test_tomography_streams_eigenfunction_levels_in_one_place():
+    path = PACKAGE / "tomography.py"
+    tables = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if "oscillator_eigenfunctions" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                                 getattr(node, "name", None))]
+    assert not tables, f"tomography.py names oscillator_eigenfunctions at lines {tables}"
+    assert {scope.split(".")[0] for scope in _callers(path, "_oscillator_levels")} == {"_marginals"}
 
 
 # One diagonal rule: ``fock_core`` alone says whether rho^p is diagonal, by making ``factor(p)`` 1-d; a
@@ -237,9 +248,9 @@ def test_no_kernel_inspects_a_factors_entries(module):
 
 
 # One pair rule: ``states.build_pair`` sizes and builds every pair, and ``tomography._marginals`` its one
-# state; ``_fock_ladder`` bounds a number state.  A bare module name admits every function in it.
+# state.  A bare module name admits every function in it.
 SIZERS = {
-    "adaptive_dim": {"states.build_pair", "states._fock_ladder", "tomography._marginals"},
+    "adaptive_dim": {"states.build_pair", "tomography._marginals"},
     "build_state": {"states", "tomography._marginals"},
 }
 

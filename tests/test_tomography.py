@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import annihilation, dense_moments, per_node_tomographic_distance
+from conftest import annihilation, dense_moments, per_node_tomographic_distance, table_marginals
 
 from qdist import (
     StateSpec,
@@ -18,8 +18,9 @@ from qdist import (
     tomographic_distance,
     wigner,
 )
-from qdist.errors import GridError, StateValidationError, UnsupportedCombinationError
+from qdist.errors import GridError, StateValidationError
 from qdist.phase_space import PhaseGrid, p_function_thermal, simpson_weights
+from qdist.states import quadrature_moments
 from qdist import tomography
 from qdist.tomography import MAX_ANGULAR_NODES, _angular_rule, _kink_angles, _marginals, default_x_grid
 
@@ -97,10 +98,14 @@ class TestAnalyticMarginals:
         w = simpson_weights(x.size, x[1] - x[0])
         assert float(w @ tom.w) == pytest.approx(1.0, abs=1e-10)
 
-    def test_unsupported_family(self):
-        x = default_x_grid(0.0, 0.0, 1.0)
-        with pytest.raises(UnsupportedCombinationError):
-            marginal_analytic(StateSpec("thermal", {"nbar": 1.0}), 1.0, 0.0, x)
+    @pytest.mark.parametrize("nbar, mu, nu", [(0.3, 1.0, 0.0), (1.0, 0.6, -0.8), (2.5, 1.2, 0.9)])
+    def test_thermal_is_a_gaussian(self, nbar, mu, nu):
+        # every family has a marginal: a thermal state's is the Gaussian of variance r^2 (nbar + 1/2)
+        var = (mu * mu + nu * nu) * (nbar + 0.5)
+        x = default_x_grid(0.0, 0.0, math.sqrt(var))
+        tom = marginal_analytic(StateSpec("thermal", {"nbar": nbar}), mu, nu, x)
+        expect = np.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        assert np.abs(tom.w - expect).max() < 1e-10
 
     def test_zero_direction_rejected(self):
         x = default_x_grid(0.0, 0.0, 1.0)
@@ -360,6 +365,22 @@ GENCOH = StateSpec("generalized_coherent", {"alpha": 0.6 + 0.2j, "phases": list(
 
 def _spec(text):
     return GENCOH if text == "gencoh" else parse_state_spec(text)
+
+
+class TestStreamedMarginals:
+    """The Fock-basis route of ``_marginals``, one walk over a block, against the per-row tables of ``conftest``."""
+
+    @pytest.mark.parametrize("text", ["fock:0", "fock:3", "fock:40", "thermal:0.7", "thermal:6", "squeezed:0.4,0.2",
+                                      "cat:1.2,0.3,0.5", "phase:0.4,0.2", "gencoh"])
+    def test_block_matches_the_per_row_tables(self, text):
+        spec = _spec(text)
+        moments, _, marginal = _marginals(spec)
+        thetas = np.array([0.0, 0.4, 1.3, 2.9, 4.4])
+        mean, sigma = quadrature_moments(moments, thetas)
+        # rows of different lengths, so all but the longest run on into padding
+        x, _ = tomography._x_rows(mean - 10.0 * sigma, mean + 10.0 * sigma, np.array([1025, 1201, 1103, 1301, 1025]))
+        ref = table_marginals(spec, thetas, x)
+        assert np.abs(marginal(thetas, x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestBlockedNodes:
