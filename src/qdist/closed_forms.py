@@ -85,7 +85,10 @@ def squeezed_pair(zeta1: complex, zeta2: complex) -> dict:
     m1, m2 = _abs2(zeta1), _abs2(zeta2)
     root = math.sqrt((1.0 - m1) * (1.0 - m2))
     hs = SQRT2 * abs(zeta1 - zeta2) / math.sqrt(denom * (denom + root))
-    dn_sq = m1 / (1.0 - m1) + m2 / (1.0 - m2) + 2.0 * (_abs2(zz) - zz.real) / denom**3 * root
+    # m1/(1-m1) + m2/(1-m2) - 2 (Re zz - |zz|^2) root/denom^3 without cancellation, by denom^2 = root^2 + g^2,
+    # g = |zeta1 - zeta2|: it is g^2/root^2 times 1 + 2 (Re zz - |zz|^2)(denom^3 - root^3)/(g^2 denom^3)
+    spread = (denom * denom + denom * root + root * root) / ((denom + root) * denom**3)
+    dn_sq = _abs2(zeta1 - zeta2) / (root * root) * (1.0 + 2.0 * (zz.real - _abs2(zz)) * spread)
     values = {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": math.sqrt(root / denom)}
     phase_gap = abs((zeta1 * zeta2.conjugate()).imag) if abs(zeta1) * abs(zeta2) > 0 else 0.0
     if phase_gap < 1e-12:
@@ -151,16 +154,13 @@ def phase_pair(eps1: complex, eps2: complex) -> dict:
         raise StateValidationError("phase-state parameters must satisfy |eps| < 1")
     eps1, eps2 = complex(eps1), complex(eps2)
     ee = eps1 * eps2.conjugate()
-    hs = SQRT2 * abs(eps1 - eps2) / abs(1.0 - ee)
-    m1, m2 = _abs2(eps1), _abs2(eps2)
-    denom = (1.0 - 2.0 * ee.real + m1 * m2) ** 2
-    dn_sq = (
-        m1 / (1.0 - m1)
-        + m2 / (1.0 - m2)
-        + 2.0 * (1.0 - m1) * (1.0 - m2) * (m1 * m2 - ee.real) / denom
-    )
-    overlap = math.sqrt((1.0 - m1) * (1.0 - m2)) / abs(1.0 - ee)
-    return {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": overlap}
+    denom = abs(1.0 - ee)
+    root = math.sqrt((1.0 - _abs2(eps1)) * (1.0 - _abs2(eps2)))
+    hs = SQRT2 * abs(eps1 - eps2) / denom
+    # m1/(1-m1) + m2/(1-m2) - 2 root^2 (Re ee - |ee|^2)/denom^4 split as in squeezed_pair, by
+    # denom^4 - root^4 = g^2 (denom^2 + root^2)
+    dn_sq = _abs2(eps1 - eps2) / (root * root) * (1.0 + 2.0 * (ee.real - _abs2(ee)) * (denom**2 + root**2) / denom**4)
+    return {"hs": hs, "dN": math.sqrt(max(dn_sq, 0.0)), "overlap": root / denom}
 
 
 def thermal_pair(nbar1: float, nbar2: float) -> dict:

@@ -13,10 +13,13 @@ lies on the even fine nodes for even u/dq and on the odd ones otherwise,
 so the fine-grid position matrix is formed as its two parity halves,
 half the work and memory of the whole, and every product runs in real
 arithmetic, cos and sin of p u in place of complex exponentials.  The
-Wigner form of the HS distance steps its grid by the states' smallest
-quadrature spread (``states.quadrature_sigma_min``) and fringe scale.
-The Wigner grid reads a state's ``mat``, ``populations`` and ``dim``,
-so it takes a state of any kind.  The Husimi grid reads the state's
+same aliasing bound holds for ``grid_integral``'s uniform trapezoid
+weights, so the ``wigner`` and ``qp`` forms run on ``_nyquist_grid``,
+with 2*pi/dq >= 2 band, since squaring W doubles its bandwidth; the
+``qp`` form's band is its thermal P function's, a Gaussian narrower in
+phase space, so wider in frequency, than its Q function.  The
+Wigner grid reads a state's ``mat``, ``populations`` and ``dim``, so it
+takes a state of any kind.  The Husimi grid reads the state's
 factor (``fock_core``) instead: a 1-d factor, a diagonal state's
 populations, against the Poisson weights |<n|alpha>|^2
 (``states.poisson_weights``); the columns of a 2-d one against
@@ -42,14 +45,13 @@ import numpy as np
 
 from .errors import GridError, StateValidationError, UnsupportedCombinationError
 from .fock_core import _clamped_sqrt
-from .states import (
-    StateSpec, build_pair, coherent_amplitudes, ladder_moments, poisson_weights, quadrature_sigma_min,
-)
+from .states import StateSpec, build_pair, coherent_amplitudes, poisson_weights
 
 MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wigner and P functions
 # points x levels a Husimi chunk holds: 16,384 points up to dim 512, fewer above
 HUSIMI_BLOCK = 16384 * 512
 OCCUPIED_CUT = 1e-14  # a level at or below this population is left out of the Wigner bandwidth check
+MAX_GRID_POINTS = 3073  # per axis, a refusal bound: at dim 2,020 a 3,036-point grid's tables peak near 0.9 GB
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,14 @@ class QuasiDistribution:
         object.__setattr__(self, "values", v)
 
 
+def _span(dim: int) -> float:
+    """sqrt(2 dim) + 4, the half-width of the default working window."""
+    return math.sqrt(2.0 * dim) + 4.0
+
+
 def default_grid(dim: int, n: int = 257) -> PhaseGrid:
-    """Square grid over +-(sqrt(2 dim) + 4), the default working window."""
-    span = math.sqrt(2.0 * dim) + 4.0
+    """Square grid over +-``_span(dim)``, the default working window."""
+    span = _span(dim)
     return PhaseGrid(-span, span, -span, span, n, n)
 
 
@@ -132,9 +139,10 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 def grid_integral(grid: PhaseGrid, values: np.ndarray) -> float:
-    """Simpson integral of a field over the grid area (no 2 pi factor)."""
-    wq = simpson_weights(grid.nq, grid.dq)
-    wp = simpson_weights(grid.n_p, grid.dp)
+    """Trapezoid integral of a field over the grid area (no 2 pi factor): geometric in the step here."""
+    wq, wp = np.full(grid.nq, grid.dq), np.full(grid.n_p, grid.dp)
+    wq[[0, -1]] *= 0.5
+    wp[[0, -1]] *= 0.5
     return float(wq @ values @ wp)
 
 
@@ -165,9 +173,29 @@ def oscillator_eigenfunctions(x: np.ndarray, dim: int) -> np.ndarray:
     return out.T
 
 
-def _occupied_levels(rho) -> int:
+def _bandwidth(rho, p_edge: float) -> float:
+    """The momentum bandwidth of the Wigner integrand of a state on a grid reaching |p| = p_edge."""
     idx = np.nonzero(rho.populations > OCCUPIED_CUT)[0]
-    return int(idx[-1]) + 1 if idx.size else 1
+    return p_edge + math.sqrt(2.0 * (int(idx[-1]) + 1 if idx.size else 1)) + 1.0
+
+
+def _p_bandwidth(nbar: float) -> float:
+    """Where exp(-nbar k^2/2), the thermal P spectrum, falls to 1e-16; Q's (variance nbar + 1) is narrower."""
+    return math.sqrt(2.0 * math.log(1e16) / nbar)
+
+
+def _nyquist_grid(states, band: float | None = None) -> PhaseGrid:
+    """The coarsest default window with 2 pi/dq >= 2 band, as a product of two factors of that band needs.
+
+    ``band`` defaults to the states' largest Wigner bandwidth.  GridError past the cap, before any table.
+    """
+    span = _span(states[0].dim)
+    if band is None:
+        band = max(_bandwidth(rho, span) for rho in states)
+    n = math.ceil(2.0 * span * band / math.pi) + 1  # dq = 2 span/(n - 1)
+    if n > MAX_GRID_POINTS:
+        raise GridError(f"bandwidth {band:.1f} needs {n} grid points per axis, over the cap of {MAX_GRID_POINTS}")
+    return PhaseGrid(-span, span, -span, span, n, n)
 
 
 def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
@@ -193,7 +221,7 @@ def _wigner_functions(states, grid: PhaseGrid) -> list[QuasiDistribution]:
     """
     dq = grid.dq
     for rho in states:
-        band = max(abs(grid.p_min), abs(grid.p_max)) + math.sqrt(2.0 * _occupied_levels(rho)) + 1.0
+        band = _bandwidth(rho, max(abs(grid.p_min), abs(grid.p_max)))
         if 2.0 * math.pi / dq < band:
             raise GridError(
                 f"q-spacing {dq:.4f} aliases momenta: 2pi/dq = {2*math.pi/dq:.1f} < bandwidth {band:.1f}"
@@ -212,6 +240,7 @@ def _wigner_functions(states, grid: PhaseGrid) -> list[QuasiDistribution]:
     # Re(e^{i p u} g) = cos(pu) Re g - sin(pu) Im g
     pu = np.outer(grid.p_axis, b * dq)
     phases = np.hstack([np.cos(pu), np.sin(pu)])
+    del psi, pu  # copied into halves and phases; at the largest grids each is about a tenth of the peak
     c = np.where(b == 0, 1.0, 2.0)
     phases *= np.concatenate([c, -c])
     out = []
@@ -284,9 +313,9 @@ def p_function_thermal(nbar: float, grid: PhaseGrid | None = None) -> QuasiDistr
 def hs_from_phase_space(a, b, form: str = "wigner") -> float:
     """Hilbert-Schmidt distance evaluated as a phase-space integral.
 
-    form = "wigner": sqrt( int dq dp/(2 pi) [W1 - W2]^2 ), any states, on a ``default_grid``
-                     of 257 to 1537 points stepped by their quadrature spread and fringe scale.
-    form = "qp":     sqrt( int d2a/pi [Q1 - Q2][P1 - P2] ), thermal pairs, on the 257-point ``default_grid``.
+    form = "wigner": sqrt( int dq dp/(2 pi) [W1 - W2]^2 ), any states, on ``_nyquist_grid``.
+    form = "qp":     sqrt( int d2a/pi [Q1 - Q2][P1 - P2] ), thermal pairs, on ``_nyquist_grid``
+                     at the narrower P function's band (``_p_bandwidth``).
     form = "pp":     the double P-function integral with the Gaussian
                      pairing kernel, thermal pairs: angular integrals
                      exact, the radial double integral on 1025 Simpson
@@ -298,13 +327,7 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
     """
     if form == "wigner":
         ra, rb = build_pair(a, b)
-        span = default_grid(ra.dim).q_max
-        n_eff = max(_occupied_levels(ra), _occupied_levels(rb))
-        fringe = math.pi / (2.0 * math.sqrt(2.0 * n_eff + 1.0))
-        # the floor keeps the step finite for a state squeezed to sigma ~ 0
-        sig = max(min(quadrature_sigma_min(ladder_moments(r)) for r in (ra, rb)), 1e-3)
-        h = min(0.15, min(sig, fringe) / 3.0)
-        grid = default_grid(ra.dim, int(min(max(2 * round(span / h) + 1, 257), 1537)))
+        grid = _nyquist_grid([ra, rb])
         wa, wb = _wigner_functions([ra, rb], grid)
         diff = wa.values - wb.values
         return math.sqrt(grid_integral(grid, diff**2) / (2.0 * math.pi))  # a sum of squares
@@ -318,12 +341,12 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
         n1, n2 = a.params["nbar"], b.params["nbar"]
         if form == "qp":
             ra, rb = build_pair(a, b)
-            grid = default_grid(ra.dim)
+            grid = _nyquist_grid([ra, rb], _p_bandwidth(min(n1, n2)))
             qa, qb = _husimi_functions([ra, rb], grid)
             dq_vals = qa.values - qb.values
             dp_vals = p_function_thermal(n1, grid).values - p_function_thermal(n2, grid).values
             return _clamped_sqrt(grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi))
-        # pp: angular integrals done exactly, radial double integral by Simpson
+        # pp: exact angular integrals; Simpson radially, as r f(r) has a slope at r = 0, where trapezoid is O(h^2)
         rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
         r = np.linspace(0.0, rmax, 1025)
         w = simpson_weights(r.size, r[1] - r[0])

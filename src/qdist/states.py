@@ -361,12 +361,6 @@ def quadrature_moments(moments, theta):
     return math.sqrt(2.0) * (m * rot).real, _clamped_sqrt(var)
 
 
-def quadrature_sigma_min(moments) -> float:
-    """Smallest standard deviation of ``quadrature_moments``, where its cosine term is -1."""
-    m, a2, n = moments
-    return _clamped_sqrt(n - abs(m) ** 2 + 0.5 - abs(a2 - m * m))
-
-
 @dataclass(frozen=True)
 class MomentTable:
     """Normally ordered moments M^{(k,l)} for k, l = 0..cutoff."""

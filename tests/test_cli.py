@@ -377,18 +377,14 @@ class TestPureMetricDimStability:
 class TestBoundedAllocations:
     """Inputs whose sizes once went unchecked, each run in a child capped at 1 GB."""
 
-    CHILD = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from qdist.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
+    LIMIT = "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    CHILD = LIMIT + "from qdist.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
-    def run_capped(self, *argv, env=None):
+    def run_capped(self, *argv, env=None, code=CHILD):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qdist.__file__)))
         env = dict(os.environ, **(env or {}), PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, *argv], capture_output=True, text=True, timeout=20, env=env
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=20, env=env
         )
         if proc.returncode:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-300:]
@@ -428,6 +424,24 @@ class TestBoundedAllocations:
         proc = self.run_capped(*argv)
         assert proc.returncode == 0
         assert last_row(proc.stdout)[1] == "8.83548048102"
+
+    def test_phase_space_grid_is_refused_before_its_tables(self):
+        # the wigner form's rule asks for 3285 points per axis at dim 2200, whose tables would not fit
+        # the cap, and 26885 at dim 20000: both past MAX_GRID_POINTS, refused before any table is built
+        code = self.LIMIT + (
+            "from qdist import fock, hs_from_phase_space\n"
+            "from qdist.errors import GridError\n"
+            "for dim in map(int, sys.argv[1:]):\n"
+            "    try:\n"
+            "        hs_from_phase_space(fock(0, dim), fock(1, dim))\n"
+            "    except GridError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = self.run_capped("2200", "20000", code=code)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2, proc.stdout
+        assert "needs 3285 grid points" in lines[0] and "needs 26885 grid points" in lines[1], proc.stdout
 
     def test_huge_dim_cap_is_a_parse_error(self):
         for spec in ("thermal:1", "phase:0.3", "coherent:1"):

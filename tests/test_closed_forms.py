@@ -282,6 +282,36 @@ def test_cat_and_coherent_fock_oracles_keep_their_digits(gap):
     assert abs(mp.mpf(coherent_fock(gap, 0)["hs"]) - value) <= 1e-13 * value
 
 
+def _disk_oracles_mp(mp, z1: complex, z2: complex) -> dict:
+    """The printed hs and dN of ``squeezed_pair`` and ``phase_pair``, cancellations and all, in the context ``mp``."""
+    a, b = mp.mpc(z1), mp.mpc(z2)
+    z = a * mp.conj(b)
+    m1, m2 = abs(a) ** 2, abs(b) ** 2
+    denom = abs(1 - z)
+    root = mp.sqrt((1 - m1) * (1 - m2))
+    head = m1 / (1 - m1) + m2 / (1 - m2)
+    return {
+        "squeezed": {"hs": mp.sqrt(2) * abs(a - b) / mp.sqrt(denom * (denom + root)),
+                     "dN": mp.sqrt(head + 2 * (abs(z) ** 2 - mp.re(z)) / denom**3 * root)},
+        "phase": {"hs": mp.sqrt(2) * abs(a - b) / denom,
+                  "dN": mp.sqrt(head + 2 * (1 - m1) * (1 - m2) * (m1 * m2 - mp.re(z)) / denom**4)},
+    }
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-6, 1e-8])
+@pytest.mark.parametrize("base", [0.3, 0.4 + 0.3j, -0.05 + 0.9j])
+def test_squeezed_and_phase_oracles_keep_their_digits(base, gap):
+    # at a small gap each printed dN^2 is m/(1 - m) terms less a term of nearly the same size
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    for turn in (0.0, 0.7, math.pi / 2):
+        z1, z2 = complex(base), complex(base) + gap * complex(math.cos(turn), math.sin(turn))
+        exact = _disk_oracles_mp(mp, z1, z2)
+        for family, got in (("squeezed", squeezed_pair(z1, z2)), ("phase", phase_pair(z1, z2))):
+            for key, value in exact[family].items():
+                assert abs(mp.mpf(got[key]) - value) <= 1e-12 * value, (family, key, turn)
+
+
 class TestCrossValidationAgainstPhaseStates:
     def test_min_pseudo_equals_aligned_phase_pair(self):
         # aligning the phase parameters realizes the minimum, which the

@@ -106,6 +106,32 @@ def test_only_the_density_types_integrate_their_mass(module, name):
     assert _callers(PACKAGE / module, name) == MASS_INTEGRALS[module, name]
 
 
+# One grid rule for the phase-space forms: the wigner and qp branches of ``hs_from_phase_space`` each
+# build their grid through ``_nyquist_grid`` and write no point count or step of their own; the 2 of
+# 2 pi and of a square are their only numbers.
+NYQUIST_FORMS = ("wigner", "qp")
+
+
+def _form_branches():
+    """The body of each ``if form == "<name>":`` branch of ``hs_from_phase_space``, by name."""
+    tree = ast.parse((PACKAGE / "phase_space.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body if getattr(node, "name", None) == "hs_from_phase_space")
+    return {node.test.comparators[0].value: node.body for node in ast.walk(func)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and getattr(node.test.left, "id", None) == "form" and isinstance(node.test.ops[0], ast.Eq)}
+
+
+@pytest.mark.parametrize("form", NYQUIST_FORMS)
+def test_phase_space_forms_size_their_grid_by_one_rule(form):
+    nodes = [node for stmt in _form_branches()[form] for node in ast.walk(stmt)]
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in nodes if isinstance(node, ast.Call)]
+    assert calls.count("_nyquist_grid") == 1, calls
+    assert not {"PhaseGrid", "default_grid", "linspace"} & set(calls), calls
+    numbers = {node.value for node in nodes if isinstance(node, ast.Constant) and type(node.value) in (int, float)}
+    assert numbers <= {2}, f"the {form} form writes the numbers {sorted(numbers)}"
+
+
 # The kernels read state factors; only these functions read a state's dense ``mat``:
 # the trace norm of a general pair, and the Wigner grid's position-space density matrix.
 DENSE_READERS = {"distances.py": {"jmg_distance"}, "phase_space.py": {"_wigner_functions"}}

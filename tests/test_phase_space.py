@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -26,13 +27,14 @@ from qdist import (
     oscillator_eigenfunctions,
     outer,
     p_function_thermal,
+    parse_state_spec,
     squeezed_vacuum,
     thermal,
     wigner,
 )
 from qdist.closed_forms import thermal_pair
 from qdist.errors import GridError, UnsupportedCombinationError
-from qdist.phase_space import _wigner_functions, grid_integral, simpson_weights
+from qdist.phase_space import _bandwidth, _nyquist_grid, _wigner_functions, grid_integral, simpson_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,6 +255,80 @@ class TestPhaseSpaceDistance:
             return math.sqrt(grid_integral(grid, diff**2) / TWO_PI)
 
         assert abs(hs_on(301) - hs_on(601)) < 1e-5
+
+
+def _spec(family, *values):
+    return parse_state_spec(f"{family}:" + ",".join(f"{v:.6f}" for v in values))
+
+
+def _polar(r, theta):
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+def _form_pairs(seed):
+    """The wigner- and qp-form pair classes of the benchmark's grid mix, each drawn in its parameter window."""
+    rng = random.Random(f"nyquist:{seed}")
+    turn = 2.0 * math.pi
+    pairs = [("wigner", _spec("coherent", *_polar(rng.uniform(0.0, 1.2), rng.uniform(0.0, turn))),
+              _spec("coherent", *_polar(rng.uniform(0.0, 1.2), rng.uniform(0.0, turn)))) for _ in range(5)]
+    pairs += [("wigner", parse_state_spec(f"fock:{n % 3}"), parse_state_spec(f"fock:{n % 3 + 1 + rng.randint(0, 2)}"))
+              for n in range(5)]
+    for _ in range(5):
+        alpha = _polar(rng.uniform(1.2, 1.6), rng.uniform(0.0, turn))
+        phis = rng.uniform(0.0, turn), rng.uniform(0.0, turn)
+        pairs.append(("wigner", _spec("cat", *alpha, phis[0]), _spec("cat", *alpha, phis[1])))
+    th = rng.uniform(0.0, turn)
+    for _ in range(2):
+        pairs.append(("wigner", _spec("squeezed", *_polar(rng.uniform(0.35, 0.45), th)),
+                      _spec("squeezed", *_polar(rng.uniform(0.2, 0.3), th + rng.uniform(-1.0, 1.0)))))
+    pairs += [("qp", _spec("thermal", rng.uniform(0.47, 0.63)), _spec("thermal", rng.uniform(0.47, 0.63)))
+              for _ in range(2)]
+    return pairs
+
+
+NYQUIST_PAIRS = [
+    ("fock:0", "fock:3"), ("coherent:1.2", "coherent:-0.4,0.8"), ("cat:1.5,0,0", "cat:1.5,0,1.57"),
+    ("squeezed:0.4", "squeezed:0.2,0.1"), ("thermal:0.5", "thermal:0.6"),
+]
+
+
+class TestNyquistGrid:
+    """The wigner and qp forms' grid: the coarsest over the default window with 2 pi/dq >= 2 band."""
+
+    @pytest.mark.parametrize("a,b", NYQUIST_PAIRS)
+    def test_one_step_coarser_than_the_rule_is_refused(self, a, b):
+        ra, rb = build_pair(parse_state_spec(a), parse_state_spec(b))
+        grid = _nyquist_grid([ra, rb])
+        span = grid.q_max
+        band = max(_bandwidth(r, span) for r in (ra, rb))
+
+        def square(n):
+            return PhaseGrid(-span, span, -span, span, n, n)
+
+        # W itself: the rule 2 pi/dq >= band holds at its point count and is refused one step coarser
+        n = math.ceil(span * band / math.pi) + 1
+        _wigner_functions([ra, rb], square(n))
+        with pytest.raises(GridError, match="aliases momenta"):
+            _wigner_functions([ra, rb], square(n - 1))
+        # the forms' integrand, a square, at twice the bandwidth: the grid is the coarsest that holds it
+        assert 2.0 * math.pi / grid.dq >= 2.0 * band > 2.0 * math.pi / square(grid.nq - 1).dq
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forms_match_the_matrix_route(self, seed):
+        for form, a, b in _form_pairs(seed):
+            got = hs_from_phase_space(a, b, form)
+            if form == "wigner":
+                expect = hilbert_schmidt(*build_pair(a, b))
+            else:
+                expect = thermal_pair(a.params["nbar"], b.params["nbar"])["hs"]
+            assert abs(got - expect) <= 1e-12 * expect, (form, a, b)
+
+    @pytest.mark.parametrize("n1,n2", [(0.01, 0.02), (0.03, 0.06), (0.03, 0.035)])
+    def test_qp_grid_resolves_narrow_p_functions(self, n1, n2):
+        # P's width sqrt(nbar) is under the Wigner rule's step here; the qp grid is sized by P's own band
+        got = hs_from_phase_space(parse_state_spec(f"thermal:{n1}"), parse_state_spec(f"thermal:{n2}"), "qp")
+        expect = thermal_pair(n1, n2)["hs"]
+        assert abs(got - expect) <= 1e-12 * expect
 
 
 class TestEigenfunctions:
