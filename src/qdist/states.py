@@ -15,7 +15,10 @@ against it, renormalizing the retained amplitudes and recording the
 discarded mass on the returned object.  One kernel, ``_moments``, reads
 every normally ordered moment Tr(adag^k a^l rho) off the diagonals of a
 matrix; ``moment``, ``moment_table``, ``ladder_moments`` and the ``Da``
-quasidistance read entries of it.
+quasidistance read entries of it.  The Gaussian families' records give
+<a>, <a^2> and <adag a> in closed form (``Family.ladder``), and
+``quadrature_moments`` turns any such triple into the mean and spread of
+a quadrature: for a Gaussian state, its whole tomogram.
 
 Global phase convention: the first nonvanishing amplitude is made real
 and positive, so state equality is testable despite the projective
@@ -533,19 +536,16 @@ def _squeezed_horizon(spec: StateSpec, dim: int) -> int:
     return dim + 8 if az < 1e-12 else max(dim + TAIL_MARGIN, 2 * (int(-60.0 / math.log(az * az)) + 8))
 
 
+def _squeezed_ladder(spec: StateSpec) -> tuple:
+    """<a> = 0, <a^2> = zeta / (1 - |zeta|^2) and <adag a> = |zeta|^2 / (1 - |zeta|^2) of the squeezed vacuum."""
+    zeta = complex(spec.params["zeta"])
+    unsqueezed = 1.0 - abs(zeta) ** 2
+    return 0j, zeta / unsqueezed, abs(zeta) ** 2 / unsqueezed
+
+
 def _thermal_tail(spec: StateSpec, k: np.ndarray) -> np.ndarray:
     """(nbar / (1 + nbar))^k: the mass on levels >= k, and the population ratio to the k."""
     return (spec.params["nbar"] / (1.0 + spec.params["nbar"])) ** k
-
-
-def _coherent_density(spec, mu, nu, x) -> np.ndarray:
-    a, r2 = spec.params["alpha"], mu * mu + nu * nu
-    w = x - math.sqrt(2.0) * (mu * a.real + nu * a.imag)
-    w *= w  # in place: over a block of tomography's angular nodes these are large arrays
-    w /= -r2
-    np.exp(w, out=w)
-    w /= np.sqrt(math.pi * r2)
-    return w
 
 
 @dataclass(frozen=True)
@@ -554,13 +554,13 @@ class Family:
     ``checks`` pairs a test of the params with what it requires; ``levels(spec, n)`` gives
     amplitudes 0..n-1 of the untruncated state (populations where ``pure`` is false), to which
     ``phases(spec, dim)`` is attached; ``tail(spec, k)`` is the closed-form mass on levels >= k;
-    populations past ``horizon(spec, dim)`` are below 1e-25; ``ladder(spec)`` gives <a>, <a^2>,
-    <adag a> and ``density(spec, mu, nu, x)`` that of the quadrature mu q + nu p, in closed form,
-    entrywise for arrays that broadcast.  A family sets both or neither; ``tomography`` reads them
-    in place of a built state, which only the coherent family needs (its Poisson spread can pass
-    every feasible dim).  Where ``ladder`` gives <a> = <a^2> = 0 exactly, the state must be
-    diagonal in the Fock basis (of the coherent family, the vacuum alone), so that ``density``
-    depends on (mu, nu) through mu^2 + nu^2 alone: ``tomography`` then evaluates it at one angle.
+    populations past ``horizon(spec, dim)`` are below 1e-25.  ``ladder(spec)`` is set exactly for
+    the Gaussian families (coherent, squeezed vacuum, thermal) and gives their <a>, <a^2> and
+    <adag a> in closed form.  Those three moments fix a Gaussian state's tomogram at every angle:
+    the normal density of mean and spread ``quadrature_moments``, which ``tomography`` reads in
+    place of a built state, so no truncation bounds it.  Where ``ladder`` gives <a> = <a^2> = 0,
+    the Gaussian is thermal (the vacuum included), diagonal in the Fock basis, and its tomogram
+    is the same at every angle.
     """
 
     head: str
@@ -572,7 +572,6 @@ class Family:
     pure: bool = True
     phases: Callable[[StateSpec, int], np.ndarray] | None = None
     ladder: Callable[[StateSpec], tuple] | None = None
-    density: Callable[[StateSpec, float, float, np.ndarray], np.ndarray] | None = None
 
 
 FAMILIES = {
@@ -584,7 +583,7 @@ FAMILIES = {
     ),
     "coherent": Family(
         "coherent", lambda f: {"alpha": _parse_complex(f, "alpha")}, _ALPHA_CHECKS, _coherent_levels,
-        horizon=_poisson_horizon, density=_coherent_density,
+        horizon=_poisson_horizon,
         # alpha * alpha: alpha ** 2 raises OverflowError before alpha_squared can refuse
         ladder=lambda spec: (spec.params["alpha"], spec.params["alpha"] * spec.params["alpha"],
                              alpha_squared(spec)),
@@ -604,7 +603,7 @@ FAMILIES = {
     ),
     "squeezed_vacuum": Family(
         "squeezed", lambda f: {"zeta": _parse_complex(f, "zeta")}, _unit_disc("zeta"), _squeezed_levels,
-        horizon=_squeezed_horizon,
+        horizon=_squeezed_horizon, ladder=_squeezed_ladder,
     ),
     "coherent_phase": Family(
         "phase", lambda f: {"epsilon": _parse_complex(f, "epsilon")}, _unit_disc("epsilon"),
@@ -619,7 +618,7 @@ FAMILIES = {
          (lambda p: not p["nbar"] < 0, "nbar >= 0"),
          (lambda p: _finite(p["nbar"], numbers.Real), "a finite real nbar")),
         lambda spec, n: _thermal_tail(spec, np.arange(n)) / (1.0 + spec.params["nbar"]),
-        tail=_thermal_tail, pure=False,
+        tail=_thermal_tail, pure=False, ladder=lambda spec: (0j, 0j, float(spec.params["nbar"])),
     ),
 }
 _HEADS = {family.head: name for name, family in FAMILIES.items()}

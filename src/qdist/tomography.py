@@ -1,13 +1,16 @@
 """Quadrature tomograms and classical-like distances built on them.
 
 A tomogram w_{mu nu}(X) is the probability density of the quadrature
-mu*q + nu*p.  ``_marginals`` is the one route to it: a coherent state
-reads the closed-form Gaussian of its family record's ``density``, and
-every other state, number states included, the Fock-basis form of the
-unit-radius marginal, w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>
-(Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), from the
-oscillator eigenfunctions and the state's factor; ``marginal_analytic`` is
-its one-row case at any (mu, nu).  ``marginal_from_wigner``, a numerical
+mu*q + nu*p.  ``_marginals`` is the one route to it.  A Gaussian state
+(coherent, squeezed vacuum, thermal) has a normal tomogram at every angle,
+fixed by <a>, <a^2> and <adag a> (Mancini, Man'ko & Tombesi, Phys. Lett. A
+213, 1 (1996)): it reads those from its family record (``Family.ladder``)
+and the mean and spread at each angle from ``states.quadrature_moments``,
+and builds no state.  Every other state, number states included, reads the
+Fock-basis form of the unit-radius marginal,
+w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>, from the oscillator
+eigenfunctions and the state's factor; ``marginal_analytic`` is the one-row
+case of both at any (mu, nu).  ``marginal_from_wigner``, a numerical
 line integral of a Wigner grid, stays as an independent reference.
 
 The distance between two states averages a classical divergence between
@@ -20,8 +23,8 @@ at R = 1, which is what is evaluated.  The per-angle divergence has a
 uniform rule down to O(nodes^-2) (Trefethen & Weideman, SIAM Rev. 56
 (2014)).  So the angular nodes are Gauss-Legendre panels split at the
 angles where the tomograms can coincide, read off the states' first and
-second moments <a>, <a^2> and <adag a> (``states.ladder_moments``, or
-closed forms for coherent states); a pair with no such angle
+second moments <a>, <a^2> and <adag a> (the Gaussian records' closed
+forms, or ``states.ladder_moments`` of the built state); a pair with no such angle
 keeps the uniform (trapezoidal, spectrally accurate on the periodic
 angle) rule.  The same moments place each node's X grid.  Because the
 nodes depend on the pair, the computed distances obey the triangle
@@ -34,7 +37,9 @@ state's marginals over the whole block (the Fock-basis route walks the
 eigenfunction levels once over it and builds no table), one normalization
 that checks every row's mass (``_normalized``, which ``Tomogram`` also calls) and one
 row-wise divergence (``_divergences``, which ``classical_divergence``
-also calls).  A block holds at most ``NODE_BLOCK`` grid points.  A state
+also calls).  A block holds at most ``NODE_BLOCK`` grid points, and a row
+at most ``MAX_X_POINTS``: the X rule refuses a wider row, and a spread of
+0, before any array is allocated.  A state
 diagonal in the Fock basis has the same tomogram at every angle, since
 e^{-i theta N} commutes with it; for two such states every node has the
 same grid and the same integrand, so one node at theta = 0 with weight
@@ -70,6 +75,8 @@ MAX_ANGULAR_NODES = 4096
 # X grid points a block of angular nodes holds: 128 kB per array, so the arrays a block works on stay
 # in a core's cache (blocks of 8x this ran the benchmark's analytic tomography ops 1.4x slower)
 NODE_BLOCK = 16384
+# X grid points one row may hold: above the 53,099 of the widest pair of coherent states (|alpha| < 256)
+MAX_X_POINTS = 1 << 16
 
 
 def _integrals(weights: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -123,15 +130,22 @@ class Tomogram:
 
 
 def _grid_rule(mean_lo: np.ndarray, mean_hi: np.ndarray, sigma, sigma_max: np.ndarray):
-    """First and last points and point counts of the X grids of ``default_x_grid``, entrywise."""
+    """First and last points and point counts of the X grids of ``default_x_grid``, entrywise.
+
+    The counts are formed in floating point and refused past ``MAX_X_POINTS``
+    before they are cast to int, so no row overflows the cast or the memory.
+    """
     lo = mean_lo - X_SIGMAS * sigma
     hi = mean_hi + X_SIGMAS * sigma
     step = 2.0 * X_SIGMAS * sigma / (X_POINTS - 1)
-    n = np.maximum(X_POINTS, np.ceil((hi - lo) / step).astype(int) + 1)
+    n = np.maximum(X_POINTS, np.ceil((hi - lo) / step) + 1)
     n += 1 - n % 2
     h = (hi - lo) / (n - 1)
-    extra = 2 * np.ceil(X_SIGMAS * np.maximum(sigma_max - sigma, 0.0) / (2.0 * h)).astype(int)
-    return lo - extra * h, hi + extra * h, n + 2 * extra
+    extra = 2 * np.ceil(X_SIGMAS * np.maximum(sigma_max - sigma, 0.0) / (2.0 * h))
+    num = n + 2 * extra
+    if not (num <= MAX_X_POINTS).all():
+        raise GridError(f"an X grid needs {num.max():.6g} points, more than {MAX_X_POINTS}")
+    return lo - extra * h, hi + extra * h, num.astype(int)
 
 
 def _x_rows(start: np.ndarray, stop: np.ndarray, num: np.ndarray):
@@ -171,9 +185,11 @@ def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> T
     """Tomogram of any state at (mu, nu): the one-row case of ``_marginals``.
 
     With r^2 = mu^2 + nu^2 and theta = atan2(nu, mu) it is w_theta(X/r)/r,
-    w_theta the unit-radius marginal: a Gaussian of variance
-    (mu^2 + nu^2)/2 for the vacuum and coherent states, psi_n(X/r)^2 / r
-    for the number state |n>, psi_n the oscillator eigenfunction.
+    w_theta the unit-radius marginal: for a coherent, squeezed or thermal
+    state the normal density of the mean and spread ``quadrature_moments``
+    gives at theta, so a Gaussian of variance r^2/2 for a coherent state;
+    psi_n(X/r)^2 / r for the number state |n>, psi_n the oscillator
+    eigenfunction; the Fock-basis sum over the state's levels for any other.
     """
     r = math.hypot(mu, nu)
     if r * r <= 1e-12:
@@ -262,10 +278,14 @@ def _marginals(spec: StateSpec):
     """The state's ladder moments (<a>, <a^2>, <adag a>), whether it is diagonal, and its marginal.
 
     The marginal w(thetas, x) gives the unnormalized unit-radius tomogram
-    at each angle of ``thetas`` on the matching row of ``x``.  A coherent
-    state reads its record's closed-form ladder moments and ``density``
-    (see ``states.Family``); the vacuum alone has <a> = <a^2> = 0 and is
-    diagonal.  Every other state, number states included, is bounded by
+    at each angle of ``thetas`` on the matching row of ``x``.  A Gaussian
+    state (its record sets ``ladder``: coherent, squeezed vacuum, thermal)
+    builds no state: its moments are the record's closed forms, and its
+    marginal is the normal density whose mean and spread
+    ``quadrature_moments`` gives at each angle, the one formula that also
+    places the X grids.  It is diagonal when <a> = <a^2> = 0, since a
+    zero-mean Gaussian with <a^2> = 0 is thermal (the vacuum at n = 0).
+    Every other state, number states included, is bounded by
     ``adaptive_dim``, as on every other route, before any eigenfunction
     is evaluated, is diagonal exactly when its factor (``fock_core``) is
     1-d, and reads <X| e^{-i theta N} rho e^{i theta N} |X> off that
@@ -275,10 +295,20 @@ def _marginals(spec: StateSpec):
     one column c, with e^{-i n theta} evaluated afresh at each level.
     """
     family = FAMILIES[spec.family]
-    if family.density is not None:
+    if family.ladder is not None:
         moments = family.ladder(spec)
-        return moments, moments[0] == 0 and moments[1] == 0, lambda thetas, x: family.density(
-            spec, np.cos(thetas)[:, None], np.sin(thetas)[:, None], x)
+
+        def gaussian(thetas, x):
+            mean, sigma = quadrature_moments(moments, thetas)
+            w = x - mean[:, None]
+            w /= sigma[:, None]  # in place: over a block of angular nodes these are large arrays
+            w *= w
+            w *= -0.5
+            np.exp(w, out=w)
+            w /= math.sqrt(2.0 * math.pi) * sigma[:, None]
+            return w
+
+        return moments, moments[0] == 0 and moments[1] == 0, gaussian
     state = build_state(spec, adaptive_dim(spec))
     f = state.factor(1.0)
 
@@ -399,6 +429,8 @@ def tomographic_distance(
     nodes = 1 if diagonal_a and diagonal_b else angular_nodes
     thetas, tweights = _angular_rule(_kink_angles(moments_a, moments_b), nodes)
     (ma, sa), (mb, sb) = quadrature_moments(moments_a, thetas), quadrature_moments(moments_b, thetas)
+    if not (np.minimum(sa, sb) > 0.0).all():
+        raise GridError("a tomogram has spread 0 at some angle, which no X grid resolves")
     start, stop, num = _grid_rule(np.minimum(ma, mb), np.maximum(ma, mb), VACUUM_SIGMA, np.maximum(sa, sb))
     rows = max(1, NODE_BLOCK // int(num.max()))
     order = np.argsort(num, kind="stable")  # rows of like length share a block, so little of it is padding

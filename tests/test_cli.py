@@ -291,10 +291,11 @@ class TestTomoCommand:
         code, out = run(capsys, "distance", "--a", "thermal:20", "--b", "thermal:19", "--metric", "hs")
         assert code == 0
         assert last_row(out)[2] == "568"
-        code = main(["tomo-distance", "--a", "thermal:20", "--b", "coherent:0"])
+        # a Gaussian state builds no truncation there, so the cap is shown on one that does
+        code = main(["tomo-distance", "--a", "phase:0.99", "--b", "coherent:0"])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: thermal state needs more than 512 levels") and err.count("\n") == 1
+        assert err.startswith("error: coherent_phase state needs more than 512 levels") and err.count("\n") == 1
 
     def test_huge_node_count_is_a_parse_error(self, capsys):
         code = main(["tomo-distance", "--a", "coherent:1", "--b", "fock:1", "--nodes-angular", "100000000"])
@@ -317,7 +318,8 @@ class TestTomoCommand:
             ("fock:0", "fock:2", "kolmogorov", "7.95375299031"),
             ("cat:1,0,0", "coherent:0.5", "bhattacharyya", "0.718555339225"),
             ("thermal:0.5", "coherent:0.3", "hellinger", "1.83855061747"),
-            ("squeezed:0.3", "squeezed:0.1,0.2", "kolmogorov", "1.11392952414"),
+            # mpmath 1.11391745711; the Gaussian marginal moved it from 1.11392952414, toward that value
+            ("squeezed:0.3", "squeezed:0.1,0.2", "kolmogorov", "1.11392951691"),
         ],
     )
     def test_default_csv_is_pinned(self, capsys, a, b, kind, value):
@@ -442,6 +444,15 @@ class TestBoundedAllocations:
         lines = proc.stdout.splitlines()
         assert len(lines) == 2, proc.stdout
         assert "needs 3285 grid points" in lines[0] and "needs 26885 grid points" in lines[1], proc.stdout
+
+    @pytest.mark.parametrize("a, b", [("thermal:1e12", "coherent:0"), ("thermal:1e300", "coherent:1"),
+                                      ("squeezed:0.9999999985", "coherent:0")])
+    def test_gaussian_tomograms_are_refused_before_their_x_grids(self, a, b):
+        # a Gaussian state builds no truncation: without the X rule's own bounds thermal:1e12 asked for a
+        # 10.8 GiB grid, thermal:1e300 overflowed the int cast of its point count, and the squeezed state's
+        # spread, which cancels to 0, divided by zero
+        proc = self.run_capped("tomo-distance", "--a", a, "--b", b)
+        assert proc.returncode == 3 and proc.stdout == ""
 
     def test_huge_dim_cap_is_a_parse_error(self):
         for spec in ("thermal:1", "phase:0.3", "coherent:1"):

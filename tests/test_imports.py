@@ -162,6 +162,24 @@ def test_tomography_picks_marginals_in_one_place():
     assert set(readers) <= {"_marginals"}, sorted(readers)
 
 
+# One Gaussian rule: a family record gives its closed-form ladder moments and nothing else of its tomogram,
+# tomography reads no spec parameter, and a quadrature's mean and spread come from ``quadrature_moments``
+# in the Gaussian marginal (``_marginals``) and for the X grids (``tomographic_distance``) alone.
+def test_gaussian_tomograms_read_one_rule():
+    from dataclasses import fields
+
+    from qdist import states
+    from qdist.states import Family
+
+    assert "density" not in {f.name for f in fields(Family)}
+    assert not hasattr(states, "_coherent_density")
+    path = PACKAGE / "tomography.py"
+    params = _scopes(path, lambda node: isinstance(node, ast.Attribute) and node.attr == "params")
+    assert not params, f"tomography.py reads .params in {sorted(params)}"
+    assert {scope.split(".")[0] for scope in _callers(path, "quadrature_moments")} == {"_marginals",
+                                                                                       "tomographic_distance"}
+
+
 # One tomogram route: the Fock-basis marginal walks the eigenfunction levels once over a block of
 # angular nodes, in ``_marginals``, and builds no eigenfunction table.
 def test_tomography_streams_eigenfunction_levels_in_one_place():
@@ -429,12 +447,12 @@ def test_figure_loads_no_numpy(fid):
     assert _loaded_after(f"from qdist.cli import main; assert main(['figure', '--id', '{fid}']) == 0") == set()
 
 
-# one light call of each subcommand; tomo-distance on a thermal state takes the Fock-basis marginals
+# one light call of each subcommand; tomo-distance on a phase state takes the Fock-basis marginals
 SUBCOMMANDS = {
     "distance": ["distance", "--a", "thermal:1", "--b", "coherent:1,0.5", "--metric", "bu"],
     "sweep": ["sweep", "--a", "coherent:?", "--b", "fock:1", "--metric", "hs", "--range", "0:1:0.5"],
     "figure": ["figure", "--id", "2"],
-    "tomo-distance": ["tomo-distance", "--a", "thermal:0.5", "--b", "coherent:1", "--kind", "kullback"],
+    "tomo-distance": ["tomo-distance", "--a", "phase:0.5", "--b", "coherent:1", "--kind", "kullback"],
 }
 
 

@@ -620,3 +620,29 @@ class TestBuildPair:
         for got, want in zip(build_pair(*args, None if pad is None else dim), expect):
             assert type(got) is type(want) and got.dim == dim and got.tail_mass == want.tail_mass
             assert np.array_equal(getattr(got, "amp", got.populations), getattr(want, "amp", want.populations))
+
+
+# the Gaussian families, whose records give <a>, <a^2> and <adag a> in closed form; zeta is drawn on the
+# real line and over the disc, since the tomograms read its sign and conjugation through these moments
+GAUSSIAN_DRAWS = {
+    "coherent": SPEC_DRAWS["coherent"],
+    "squeezed-real": st.builds(lambda z: StateSpec("squeezed_vacuum", {"zeta": complex(z)}), st.floats(-0.7, 0.7)),
+    "squeezed-complex": SPEC_DRAWS["squeezed_vacuum"],
+    "thermal": SPEC_DRAWS["thermal"],
+}
+
+
+class TestClosedFormLadder:
+    def test_exactly_the_gaussian_families_carry_one(self):
+        assert {name for name, family in FAMILIES.items() if family.ladder} == {"coherent", "squeezed_vacuum",
+                                                                                 "thermal"}
+
+    @pytest.mark.parametrize("draw", GAUSSIAN_DRAWS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_built_state(self, draw, data):
+        spec = data.draw(GAUSSIAN_DRAWS[draw])
+        dim = next(d for d in range(8, 1024, 8) if truncation_tail(spec, d) < 1e-20)
+        closed = FAMILIES[spec.family].ladder(spec)
+        built = ladder_moments(build_state(spec, dim))
+        assert np.abs(np.subtract(closed, built)).max() <= 1e-12 * max(1.0, *map(abs, closed))

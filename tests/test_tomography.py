@@ -2,7 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import annihilation, dense_moments, per_node_tomographic_distance, table_marginals
+from conftest import (
+    annihilation,
+    dense_moments,
+    gaussian_divergences,
+    gaussian_quadratures,
+    gaussian_tomographic_distance,
+    per_node_tomographic_distance,
+    table_marginals,
+)
 
 from qdist import (
     StateSpec,
@@ -39,35 +47,16 @@ def gaussian_tomogram(mu, nu, mean, x):
     return Tomogram(mu, nu, x, w / float(simpson_weights(x.size, x[1] - x[0]) @ w))
 
 
-def gaussian_moments(spec):
-    """<a>, <a^2> and <adag a> of a coherent, thermal or squeezed-vacuum spec."""
-    if spec.family == "coherent":
-        a = spec.params["alpha"]
-        return a, a * a, abs(a) ** 2
-    if spec.family == "thermal":
-        return 0j, 0j, spec.params["nbar"]
-    z = spec.params["zeta"]
-    return 0j, z / (1.0 - abs(z) ** 2), abs(z) ** 2 / (1.0 - abs(z) ** 2)
-
-
 def gaussian_hellinger_exact(spec_a, spec_b):
     """int dtheta sqrt(2 - 2 BC(theta)) for two Gaussian states, by fine Simpson.
 
-    At each angle both tomograms are normal densities with mean
-    sqrt(2) Re(<a> e^{-i theta}) and variance
-    <adag a> - |<a>|^2 + 1/2 + Re((<a^2> - <a>^2) e^{-2 i theta}), so
-    their Bhattacharyya coefficient BC(theta) has a closed form.
+    At each angle both tomograms are normal densities (``gaussian_quadratures``),
+    so their Hellinger distance sqrt(2 - 2 BC(theta)) has a closed form
+    (``gaussian_divergences``).
     """
     th = np.linspace(0.0, 2.0 * math.pi, 400001)
-    rot = np.exp(-1j * th)
-    stats = []
-    for spec in (spec_a, spec_b):
-        m, a2, n = gaussian_moments(spec)
-        var = n - abs(m) ** 2 + 0.5 + ((a2 - m * m) * rot * rot).real
-        stats.append((math.sqrt(2.0) * (m * rot).real, var))
-    (m1, v1), (m2, v2) = stats
-    bc = np.sqrt(2.0 * np.sqrt(v1 * v2) / (v1 + v2)) * np.exp(-((m1 - m2) ** 2) / (4.0 * (v1 + v2)))
-    f = np.sqrt(np.maximum(2.0 - 2.0 * bc, 0.0))
+    (m1, v1), (m2, v2) = gaussian_quadratures(spec_a, th), gaussian_quadratures(spec_b, th)
+    f = gaussian_divergences(m1, v1, m2, v2, "hellinger")
     return float(simpson_weights(th.size, th[1] - th[0]) @ f)
 
 
@@ -381,6 +370,63 @@ class TestStreamedMarginals:
         x, _ = tomography._x_rows(mean - 10.0 * sigma, mean + 10.0 * sigma, np.array([1025, 1201, 1103, 1301, 1025]))
         ref = table_marginals(spec, thetas, x)
         assert np.abs(marginal(thetas, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# the Kullback rows whose narrow density underflows the divergence's floor far from its mean
+FLOORED_KULLBACK = {("thermal:20", "coherent:0"), ("squeezed:0.97", "coherent:0")}
+
+
+def _gaussian_case(a, b, kind):
+    if kind == "kolmogorov":
+        return pytest.param(a, b, kind, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 17: Simpson on each X row drops to O(h^2) at the crossings of |p - q|, "
+            "2.5e-6 to 5e-5 relative on these pairs")))
+    if (a, b) in FLOORED_KULLBACK and kind == "kullback":
+        return pytest.param(a, b, kind, marks=pytest.mark.xfail(strict=True, reason=(
+            "FOUND in CHANGES.md: KULLBACK_FLOOR clips the narrow density far from its mean, "
+            "1.3e-8 and 3.3e-6 relative on these two rows")))
+    return pytest.param(a, b, kind)
+
+
+class TestGaussianTomograms:
+    """The Gaussian marginals of ``_marginals`` against the per-angle closed forms of ``conftest``."""
+
+    # the last two needed more than 512 levels on the Fock-basis route, and were refused
+    PAIRS = [("thermal:2", "squeezed:0.5"), ("squeezed:0.95", "squeezed:0.9"), ("squeezed:0.4", "squeezed:0.1,0.25"),
+             ("thermal:0.7", "coherent:0.5,0.2"), ("thermal:20", "coherent:0"), ("squeezed:0.97", "coherent:0")]
+
+    @pytest.mark.parametrize("a, b, kind", [_gaussian_case(a, b, kind) for a, b in PAIRS for kind in KINDS])
+    def test_distance_matches_the_closed_form_at_every_node(self, a, b, kind):
+        spec_a, spec_b = parse_state_spec(a), parse_state_spec(b)
+        ref = gaussian_tomographic_distance(spec_a, spec_b, kind)
+        assert tomographic_distance(spec_a, spec_b, kind) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m1, v1, m2, v2", [(0.3, 0.5, -0.4, 2.1), (0.0, 0.05, 0.0, 20.5),
+                                                (1.0, 0.5, 1.0, 0.501), (-2.0, 0.7, 1.5, 0.7)])
+    def test_the_closed_forms_match_quadrature(self, m1, v1, m2, v2, kind):
+        # the oracle itself, against adaptive quadrature of the two normal densities, split where they cross
+        from scipy.integrate import quad
+
+        def log_pdf(x, m, v):
+            return -((x - m) ** 2) / (2.0 * v) - 0.5 * math.log(2.0 * math.pi * v)
+
+        integrands = {
+            "hellinger": lambda x: (math.exp(0.5 * log_pdf(x, m1, v1)) - math.exp(0.5 * log_pdf(x, m2, v2))) ** 2,
+            "bhattacharyya": lambda x: math.exp(0.5 * (log_pdf(x, m1, v1) + log_pdf(x, m2, v2))),
+            "kullback": lambda x: ((math.exp(log_pdf(x, m1, v1)) - math.exp(log_pdf(x, m2, v2)))
+                                   * (log_pdf(x, m1, v1) - log_pdf(x, m2, v2))),
+            "kolmogorov": lambda x: abs(math.exp(log_pdf(x, m1, v1)) - math.exp(log_pdf(x, m2, v2))),
+        }
+        # log p - log q is a quadratic in x; its real roots are the crossings
+        coeffs = [1.0 / (2.0 * v2) - 1.0 / (2.0 * v1), m1 / v1 - m2 / v2,
+                  m2 * m2 / (2.0 * v2) - m1 * m1 / (2.0 * v1) + 0.5 * math.log(v2 / v1)]
+        reach = 40.0 * math.sqrt(max(v1, v2)) + abs(m1) + abs(m2)
+        edges = sorted({-reach, reach, *(r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-12 and abs(r) < reach)})
+        total = sum(quad(integrands[kind], lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for lo, hi in zip(edges, edges[1:]))
+        exact = {"hellinger": math.sqrt(total), "bhattacharyya": -math.log(total)}.get(kind, total)
+        assert float(gaussian_divergences(m1, v1, m2, v2, kind)) == pytest.approx(exact, rel=1e-10)
 
 
 class TestBlockedNodes:
