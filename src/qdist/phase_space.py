@@ -26,7 +26,11 @@ populations, against the Poisson weights |<n|alpha>|^2
 ``states.coherent_amplitudes``.  The Wigner and ``qp`` forms build each
 of these tables once for both states.  The ``pp`` form's Bessel pairing
 kernel is a sum of products of the same Poisson weights, so no special
-function beyond them is evaluated here.
+function beyond them is evaluated here; its radial rule is composite
+Gauss-Legendre, spectrally accurate on the smooth integrand, with panels
+no wider than a multiple of the pair's narrowest scale (``_radial_rule``),
+and it forms the difference of the two P functions through expm1, so a
+neighbouring pair keeps its digits.
 
 A ``PhaseGrid`` is geometry only; each ``QuasiDistribution`` owns its
 values on one, a read-only copy it checks when it is built.  Their
@@ -37,6 +41,7 @@ P function is P(alpha) = exp(-|alpha|^2/nbar)/nbar with int P d^2alpha/pi = 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,6 +57,7 @@ MASS_TOL = 1e-4  # the one band |mass - 1| of every grid density: tomograms, Wig
 HUSIMI_BLOCK = 16384 * 512
 OCCUPIED_CUT = 1e-14  # a level at or below this population is left out of the Wigner bandwidth check
 MAX_GRID_POINTS = 3073  # per axis, a refusal bound: at dim 2,020 a 3,036-point grid's tables peak near 0.9 GB
+MAX_RADIAL_NODES = 16384  # the pp form's radial rule, a refusal bound: it holds nbar up to about 1.8e5 against nbar >= 0.5
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,38 @@ def _nyquist_grid(states, band: float | None = None) -> PhaseGrid:
     return PhaseGrid(-span, span, -span, span, n, n)
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(m: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for m nodes, read-only: computed once per m."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _radial_rule(lo: float, hi: float):
+    """Radial nodes and weights on [0, sqrt(40 hi) + 2] for the pp form of thermal P functions at nbar lo <= hi.
+
+    Composite 24-node Gauss-Legendre panels, spectrally accurate on the
+    smooth integrand, each at most 8 x the pair's narrowest scale wide:
+    min(1/2, sqrt(lo/2)), the r-width of every Poisson weight phi_k(r^2)
+    and the narrower P function's standard deviation.  The wider P falls
+    to e^-40 at the end.  GridError past ``MAX_RADIAL_NODES``, before any
+    table; an overflowing panel count reads as inf.
+    """
+    rmax = math.sqrt(40.0 * hi) + 2.0
+    width = 8.0 * min(0.5, math.sqrt(0.5 * lo))  # the widest panel
+    panels = rmax / width if width > 0.0 else math.inf
+    nodes = 24.0 * math.ceil(panels) if panels < math.inf else panels
+    if nodes > MAX_RADIAL_NODES:
+        raise GridError(f"the pp form's radial rule needs {nodes:.6g} nodes, over the cap of {MAX_RADIAL_NODES}")
+    panels = math.ceil(panels)
+    t, w = _gauss_legendre(24)
+    h = rmax / panels
+    left = h * np.arange(panels)
+    return (left[:, None] + 0.5 * h * (t + 1.0)).ravel(), np.tile(0.5 * h * w, panels)
+
+
 def wigner(rho, grid: PhaseGrid | None = None) -> QuasiDistribution:
     """Wigner function of a state of any kind on the given grid.
 
@@ -318,9 +356,9 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
                      at the narrower P function's band (``_p_bandwidth``).
     form = "pp":     the double P-function integral with the Gaussian
                      pairing kernel, thermal pairs: angular integrals
-                     exact, the radial double integral on 1025 Simpson
-                     nodes with its kernel summed over Poisson weights
-                     (``_poisson_form``).
+                     exact, the radial double integral on the pair's
+                     Gauss-Legendre panels (``_radial_rule``) with its
+                     kernel summed over Poisson weights (``_poisson_form``).
 
     ``a`` and ``b`` are StateSpec values (preferred) or prebuilt states,
     put at one dim by ``states.build_pair``, the one pair rule.
@@ -332,28 +370,34 @@ def hs_from_phase_space(a, b, form: str = "wigner") -> float:
         diff = wa.values - wb.values
         return math.sqrt(grid_integral(grid, diff**2) / (2.0 * math.pi))  # a sum of squares
 
-    if form in ("qp", "pp"):
-        for s in (a, b):
-            if not (isinstance(s, StateSpec) and not s.is_pure and s.params["nbar"] > 0):
-                raise UnsupportedCombinationError(
-                    f"form {form!r} needs two thermal states with nbar > 0 (regular P functions)"
-                )
-        n1, n2 = a.params["nbar"], b.params["nbar"]
-        if form == "qp":
-            ra, rb = build_pair(a, b)
-            grid = _nyquist_grid([ra, rb], _p_bandwidth(min(n1, n2)))
-            qa, qb = _husimi_functions([ra, rb], grid)
-            dq_vals = qa.values - qb.values
-            dp_vals = p_function_thermal(n1, grid).values - p_function_thermal(n2, grid).values
-            return _clamped_sqrt(grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi))
-        # pp: exact angular integrals; Simpson radially, as r f(r) has a slope at r = 0, where trapezoid is O(h^2)
-        rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
-        r = np.linspace(0.0, rmax, 1025)
-        w = simpson_weights(r.size, r[1] - r[0])
-        f = np.exp(-(r**2) / n1) / n1 - np.exp(-(r**2) / n2) / n2
+    if form == "qp":
+        n1, n2 = _thermal_nbars(a, b, form)
+        ra, rb = build_pair(a, b)
+        grid = _nyquist_grid([ra, rb], _p_bandwidth(min(n1, n2)))
+        qa, qb = _husimi_functions([ra, rb], grid)
+        dq_vals = qa.values - qb.values
+        dp_vals = p_function_thermal(n1, grid).values - p_function_thermal(n2, grid).values
+        return _clamped_sqrt(grid_integral(grid, dq_vals * dp_vals) / (2.0 * math.pi))
+
+    if form == "pp":
+        lo, hi = sorted(_thermal_nbars(a, b, form))
+        r, w = _radial_rule(lo, hi)
+        # P_lo - P_hi as P_hi expm1(log(P_lo/P_hi)): no cancellation at a small gap, and exactly 0 at none
+        gap = hi - lo
+        f = np.exp(-(r**2) / hi) / hi * np.expm1(math.log1p(gap / lo) - r * r * (gap / (lo * hi)))
         return math.sqrt(4.0 * _poisson_form(r * r, w * r * f))  # a sum of squares
 
     raise UnsupportedCombinationError(f"unknown phase-space form {form!r}")
+
+
+def _thermal_nbars(a, b, form: str) -> tuple[float, float]:
+    """The mean photon numbers of two thermal specs with nbar > 0, whose P functions are regular."""
+    for s in (a, b):
+        if not (isinstance(s, StateSpec) and not s.is_pure and s.params["nbar"] > 0):
+            raise UnsupportedCombinationError(
+                f"form {form!r} needs two thermal states with nbar > 0 (regular P functions)"
+            )
+    return a.params["nbar"], b.params["nbar"]
 
 
 def _poisson_form(lam: np.ndarray, g: np.ndarray) -> float:

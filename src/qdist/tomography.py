@@ -49,7 +49,6 @@ same grid and the same integrand, so one node at theta = 0 with weight
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,7 +60,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .phase_space import MASS_TOL, QuasiDistribution, _oscillator_levels, simpson_weights
+from .phase_space import MASS_TOL, QuasiDistribution, _gauss_legendre, _oscillator_levels, simpson_weights
 from .states import (
     FAMILIES, StateSpec, adaptive_dim, build_state, ladder_moments, quadrature_moments,
 )
@@ -355,15 +354,6 @@ def _kink_angles(moments_a, moments_b) -> np.ndarray:
         base = 0.5 * cmath.phase(da)
         angles = [base + sign * half + k * math.pi for sign in (1.0, -1.0) for k in (0, 1)]
     return np.unique(np.mod(angles, 2.0 * math.pi))
-
-
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(m: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] for m nodes, read-only: computed once per m."""
-    t, w = np.polynomial.legendre.leggauss(m)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
 
 
 def _angular_rule(kinks: np.ndarray, nodes: int):

@@ -5,7 +5,7 @@ import pytest
 
 from qdist import DensityOperator, Tomogram, classical_divergence
 from qdist.closed_forms import parse_metric
-from qdist.phase_space import oscillator_eigenfunctions, simpson_weights
+from qdist.phase_space import oscillator_eigenfunctions
 from qdist.states import FAMILIES, adaptive_dim, build_state, coherent_amplitudes, quadrature_moments
 from qdist.tomography import VACUUM_SIGMA, _angular_rule, _kink_angles, _marginals, default_x_grid
 
@@ -134,18 +134,19 @@ def dense_wigner(mat: np.ndarray, grid) -> np.ndarray:
     return (dq * (r[a, a].real[None, :] + 2.0 * (phases @ g).real)).T
 
 
-def bessel_pp_distance(n1: float, n2: float, n: int = 1025) -> float:
+def bessel_pp_distance(n1: float, n2: float, r: np.ndarray, w: np.ndarray) -> float:
     """The pp form of the HS distance between two thermal states, from a dense Bessel kernel.
 
-    The reference for the factored kernel in ``qdist.phase_space``: the
-    same radial Simpson nodes, with the n x n pairing kernel
+    The reference for the factored kernel in ``qdist.phase_space``: on the
+    form's own radial nodes ``r`` and weights ``w``, the plain difference of
+    the two P functions, with the n x n pairing kernel
     K(r, s) = i0e(2rs) e^{-(r-s)^2} = I_0(2rs) e^{-r^2-s^2} built whole.
+    Each n x n array is 8 n^2 bytes (118 MB at 3,840 nodes), so it takes
+    at most 1,300 nodes.
     """
     from scipy.special import i0e
 
-    rmax = math.sqrt(40.0 * max(n1, n2)) + 2.0
-    r = np.linspace(0.0, rmax, n)
-    w = simpson_weights(n, r[1] - r[0])
+    assert r.size <= 1300, f"{r.size} radial nodes: the dense kernel takes at most 1,300"
     f = np.exp(-(r**2) / n1) / n1 - np.exp(-(r**2) / n2) / n2
     rr, ss = np.meshgrid(r, r, indexing="ij")
     kernel = i0e(2.0 * rr * ss) * np.exp(-((rr - ss) ** 2))

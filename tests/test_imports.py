@@ -132,6 +132,22 @@ def test_phase_space_forms_size_their_grid_by_one_rule(form):
     assert numbers <= {2}, f"the {form} form writes the numbers {sorted(numbers)}"
 
 
+# One radial rule for the pp form: its branch of ``hs_from_phase_space`` reads its nodes and weights
+# from ``_radial_rule`` and builds no uniform grid or Simpson weights of its own.
+def test_pp_form_reads_one_radial_rule():
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", None))
+             for stmt in _form_branches()["pp"] for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+    assert calls.count("_radial_rule") == 1, calls
+    assert not {"linspace", "simpson_weights"} & set(calls), calls
+
+
+# One Gauss-Legendre table: ``leggauss`` runs in ``phase_space._gauss_legendre`` alone, which caches
+# it per node count, for the angular panels of ``tomography`` and the radial ones of the pp form.
+def test_one_gauss_legendre_table():
+    calls = {path.name: _callers(path, "leggauss") for path in MODULES}
+    assert {name: c for name, c in calls.items() if c} == {"phase_space.py": {"_gauss_legendre": 1}}
+
+
 # The kernels read state factors; only these functions read a state's dense ``mat``:
 # the trace norm of a general pair, and the Wigner grid's position-space density matrix.
 DENSE_READERS = {"distances.py": {"jmg_distance"}, "phase_space.py": {"_wigner_functions"}}

@@ -34,7 +34,7 @@ from qdist import (
 )
 from qdist.closed_forms import thermal_pair
 from qdist.errors import GridError, UnsupportedCombinationError
-from qdist.phase_space import _bandwidth, _nyquist_grid, _wigner_functions, grid_integral, simpson_weights
+from qdist.phase_space import _bandwidth, _nyquist_grid, _radial_rule, _wigner_functions, grid_integral, simpson_weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,25 +197,40 @@ class TestPhaseSpaceDistance:
         assert d == pytest.approx(0.18257418583505539, abs=1e-4)
 
     @pytest.mark.parametrize(
-        "n1,n2,rel",
-        [
-            (0.2, 0.5, 1e-12),
-            (1.0, 2.0, 1e-12),
-            (1.5, 3.5, 1e-12),
-            (3.0, 7.0, 1e-12),
-            (30.0, 50.0, 1e-12),
-            (100.0, 300.0, 1e-12),
-            (0.2, 1000.0, 1e-12),
-            (1000.0, 700.0, 1e-12),
-            (1e4, 5e3, 1e-10),
-            (1e4, 1.01e4, 1e-10),
-        ],
+        "n1,n2",
+        [(0.2, 0.5), (1.0, 2.0), (1.5, 3.5), (3.0, 7.0), (30.0, 50.0), (100.0, 300.0), (1000.0, 700.0)],
     )
-    def test_pp_form_matches_the_bessel_kernel(self, n1, n2, rel):
+    def test_pp_form_matches_the_bessel_kernel(self, n1, n2):
+        # the dense kernel on the form's own nodes checks the factored one; pairs of at most 1,300 nodes
         a = StateSpec("thermal", {"nbar": n1})
         b = StateSpec("thermal", {"nbar": n2})
-        expect = bessel_pp_distance(n1, n2)
-        assert abs(hs_from_phase_space(a, b, "pp") - expect) <= rel * expect
+        expect = bessel_pp_distance(n1, n2, *_radial_rule(min(n1, n2), max(n1, n2)))
+        assert abs(hs_from_phase_space(a, b, "pp") - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize(
+        "n1,n2",
+        [(0.2, 1000.0), (1e4, 1.0), (0.001, 0.002), (0.01, 5.0), (1.5, 3.5), (1e4, 5e3), (1e4, 1.01e4)],
+    )
+    def test_pp_form_matches_the_thermal_pair_oracle(self, n1, n2):
+        # scales that differ by up to 1e4, and P functions as narrow as nbar = 0.001
+        a = StateSpec("thermal", {"nbar": n1})
+        b = StateSpec("thermal", {"nbar": n2})
+        expect = thermal_pair(n1, n2)["hs"]
+        assert abs(hs_from_phase_space(a, b, "pp") - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("nbar", [0.3, 2.5, 40.0])
+    def test_pp_form_keeps_its_digits_at_a_small_gap(self, nbar, gap):
+        mp = pytest.importorskip("mpmath").mp.clone()
+        mp.dps = 40
+        n1, n2 = nbar, nbar + gap
+        x1, x2 = mp.mpf(n1), mp.mpf(n2)  # the same doubles
+        expect = mp.sqrt(2) * (x2 - x1) / mp.sqrt((1 + 2 * x1) * (1 + 2 * x2) * (1 + x1 + x2))
+        a = StateSpec("thermal", {"nbar": n1})
+        b = StateSpec("thermal", {"nbar": n2})
+        d = hs_from_phase_space(a, b, "pp")
+        assert abs(d - expect) <= 1e-12 * expect
+        assert hs_from_phase_space(b, a, "pp") == d
 
     @pytest.mark.parametrize("nbar", [0.2, 2.5, 1000.0])
     def test_pp_form_identical_pair_is_zero(self, nbar):

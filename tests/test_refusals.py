@@ -108,6 +108,10 @@ REFUSALS = {
     "QuasiDistribution-s=2": (
         lambda: QuasiDistribution(2, _grid(), np.zeros((16, 16))), StateValidationError, "-1, 0 or +1"),
     "simpson_weights-even": (lambda: simpson_weights(4, 0.1), GridError, "odd point count"),
+    # the pp form's radial rule counts its nodes before any table: 24 per panel, 1,582 panels at nbar 1e6
+    "hs_from_phase_space-pp-radial-cap": (
+        lambda: hs_from_phase_space(StateSpec("thermal", {"nbar": 1e6}), StateSpec("thermal", {"nbar": 1.0}), "pp"),
+        GridError, "needs 37968 nodes, over the cap of 16384"),
     "hs_from_phase_space-unknown-form": (
         lambda: hs_from_phase_space(fock(0, 4), fock(1, 4), "nope"), UnsupportedCombinationError, "unknown"),
     # specs and moments
