@@ -14,13 +14,14 @@ so the fine-grid position matrix is formed as its two parity halves,
 half the work and memory of the whole, and every product runs in real
 arithmetic, cos and sin of p u in place of complex exponentials.  The
 same aliasing bound holds for ``grid_integral``'s uniform trapezoid
-weights, so the ``wigner`` and ``qp`` forms run on ``_nyquist_grid``,
-with 2*pi/dq >= 2 band, since squaring W doubles its bandwidth; the
-``qp`` form's band is its thermal P function's, a Gaussian narrower in
-phase space, so wider in frequency, than its Q function.  The
-Wigner grid reads a state's ``mat``, ``populations`` and ``dim``, so it
-takes a state of any kind.  The Husimi grid reads the state's
-factor (``fock_core``) instead: a 1-d factor, a diagonal state's
+weights (``trapezoid_weights``, which the Wigner line integral of
+``tomography`` reads too), so the ``wigner`` and ``qp`` forms run on
+``_nyquist_grid``, with 2*pi/dq >= 2 band, since squaring W doubles its
+bandwidth; the ``qp`` form's band is its thermal P function's, a
+Gaussian narrower in phase space, so wider in frequency, than its Q
+function.  The Wigner grid reads a state's ``mat``, ``populations``
+and ``dim``, so it takes a state of any kind.  The Husimi grid reads
+the state's factor (``fock_core``) instead: a 1-d factor, a diagonal state's
 populations, against the Poisson weights |<n|alpha>|^2
 (``states.poisson_weights``); the columns of a 2-d one against
 ``states.coherent_amplitudes``.  The Wigner and ``qp`` forms build each
@@ -32,8 +33,9 @@ no wider than a multiple of the pair's narrowest scale (``_radial_rule``),
 and it forms the difference of the two P functions through expm1, so a
 neighbouring pair keeps its digits.
 
-A ``PhaseGrid`` is geometry only; each ``QuasiDistribution`` owns its
-values on one, a read-only copy it checks when it is built.  Their
+A ``PhaseGrid`` is geometry only, a finite nonempty window; each
+``QuasiDistribution`` owns its values on one, a read-only copy it checks
+when it is built.  Nothing here needs scipy.  Their
 normalization: int W dq dp / (2 pi) = 1 for the Wigner function;
 Q(alpha) = <alpha|rho|alpha> with alpha = (q + ip)/sqrt(2); the thermal
 P function is P(alpha) = exp(-|alpha|^2/nbar)/nbar with int P d^2alpha/pi = 1.
@@ -74,6 +76,9 @@ class PhaseGrid:
     def __post_init__(self):
         if self.nq < 16 or self.n_p < 16:
             raise StateValidationError("grids need at least 16 points per axis")
+        # finite and nonempty, written so that a NaN edge fails too
+        if not (-math.inf < self.q_min < self.q_max < math.inf and -math.inf < self.p_min < self.p_max < math.inf):
+            raise StateValidationError(f"window {self.q_min, self.q_max, self.p_min, self.p_max} is empty or not finite")
 
     @property
     def q_axis(self) -> np.ndarray:
@@ -112,7 +117,7 @@ class QuasiDistribution:
         if self.s not in (-1, 0, 1):
             raise StateValidationError("ordering parameter s must be -1, 0 or +1")
         if self.s == -1:
-            if v.min() < -1e-12 or v.max() > 1.0 + 1e-9:
+            if not (v.min() >= -1e-12 and v.max() <= 1.0 + 1e-9):  # NaN fails too
                 raise StateValidationError("Q-function values must lie in [0, 1]")
             v = np.clip(v, 0.0, 1.0)
         else:
@@ -134,22 +139,16 @@ def default_grid(dim: int, n: int = 257) -> PhaseGrid:
     return PhaseGrid(-span, span, -span, span, n, n)
 
 
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights; odd n required."""
-    if n < 3 or n % 2 == 0:
-        raise GridError(f"composite Simpson needs an odd point count >= 3, got {n}")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w * (h / 3.0)
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Uniform trapezoid weights for n points at step h: the one 1-d rule of the grid densities."""
+    w = np.full(n, h)
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def grid_integral(grid: PhaseGrid, values: np.ndarray) -> float:
     """Trapezoid integral of a field over the grid area (no 2 pi factor): geometric in the step here."""
-    wq, wp = np.full(grid.nq, grid.dq), np.full(grid.n_p, grid.dp)
-    wq[[0, -1]] *= 0.5
-    wp[[0, -1]] *= 0.5
-    return float(wq @ values @ wp)
+    return float(trapezoid_weights(grid.nq, grid.dq) @ values @ trapezoid_weights(grid.n_p, grid.dp))
 
 
 def _oscillator_levels(x):

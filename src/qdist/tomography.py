@@ -10,8 +10,12 @@ and builds no state.  Every other state, number states included, reads the
 Fock-basis form of the unit-radius marginal,
 w_theta(X) = <X| e^{-i theta N} rho e^{i theta N} |X>, from the oscillator
 eigenfunctions and the state's factor; ``marginal_analytic`` is the one-row
-case of both at any (mu, nu).  ``marginal_from_wigner``, a numerical
-line integral of a Wigner grid, stays as an independent reference.
+case of both at any (mu, nu).  ``marginal_from_wigner`` stays as an
+independent reference: the line integral of a Wigner grid, read by the
+projection-slice identity (the tomogram's Fourier transform in X is W's
+characteristic function along a ray; Vogel & Risken, PRA 40, 2847
+(1989)) on the grid's own trapezoid rule.  The X grids here, and only
+they, take Simpson weights (``simpson_weights``).
 
 The distance between two states averages a classical divergence between
 their tomogram families over the (mu, nu) plane with the normalized
@@ -60,7 +64,7 @@ from .errors import (
     StateValidationError,
     UnsupportedCombinationError,
 )
-from .phase_space import MASS_TOL, QuasiDistribution, _gauss_legendre, _oscillator_levels, simpson_weights
+from .phase_space import MASS_TOL, QuasiDistribution, _gauss_legendre, _oscillator_levels, trapezoid_weights
 from .states import (
     FAMILIES, StateSpec, adaptive_dim, build_state, ladder_moments, quadrature_moments,
 )
@@ -76,6 +80,16 @@ MAX_ANGULAR_NODES = 4096
 NODE_BLOCK = 16384
 # X grid points one row may hold: above the 53,099 of the widest pair of coherent states (|alpha| < 256)
 MAX_X_POINTS = 1 << 16
+
+
+def simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights; odd n required."""
+    if n < 3 or n % 2 == 0:
+        raise GridError(f"composite Simpson needs an odd point count >= 3, got {n}")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    return w * (h / 3.0)
 
 
 def _integrals(weights: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -199,39 +213,39 @@ def marginal_analytic(spec: StateSpec, mu: float, nu: float, x: np.ndarray) -> T
 
 
 def marginal_from_wigner(qd: QuasiDistribution, mu: float, nu: float, x: np.ndarray) -> Tomogram:
-    """Tomogram as a line integral of a Wigner grid.
+    """Tomogram of a Wigner grid by the projection-slice identity, on the grid's own trapezoid rule.
 
-    For each X the density is (2 pi r)^{-1} times the integral of W
-    along the line mu q + nu p = X (r^2 = mu^2 + nu^2), evaluated by
-    cubic interpolation of the grid and Simpson quadrature along the
-    rotated coordinate.  The result is clipped of interpolation-level
-    negatives and renormalized; the pre-normalization defect is kept on
-    the tomogram for convergence monitoring.
+    With r^2 = mu^2 + nu^2, e = (mu, nu)/r and q, p measured from the
+    window's centre c, the Fourier transform in X of the tomogram is
+    W's characteristic function along the ray t e,
+    chi(t) = sum_jl a_j b_l W_jl e^{-it(e_q q_j + e_p p_l)} / (2 pi), with
+    a, b the trapezoid weights of ``grid_integral``: two products with
+    the grid's axes, at t = 0, pi/vmax, ... up to pi/max(dq, dp), the
+    grid's Nyquist frequency on both axes, where vmax is half the
+    window's diagonal.  Then w(X) = (1/(pi r)) int_0 Re(chi(t) e^{ity}) dt
+    with y = X/r - e.c, on the trapezoid rule of the same nodes, whose
+    period in y is 2 vmax: the window holds W's whole line integral
+    for |y| <= vmax, and w = 0 beyond.  The grid fixes the rule.
+    Rounding-level negatives are clipped; the Simpson mass defect on
+    the X grid is kept on the tomogram.
     """
-    from scipy.ndimage import map_coordinates
-
     if qd.s != 0:
         raise UnsupportedCombinationError("marginals are defined from the s = 0 distribution")
     r = math.hypot(mu, nu)
     if r * r <= 1e-12:
         raise StateValidationError("(mu, nu) must not vanish")
     g = qd.grid
-    x = np.asarray(x, dtype=float)
-    e_q, e_p = mu / r, nu / r
+    c_q, c_p = 0.5 * (g.q_min + g.q_max), 0.5 * (g.p_min + g.p_max)
     vmax = 0.5 * math.hypot(g.q_max - g.q_min, g.p_max - g.p_min)
-    step = 0.5 * min(g.dq, g.dp)
-    nv = int(2.0 * vmax / step) + 1
-    if nv % 2 == 0:
-        nv += 1
-    v = np.linspace(-vmax, vmax, nv)
-    wv = simpson_weights(nv, v[1] - v[0])
-    # grid coordinates of the sample points (X/r) e + v e_perp
-    qs = np.add.outer(x / r * e_q, -v * e_p)
-    ps = np.add.outer(x / r * e_p, v * e_q)
-    ci = (qs - g.q_min) / g.dq
-    cj = (ps - g.p_min) / g.dp
-    samples = map_coordinates(qd.values, [ci.ravel(), cj.ravel()], order=3, mode="constant", cval=0.0)
-    w = (samples.reshape(qs.shape) @ wv) / (2.0 * math.pi * r)
+    nt = int(vmax / max(g.dq, g.dp)) + 1
+    t = np.arange(nt) * (math.pi / vmax)
+    u = np.exp(np.outer(t, -1j * mu / r * (g.q_axis - c_q))) * trapezoid_weights(g.nq, g.dq)
+    v = np.exp(np.outer(t, -1j * nu / r * (g.p_axis - c_p))) * trapezoid_weights(g.n_p, g.dp)
+    chi = np.einsum("kl,kl->k", u @ qd.values, v) * (trapezoid_weights(nt, math.pi / vmax) / (2.0 * math.pi))
+    y = (np.asarray(x, dtype=float) - (mu * c_q + nu * c_p)) / r
+    w = np.outer(y, 1j * t)
+    w = (np.exp(w, out=w) @ chi).real / (math.pi * r)  # in place: with a long X grid this is the largest array
+    w[np.abs(y) > vmax] = 0.0
     lo = float(w.min())
     if lo < -1e-4 * max(float(w.max()), 1e-30):
         raise GridError(f"line integral went negative ({lo:.3e}); refine the Wigner grid")

@@ -1,5 +1,6 @@
 """Import hygiene: every imported name is used, ``import qdist`` loads neither numpy nor scipy, no
-subcommand loads scipy, and every qdist name the benchmark harness reaches exists."""
+module imports scipy, everything runs where scipy cannot be imported, and every qdist name the
+benchmark harness reaches exists."""
 
 import ast
 import os
@@ -89,11 +90,9 @@ def _callers(path, name):
 
 # The density types check their own mass; no producer integrates one itself.
 MASS_INTEGRALS = {
-    # Simpson weights on an X grid: a single tomogram's grid, the divergence's, the rows of a block
-    # of angular nodes, and the one v line integral of the Wigner route
-    ("tomography.py", "simpson_weights"): {
-        "Tomogram.__post_init__": 1, "classical_divergence": 1, "_x_rows": 1, "marginal_from_wigner": 1,
-    },
+    # Simpson weights on an X grid: a single tomogram's grid, the divergence's and the rows of a block
+    # of angular nodes
+    ("tomography.py", "simpson_weights"): {"Tomogram.__post_init__": 1, "classical_divergence": 1, "_x_rows": 1},
     # the one row-wise mass check of a tomogram: a single one's row, and every block of a distance's
     # nodes; no marginal integrates its own mass
     ("tomography.py", "_normalized"): {"Tomogram.__post_init__": 1, "tomographic_distance": 1},
@@ -104,6 +103,16 @@ MASS_INTEGRALS = {
 @pytest.mark.parametrize("module,name", MASS_INTEGRALS, ids=lambda v: v)
 def test_only_the_density_types_integrate_their_mass(module, name):
     assert _callers(PACKAGE / module, name) == MASS_INTEGRALS[module, name]
+
+
+# The Wigner line integral reads the grid's Fourier transform on the grid's own trapezoid rule: its weights
+# on both axes and on the ray come from the helper ``grid_integral`` calls, and it interpolates nothing and
+# lays out no grid or Simpson rule of its own.
+def test_wigner_marginal_reads_the_grid_rule():
+    assert _callers(PACKAGE / "phase_space.py", "trapezoid_weights") == {"grid_integral": 2}
+    assert _callers(PACKAGE / "tomography.py", "trapezoid_weights") == {"marginal_from_wigner": 3}
+    for name in ("simpson_weights", "map_coordinates", "linspace"):
+        assert "marginal_from_wigner" not in _callers(PACKAGE / "tomography.py", name), name
 
 
 # One grid rule for the phase-space forms: the wigner and qp branches of ``hs_from_phase_space`` each
@@ -416,29 +425,6 @@ def test_one_clamp_for_negative_squares():
     assert counts == SQRT_CLAMPS
 
 
-def _module_level_imports(tree):
-    """Modules named by the import statements that run when the module is imported."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Import):
-            yield from ((node.lineno, alias.name) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.lineno, node.module or ""
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_no_module_level_scipy_import(path):
-    # scipy costs ~0.3 s to import; only the Wigner line integral (scipy.ndimage) needs it
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    scipy = sorted(
-        f"{name} (line {line})" for line, name in _module_level_imports(tree) if name.split(".")[0] == "scipy"
-    )
-    assert not scipy, f"{path.name} imports at module level: {', '.join(scipy)}"
-
-
 def _child_stdout(code: str) -> str:
     """What a fresh interpreter, importing this qdist, prints on running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
@@ -515,9 +501,10 @@ def test_star_import_binds_every_export():
     assert _child_stdout(code).strip() == repr(EXPORTS)
 
 
-def test_phase_space_imports_no_scipy():
-    # not even inside a function: the Husimi and pp kernels read Poisson weights from ``states``
-    tree = ast.parse((PACKAGE / "phase_space.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # not even inside a function: scipy is a test dependency only
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     scipy = sorted(
         f"{name} (line {node.lineno})"
         for node in ast.walk(tree)
@@ -525,7 +512,7 @@ def test_phase_space_imports_no_scipy():
         for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
         if name.split(".")[0] == "scipy"
     )
-    assert not scipy, f"phase_space.py imports {', '.join(scipy)}"
+    assert not scipy, f"{path.name} imports {', '.join(scipy)}"
 
 
 def test_phase_space_forms_load_no_scipy():
@@ -536,6 +523,25 @@ def test_phase_space_forms_load_no_scipy():
         "hs_from_phase_space(a, b, 'qp')"
     )
     assert "scipy" not in _loaded_after(code)
+
+
+def test_everything_runs_where_scipy_cannot_be_imported():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # import scipy now raises ImportError\n"
+        "import numpy as np\n"
+        "from qdist import fock, hs_from_phase_space, husimi_q, marginal_from_wigner, parse_state_spec, wigner\n"
+        "from qdist.cli import main\n"
+        f"for argv in {list(SUBCOMMANDS.values())!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "a, b = parse_state_spec('thermal:1'), parse_state_spec('thermal:2')\n"
+        "for form in ('wigner', 'qp', 'pp'):\n"
+        "    assert hs_from_phase_space(a, b, form) > 0.0\n"
+        "husimi_q(fock(1, 8))\n"
+        "tom = marginal_from_wigner(wigner(fock(1, 8)), 0.6, 0.8, np.linspace(-6.0, 6.0, 257))\n"
+        "print('ok', tom.quadrature_defect < 1e-9)"
+    )
+    assert _child_stdout(code).splitlines()[-1] == "ok True"
 
 
 # the benchmark harness looks each qdist name up only when it calls it, so a lost name reads as an

@@ -34,7 +34,8 @@ from qdist import (
 )
 from qdist.closed_forms import thermal_pair
 from qdist.errors import GridError, UnsupportedCombinationError
-from qdist.phase_space import _bandwidth, _nyquist_grid, _radial_rule, _wigner_functions, grid_integral, simpson_weights
+from qdist.phase_space import _bandwidth, _nyquist_grid, _radial_rule, _wigner_functions, grid_integral
+from qdist.tomography import simpson_weights
 
 TWO_PI = 2.0 * math.pi
 

@@ -51,7 +51,7 @@ from qdist.errors import (
     UnsupportedCombinationError,
 )
 from qdist.fock_core import _clamped_sqrt
-from qdist.phase_space import simpson_weights
+from qdist.tomography import simpson_weights
 
 
 def _grid(nq=16):
@@ -75,6 +75,14 @@ def _tomogram(w):
 
 def _flat_tomogram():
     return _tomogram(np.full(5, 0.5))
+
+
+def _two_lobe_wigner():
+    # twice a vacuum Wigner function at q = 3 less one at q = -3: mass 1, and its q marginal is negative at -3
+    grid = PhaseGrid(-8.0, 8.0, -8.0, 8.0, 65, 65)
+    q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+    lobes = 4.0 * np.exp(-((q - 3.0) ** 2) - p * p) - 2.0 * np.exp(-((q + 3.0) ** 2) - p * p)
+    return QuasiDistribution(0, grid, lobes)
 
 
 # id -> (call, expected exception class, message fragment); a CLI argv takes its exit code instead
@@ -102,6 +110,20 @@ REFUSALS = {
     "DensityOperator-non-square": (lambda: DensityOperator(np.ones((2, 3))), StateValidationError, "square"),
     # phase space
     "PhaseGrid-too-few-points": (lambda: _grid(nq=15), StateValidationError, "16 points"),
+    # a window that is empty, inverted or not finite; each reached a grid density before it was refused
+    "PhaseGrid-empty-window": (
+        lambda: wigner(fock(0, 8), PhaseGrid(0.0, 0.0, 0.0, 0.0, 16, 16)), StateValidationError, "empty or not finite"),
+    "PhaseGrid-inverted-window": (
+        lambda: husimi_q(fock(0, 8), PhaseGrid(1.0, -1.0, 1.0, -1.0, 16, 16)), StateValidationError,
+        "empty or not finite"),
+    "PhaseGrid-nan-edge": (
+        lambda: husimi_q(fock(0, 8), PhaseGrid(math.nan, 4.0, -4.0, 4.0, 16, 16)), StateValidationError,
+        "empty or not finite"),
+    "PhaseGrid-infinite-edge": (
+        lambda: husimi_q(fock(0, 8), PhaseGrid(-4.0, 4.0, -4.0, math.inf, 16, 16)), StateValidationError,
+        "empty or not finite"),
+    "QuasiDistribution-nan-Q": (
+        lambda: QuasiDistribution(-1, _grid(), np.full((16, 16), math.nan)), StateValidationError, "[0, 1]"),
     # values that do not match their PhaseGrid's shape
     "PhaseGrid-shape": (
         lambda: QuasiDistribution(0, _grid(), np.zeros((16, 17))), StateValidationError, "values shape"),
@@ -193,6 +215,9 @@ REFUSALS = {
     "marginal_from_wigner-husimi-grid": (
         lambda: marginal_from_wigner(husimi_q(fock(0, 4), default_grid(4, 17)), 1.0, 0.0, np.linspace(-1, 1, 5)),
         UnsupportedCombinationError, "s = 0"),
+    "marginal_from_wigner-negative-line-integral": (
+        lambda: marginal_from_wigner(_two_lobe_wigner(), 1.0, 0.0, np.linspace(-8.0, 8.0, 257)),
+        GridError, "line integral went negative"),
     "classical_divergence-unknown-kind": (
         lambda: classical_divergence(_flat_tomogram(), _flat_tomogram(), "nope"), StateValidationError, "unknown"),
     # CLI exit codes

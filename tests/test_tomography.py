@@ -27,10 +27,10 @@ from qdist import (
     wigner,
 )
 from qdist.errors import GridError, StateValidationError
-from qdist.phase_space import PhaseGrid, p_function_thermal, simpson_weights
+from qdist.phase_space import PhaseGrid, QuasiDistribution, _nyquist_grid, p_function_thermal
 from qdist.states import quadrature_moments
 from qdist import tomography
-from qdist.tomography import MAX_ANGULAR_NODES, _angular_rule, _kink_angles, _marginals, default_x_grid
+from qdist.tomography import MAX_ANGULAR_NODES, _angular_rule, _kink_angles, _marginals, default_x_grid, simpson_weights
 
 
 def vacuum_spec():
@@ -102,6 +102,21 @@ class TestAnalyticMarginals:
             marginal_analytic(vacuum_spec(), 0.0, 0.0, x)
 
 
+# criterion 9's directions
+DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8), (2.0, 1.0)]
+# rows whose Wigner grid does not hold them to 1e-12: on the default window of dim 8, ``wigner`` stops
+# its u sum for fock:3 at the window's edge |q -+ u/2| = 8, so W itself is 1.4e-12 off near q = -3;
+# and the Nyquist grids of dim 8 sample the marginals of fock:2 and fock:3 only up to frequency
+# pi/dq = 11.6 and 12.0, where their transforms still stand at 1.5e-11 and 4.2e-11 of the peak
+_UNRESOLVED = {("fock:3", "default"), ("fock:2", "nyquist"), ("fock:3", "nyquist")}
+LINE_INTEGRAL_CASES = [
+    pytest.param(text, grid, marks=pytest.mark.xfail(strict=True, reason="the grid resolves it to about 1e-11"))
+    if (text, grid) in _UNRESOLVED else (text, grid)
+    for text in ("fock:0", "fock:1", "fock:2", "fock:3", "fock:20", "cat:1.4,0.2,1.0", "phase:0.5,0.2", "thermal:0.8")
+    for grid in ("default", "nyquist")
+] + [("fock:300", "nyquist")]
+
+
 class TestWignerMarginals:
     def test_vacuum_matches_analytic(self):
         qd = wigner(outer(fock(0, 8)))
@@ -132,6 +147,29 @@ class TestWignerMarginals:
         w = simpson_weights(x.size, x[1] - x[0])
         assert float(w @ tom.w) == pytest.approx(1.0, abs=1e-9)
         assert tom.quadrature_defect < 1e-6
+
+    @pytest.mark.parametrize("text, grid", LINE_INTEGRAL_CASES)
+    def test_line_integral_matches_the_closed_form(self, text, grid):
+        # within 1e-12 of the closed form's peak over the grid's whole window
+        spec = parse_state_spec(text)
+        rho = as_density(spec, adaptive_dim(spec))
+        qd = wigner(rho, _nyquist_grid([rho]) if grid == "nyquist" else None)
+        assert text != "fock:300" or qd.grid.nq == 990
+        for mu, nu in DIRECTIONS:
+            x = math.hypot(mu, nu) * np.linspace(qd.grid.q_min, qd.grid.q_max, 2049)
+            exact = marginal_analytic(spec, mu, nu, x).w
+            assert np.abs(marginal_from_wigner(qd, mu, nu, x).w - exact).max() <= 1e-12 * exact.max(), (mu, nu)
+
+    def test_an_offset_window_is_read_about_its_centre(self):
+        # the vacuum displaced to q = 12 on a window around it, which does not hold the origin
+        grid = PhaseGrid(4.0, 20.0, -8.0, 8.0, 129, 129)
+        q, p = np.meshgrid(grid.q_axis, grid.p_axis, indexing="ij")
+        qd = QuasiDistribution(0, grid, 2.0 * np.exp(-((q - 12.0) ** 2) - p * p))
+        for mu, nu in DIRECTIONS:
+            r2, mean = mu * mu + nu * nu, 12.0 * mu
+            x = mean + math.sqrt(r2) * np.linspace(-8.0, 8.0, 1025)
+            exact = np.exp(-((x - mean) ** 2) / r2) / math.sqrt(math.pi * r2)
+            assert np.abs(marginal_from_wigner(qd, mu, nu, x).w - exact).max() <= 1e-12 * exact.max(), (mu, nu)
 
 
 def _narrow(n=101):
